@@ -23,6 +23,7 @@ malformed responses never are.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -37,13 +38,11 @@ import numpy as np
 import requests
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
-from .promptkit import TextTemplate, DEFAULT_TEMPLATE
+from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, TextTemplate
 from .novelty import NoveltyClass
 
 GENERATION_URL_ENV = "PARAPROMPT_GENERATION_URL"
 EMBEDDING_URL_ENV = "PARAPROMPT_EMBEDDING_URL"
-
-DEFAULT_MAX_NEW_TOKENS = 100
 
 
 class BackendError(RuntimeError):
@@ -85,6 +84,8 @@ class BackendConfig:
     auth_token: str | None = None
 
     def __post_init__(self) -> None:
+        if self.timeout <= 0:
+            raise ValueError("timeout must be > 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 1:
@@ -96,21 +97,13 @@ class BackendConfig:
         emb = os.environ.get(EMBEDDING_URL_ENV, self.embedding_url)
         if gen == self.generation_url and emb == self.embedding_url:
             return self
-        return BackendConfig(
-            generation_url=gen,
-            embedding_url=emb,
-            embedding_model_name=self.embedding_model_name,
-            timeout=self.timeout,
-            max_in_flight=self.max_in_flight,
-            retry_limit=self.retry_limit,
-            auth_token=self.auth_token,
-        )
+        return dataclasses.replace(self, generation_url=gen, embedding_url=emb)
 
 
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
-    max_new_tokens: int = DEFAULT_MAX_NEW_TOKENS
+    max_new_tokens: int = DECODE_MARGIN
     stop: tuple[str, ...] = ()
     request_id: str = ""
     layout_json: dict | None = None
@@ -380,7 +373,7 @@ def make_embedding_backend(config: BackendConfig) -> EmbeddingBackend:
 def generate_batch(
     backend: GenerationBackend,
     requests_list: Sequence[GenerationRequest],
-    max_in_flight: int = 4,
+    max_in_flight: int,
 ) -> list[GenerationResponse]:
     """Run requests concurrently (bounded), returning responses in order."""
     if not requests_list:

@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -22,10 +22,22 @@ from . import dataio, novelty, paramcount, promptkit, retrieval
 from .metrics import EvalRecord, evaluate_all, report_csv, report_text
 from .textcore import NormalizationConfig, normalize, render
 
-GENERATE_MODES = ("manual", "rapt", "ncrapt", "copy", "ground-truth")
+# Allowed values of the enumerated run settings, read by both the argparse
+# choices and PipelineConfig's validation.
+CHOICES = {
+    "data_format": dataio.DATA_FORMATS,
+    "mode": ("manual", "rapt", "ncrapt", "copy", "ground-truth"),
+    "strategy": ("knn", "random"),
+    "query_class": tuple(c.label for c in novelty.NoveltyClass),
+    "exclude_self": ("auto", "always", "never"),
+}
 
 # GPT2 context is 1024; keep n + decode margin inside it by default.
 DEFAULT_MAX_PROMPT_TOKENS = 1024 - promptkit.DECODE_MARGIN
+
+# Sub-config fields that are not config keys: credentials never reach a
+# config file or snapshot, and the slot classes follow from the mode.
+_NOT_KEYS = {"auth_token", "classes"}
 
 
 class UsageError(ValueError):
@@ -37,8 +49,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Run fields plus the typed sub-configs, which own their own fields,
+    defaults and checks. Config keys are the run fields and the
+    sub-configs' fields, flattened in declaration order."""
+
     train_path: str | None = None
     validation_path: str | None = None
     test_path: str | None = None
@@ -51,52 +67,21 @@ class PipelineConfig:
     strategy: str = "knn"
     query_class: str = "high"
     exclude_self: str = "auto"
-    global_prefix_len: int = promptkit.DEFAULT_GLOBAL_PREFIX_LEN
-    class_prefix_len: int = promptkit.DEFAULT_CLASS_PREFIX_LEN
-    infix_len: int = promptkit.DEFAULT_INFIX_LEN
+    slots: promptkit.SlotSpec = field(default_factory=promptkit.SlotSpec)
     max_prompt_tokens: int = DEFAULT_MAX_PROMPT_TOKENS
-    low_max: float = 0.2
-    high_min: float = 0.4
-    lowercase: bool = True
-    unicode_normalize: bool = True
-    punctuation_split: bool = True
-    collapse_whitespace: bool = True
-    generation_url: str = "mock:echo"
-    embedding_url: str = "mock:hash"
-    embedding_model_name: str = "paraphrase-mpnet-base-v2"
-    timeout: float = 30.0
-    max_in_flight: int = 4
-    retry_limit: int = 2
+    thresholds: novelty.NoveltyThresholds = field(default_factory=novelty.NoveltyThresholds)
+    normalization: NormalizationConfig = field(default_factory=NormalizationConfig)
+    backend: backend_mod.BackendConfig = field(default_factory=backend_mod.BackendConfig)
     semantic: bool = True
     template_path: str | None = None
 
-    def normalization(self) -> NormalizationConfig:
-        return NormalizationConfig(
-            lowercase=self.lowercase,
-            unicode_normalize=self.unicode_normalize,
-            punctuation_split=self.punctuation_split,
-            collapse_whitespace=self.collapse_whitespace,
-        )
-
-    def thresholds(self) -> novelty.NoveltyThresholds:
-        return novelty.NoveltyThresholds(low_max=self.low_max, high_min=self.high_min)
-
-    def backend_config(self) -> backend_mod.BackendConfig:
-        return backend_mod.BackendConfig(
-            generation_url=self.generation_url,
-            embedding_url=self.embedding_url,
-            embedding_model_name=self.embedding_model_name,
-            timeout=self.timeout,
-            max_in_flight=self.max_in_flight,
-            retry_limit=self.retry_limit,
-        )
-
-    def slot_spec(self) -> promptkit.SlotSpec:
-        return promptkit.SlotSpec(
-            global_prefix_len=self.global_prefix_len,
-            class_prefix_len=self.class_prefix_len,
-            infix_len=self.infix_len,
-        )
+    def __post_init__(self) -> None:
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and not (name == "data_format" and value is None):
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
 
     def template(self) -> promptkit.TextTemplate:
         if self.template_path:
@@ -104,7 +89,22 @@ class PipelineConfig:
         return promptkit.DEFAULT_TEMPLATE
 
 
+def config_keys() -> dict[str, tuple[str | None, str]]:
+    """Config key -> (name of the sub-config field holding it, or None for
+    a run field; the key's declared type), in snapshot order."""
+    keys: dict[str, tuple[str | None, str]] = {}
+    for f in dataclasses.fields(PipelineConfig):
+        if dataclasses.is_dataclass(f.default_factory):
+            for sub in dataclasses.fields(f.default_factory):
+                if sub.name not in _NOT_KEYS:
+                    keys[sub.name] = (f.name, sub.type)
+        else:
+            keys[f.name] = (None, f.type)
+    return keys
+
+
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"bool": lambda value: _BOOL_VALUES[value.lower()], "int": int, "float": float}
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -119,30 +119,27 @@ def load_config_file(path: str | Path) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
+    keys = config_keys()
     typed: dict = {}
     for key, value in values.items():
-        if key not in fields:
+        if key not in keys:
             raise UsageError(f"{path}: unknown config key {key!r}")
-        ftype = fields[key].type
-        if ftype in ("bool",):
-            if value.lower() not in _BOOL_VALUES:
-                raise UsageError(f"{path}: bad boolean for {key}: {value!r}")
-            typed[key] = _BOOL_VALUES[value.lower()]
-        elif ftype in ("int",):
-            typed[key] = int(value)
-        elif ftype in ("float",):
-            typed[key] = float(value)
-        else:
+        ftype = keys[key][1]
+        if ftype not in _PARSERS:
             typed[key] = value if value != "" else None
+            continue
+        try:
+            typed[key] = _PARSERS[ftype](value)
+        except (KeyError, ValueError):
+            raise UsageError(f"{path}: bad {ftype} for {key}: {value!r}") from None
     return typed
 
 
 def write_config_snapshot(config: PipelineConfig, out_dir: Path, command: str) -> None:
     lines = [f"# resolved config for: {command}"]
-    for f in dataclasses.fields(PipelineConfig):
-        value = getattr(config, f.name)
-        lines.append(f"{f.name}={'' if value is None else value}")
+    for key, (section, _) in config_keys().items():
+        value = getattr(getattr(config, section) if section else config, key)
+        lines.append(f"{key}={'' if value is None else value}")
     dataio.atomic_write_text(out_dir / f"resolved_config_{command}.txt", "\n".join(lines) + "\n")
 
 
@@ -162,7 +159,7 @@ def cmd_label(config: PipelineConfig) -> int:
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
     split = _load_split(config, train_path, "train")
-    result = novelty.label_dataset(split.pairs, config.normalization(), config.thresholds())
+    result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
     dataio.write_jsonl(out_dir / "labeled.jsonl", (lp.as_dict() for lp in result.labeled))
     dataio.atomic_write_text(
         out_dir / "labeled_meta.json", json.dumps(result.metadata(), indent=2) + "\n"
@@ -181,7 +178,7 @@ def cmd_index(config: PipelineConfig) -> int:
     split = _load_split(config, train_path, "train")
     if not split.pairs:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
-    embedder = backend_mod.make_embedding_backend(config.backend_config())
+    embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([p.source for p in split.pairs])
     entries = [(p.id, vec) for p, vec in zip(split.pairs, vectors)]
     emb_path = out_dir / "embeddings.bin"
@@ -221,17 +218,15 @@ def _novelty_by_id(config: PipelineConfig, split: dataio.DatasetSplit) -> dict[s
                     lp = novelty.labeled_pair_from_dict(json.loads(line))
                     out[lp.pair.id] = lp.novelty
         return out
-    result = novelty.label_dataset(split.pairs, config.normalization(), config.thresholds())
+    result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
     return {lp.pair.id: lp.novelty for lp in result.labeled}
 
 
 def cmd_generate(config: PipelineConfig) -> int:
     """Assemble prompts for the test inputs and collect completions."""
-    if config.mode not in GENERATE_MODES:
-        raise UsageError(f"mode must be one of {GENERATE_MODES}, got {config.mode!r}")
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
-    cfg_norm = config.normalization()
+    cfg_norm = config.normalization
     template = config.template()
     inputs = _load_split(config, test_path, "test")
     rows: list[dict] = []
@@ -245,11 +240,8 @@ def cmd_generate(config: PipelineConfig) -> int:
         print(f"wrote {len(rows)} {config.mode} pseudo-generations")
         return 0
 
-    gen_backend = backend_mod.make_generation_backend(config.backend_config())
+    gen_backend = backend_mod.make_generation_backend(config.backend)
     query_class = novelty.NoveltyClass.from_label(config.query_class)
-    spec = config.slot_spec()
-    if config.mode == "ncrapt":
-        spec = spec.with_all_classes()
 
     index = None
     classes_by_id: dict[str, novelty.NoveltyClass] = {}
@@ -263,8 +255,14 @@ def cmd_generate(config: PipelineConfig) -> int:
             print("warning: retrieval index is empty; layouts degrade to 0 examples")
         if config.mode == "ncrapt":
             classes_by_id = _novelty_by_id(config, train)
-        embedder = backend_mod.make_embedding_backend(config.backend_config())
+        embedder = backend_mod.make_embedding_backend(config.backend)
         query_vectors = embedder.embed([p.source for p in inputs.pairs])
+        if len(index) and len(query_vectors[0]) != index.dim:
+            raise dataio.DataFormatError(
+                out_dir / "embeddings.bin", None,
+                f"index dimension {index.dim} != query dimension {len(query_vectors[0])}; "
+                "index and generate need the same embedding backend",
+            )
         exclude_self = (
             config.exclude_self == "always"
             or (config.exclude_self == "auto" and config.train_path == config.test_path)
@@ -301,9 +299,9 @@ def cmd_generate(config: PipelineConfig) -> int:
                 for record, sim in ascending
             ]
             if config.mode == "rapt":
-                assemble = lambda ex: promptkit.assemble_rapt(x, ex, spec)
+                assemble = lambda ex: promptkit.assemble_rapt(x, ex, config.slots)
             else:
-                assemble = lambda ex: promptkit.assemble_ncrapt(x, ex, query_class, spec)
+                assemble = lambda ex: promptkit.assemble_ncrapt(x, ex, query_class, config.slots)
             layout, dropped = promptkit.fit_examples_to_budget(
                 assemble, examples, gen_backend.count_tokens, config.max_prompt_tokens
             )
@@ -312,7 +310,6 @@ def cmd_generate(config: PipelineConfig) -> int:
         requests_list.append(
             backend_mod.GenerationRequest(
                 prompt=prompt,
-                max_new_tokens=promptkit.DECODE_MARGIN,
                 stop=("\n",),
                 request_id=pair.id,
                 layout_json=promptkit.layout_to_json(layout),
@@ -326,7 +323,7 @@ def cmd_generate(config: PipelineConfig) -> int:
         prompt_meta.append(meta)
 
     responses = backend_mod.generate_batch(
-        gen_backend, requests_list, max_in_flight=config.max_in_flight
+        gen_backend, requests_list, max_in_flight=config.backend.max_in_flight
     )
     resp_iter = iter(responses)
     infix_class = query_class if config.mode == "ncrapt" else None
@@ -363,7 +360,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     """Score generations against the test split's ground truths."""
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
-    cfg_norm = config.normalization()
+    cfg_norm = config.normalization
     split = _load_split(config, test_path, "test")
     generations = dataio.load_generations(out_dir / "generations.jsonl")
     by_id = {p.id: p for p in split.pairs}
@@ -396,7 +393,7 @@ def cmd_eval(config: PipelineConfig) -> int:
 
     vector_pairs = None
     if config.semantic:
-        embedder = backend_mod.make_embedding_backend(config.backend_config())
+        embedder = backend_mod.make_embedding_backend(config.backend)
         source_vecs = embedder.embed([src for src, _ in texts])
         # Empty predictions have no meaningful embedding; reuse an
         # all-zero vector so they are excluded and tallied by the metric.
@@ -478,7 +475,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--validation", dest="validation_path")
     parser.add_argument("--test", dest="test_path")
     parser.add_argument("--dataset-name", dest="dataset_name")
-    parser.add_argument("--format", dest="data_format", choices=("jsonl", "tsv"))
+    parser.add_argument("--format", dest="data_format", choices=CHOICES["data_format"])
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -519,11 +516,11 @@ def build_parser() -> _Parser:
         p.add_argument("--template", dest="template_path")
         p.add_argument("--semantic", action=argparse.BooleanOptionalAction)
         if needs_generation:
-            p.add_argument("--mode", choices=GENERATE_MODES)
+            p.add_argument("--mode", choices=CHOICES["mode"])
             p.add_argument("--k", type=int)
-            p.add_argument("--strategy", choices=("knn", "random"))
-            p.add_argument("--query-class", dest="query_class", choices=("low", "medium", "high"))
-            p.add_argument("--exclude-self", dest="exclude_self", choices=("auto", "always", "never"))
+            p.add_argument("--strategy", choices=CHOICES["strategy"])
+            p.add_argument("--query-class", dest="query_class", choices=CHOICES["query_class"])
+            p.add_argument("--exclude-self", dest="exclude_self", choices=CHOICES["exclude_self"])
             p.add_argument("--global-prefix-len", dest="global_prefix_len", type=int)
             p.add_argument("--class-prefix-len", dest="class_prefix_len", type=int)
             p.add_argument("--infix-len", dest="infix_len", type=int)
@@ -538,15 +535,19 @@ def build_parser() -> _Parser:
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
+    """Config-file values, overridden by flags, built and validated once."""
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
-    for key, value in vars(args).items():
-        if key in field_names and value is not None:
-            values[key] = value
+    keys = config_keys()
+    values.update((k, v) for k, v in vars(args).items() if k in keys and v is not None)
+    run = {key: value for key, value in values.items() if keys[key][0] is None}
     try:
-        return PipelineConfig(**values)
+        for f in dataclasses.fields(PipelineConfig):
+            if dataclasses.is_dataclass(f.default_factory):
+                section = {key: value for key, value in values.items() if keys[key][0] == f.name}
+                run[f.name] = f.default_factory(**section)
+        return PipelineConfig(**run)
     except (TypeError, ValueError) as err:
         raise UsageError(str(err)) from err
 

@@ -7,7 +7,6 @@ UTF-8; a BOM is tolerated on read and never written.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-SPLIT_NAMES = ("train", "validation", "test")
+DATA_FORMATS = ("jsonl", "tsv")
 
 # Published split sizes, used for sanity-checking loaded corpora.
 KNOWN_SPLIT_SIZES: dict[str, dict[str, int]] = {
@@ -75,7 +74,7 @@ def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") ->
     """
     if fmt is None:
         fmt = "tsv" if str(path).endswith((".tsv", ".txt")) else "jsonl"
-    if fmt not in ("jsonl", "tsv"):
+    if fmt not in DATA_FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}")
     pairs: list[ParaphrasePair] = []
     seen: set[str] = set()
@@ -215,29 +214,3 @@ def load_generations(path: str | Path) -> list[dict]:
                 raise DataFormatError(path, lineno, 'expected {"id", "prompt_n", "output"}')
             rows.append(obj)
     return rows
-
-
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_outputs(records, path: str | Path, kind: str) -> None:
-    """Uniform emission entry point, dispatching on the record kind.
-
-    "labeled" takes labeled novelty pairs, "generations" takes generation
-    records, "report_csv" takes a metric report.
-    """
-    if kind == "labeled":
-        write_jsonl(path, (r.as_dict() if hasattr(r, "as_dict") else r for r in records))
-    elif kind == "generations":
-        write_generations(path, records)
-    elif kind == "report_csv":
-        from .metrics.report import report_csv
-
-        atomic_write_text(path, report_csv(records))
-    else:
-        raise ValueError(f"unknown output kind {kind!r}")

@@ -113,6 +113,7 @@ def evaluate_all(
         sari=sari_value,
         normalization=normalization,
         corpus_size=len(records),
+        diagnostics=diagnostics,
     )
 
 

@@ -5,8 +5,8 @@ as TER with the target as hypothesis and the source as reference (the
 edits the paraphrase applies to the input; this direction is recorded in
 output metadata since the reverse is equally defensible). Three ordered
 classes partition the TER axis, with inclusive boundaries at both
-thresholds: TER <= 0.2 is low, TER >= 0.4 is high, everything between is
-medium.
+thresholds: TER <= low_max is low, TER >= high_min is high, everything
+between is medium.
 """
 
 from __future__ import annotations

@@ -21,6 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .novelty import NoveltyClass
+from .promptkit import SlotSpec
+
 
 @dataclass(frozen=True)
 class ModelShape:
@@ -111,19 +114,17 @@ class LPT:
 @dataclass(frozen=True)
 class RAPT:
     lora: LoRA = field(default_factory=LoRA)
-    global_prefix_len: int = 248
-    class_prefix_len: int = 8
-    infix_len: int = 8
+    slots: SlotSpec = field(default_factory=SlotSpec)
     label: str = "RAPT"
 
 
 @dataclass(frozen=True)
 class NCRAPT:
+    """One prefix/infix span pair per class in ``slots.classes``, or per
+    novelty class when it lists none, as in the conditioned layout."""
+
     lora: LoRA = field(default_factory=LoRA)
-    global_prefix_len: int = 248
-    class_prefix_len: int = 8
-    infix_len: int = 8
-    classes: int = 3
+    slots: SlotSpec = field(default_factory=SlotSpec)
     label: str = "NC-RAPT"
 
 
@@ -160,13 +161,10 @@ def trainable_params(shape: ModelShape, method: MethodSpec) -> int:
     if isinstance(method, LPT):
         return trainable_params(shape, method.lora) + trainable_params(shape, method.prompt)
     if isinstance(method, RAPT):
-        slots = method.global_prefix_len + method.class_prefix_len + method.infix_len
-        return slots * d + trainable_params(shape, method.lora)
+        return method.slots.slot_universe() * d + trainable_params(shape, method.lora)
     if isinstance(method, NCRAPT):
-        slots = method.global_prefix_len + method.classes * (
-            method.class_prefix_len + method.infix_len
-        )
-        return slots * d + trainable_params(shape, method.lora)
+        pairs = len(method.slots.classes) or len(NoveltyClass)
+        return method.slots.slot_universe(pairs) * d + trainable_params(shape, method.lora)
     raise ValueError(f"unknown adaptation method: {method!r}")
 
 

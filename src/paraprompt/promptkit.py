@@ -25,6 +25,7 @@ example sits adjacent to the query.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import re
 from dataclasses import dataclass, field
@@ -35,10 +36,6 @@ from .novelty import NoveltyClass
 from .textcore import TokenSeq, render
 
 DECODE_MARGIN = 100
-
-DEFAULT_GLOBAL_PREFIX_LEN = 248
-DEFAULT_CLASS_PREFIX_LEN = 8
-DEFAULT_INFIX_LEN = 8
 
 
 class AssemblyError(ValueError):
@@ -58,7 +55,6 @@ class SegmentKind(enum.Enum):
     QUERY_INPUT = "query_input"
 
 
-SOFT_KINDS = {SegmentKind.GLOBAL_PREFIX, SegmentKind.CLASS_PREFIX, SegmentKind.INFIX}
 CONTENT_KINDS = {
     SegmentKind.EXAMPLE_INPUT,
     SegmentKind.EXAMPLE_OUTPUT,
@@ -103,10 +99,6 @@ class PromptSegment:
         if self.tokens is not None and self.kind not in CONTENT_KINDS:
             raise ValueError(f"{self.kind.value}: prefix/infix segments carry slots or a literal")
 
-    @property
-    def is_soft(self) -> bool:
-        return self.slots is not None
-
 
 @dataclass(frozen=True)
 class SlotSpec:
@@ -114,11 +106,12 @@ class SlotSpec:
 
     ``classes`` is empty for layouts that do not condition on novelty;
     conditioned layouts allocate one prefix/infix range per class listed.
+    Slot ids run global block first, then the prefix/infix span pairs.
     """
 
-    global_prefix_len: int = DEFAULT_GLOBAL_PREFIX_LEN
-    class_prefix_len: int = DEFAULT_CLASS_PREFIX_LEN
-    infix_len: int = DEFAULT_INFIX_LEN
+    global_prefix_len: int = 248
+    class_prefix_len: int = 8
+    infix_len: int = 8
     classes: tuple[NoveltyClass, ...] = ()
 
     def __post_init__(self) -> None:
@@ -129,13 +122,15 @@ class SlotSpec:
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("duplicate classes in slot spec")
 
-    def with_all_classes(self) -> "SlotSpec":
-        return SlotSpec(
-            global_prefix_len=self.global_prefix_len,
-            class_prefix_len=self.class_prefix_len,
-            infix_len=self.infix_len,
-            classes=tuple(NoveltyClass),
-        )
+    def span_ranges(self, pair: int = 0) -> tuple[SlotRange, SlotRange]:
+        """Prefix and infix ranges of the ``pair``-th span pair."""
+        s, t = self.class_prefix_len, self.infix_len
+        base = self.global_prefix_len + pair * (s + t)
+        return SlotRange(base, base + s), SlotRange(base + s, base + s + t)
+
+    def slot_universe(self, pairs: int = 1) -> int:
+        """Distinct slot ids of the global block plus ``pairs`` span pairs."""
+        return self.global_prefix_len + pairs * (self.class_prefix_len + self.infix_len)
 
 
 @dataclass(frozen=True)
@@ -240,15 +235,13 @@ def assemble_exemplar(
     """Example-augmented prompt with shared soft prefix/infix, no global block."""
     spec = spec or SlotSpec()
     _check_ascending(examples)
-    s, t = spec.class_prefix_len, spec.infix_len
-    prefix_range = SlotRange(0, s)
-    infix_range = SlotRange(s, s + t)
-    segments = _soft_body(x, examples, prefix_range, infix_range)
+    body = dataclasses.replace(spec, global_prefix_len=0)
+    segments = _soft_body(x, examples, *body.span_ranges())
     return PromptLayout(
         segments=tuple(segments),
         spec=spec,
         examples=tuple(examples),
-        slot_universe=s + t,
+        slot_universe=body.slot_universe(),
     )
 
 
@@ -260,16 +253,13 @@ def assemble_rapt(
     """Retrieval-augmented layout: a global prefix block, then the exemplar body."""
     spec = spec or SlotSpec()
     _check_ascending(examples)
-    m, s, t = spec.global_prefix_len, spec.class_prefix_len, spec.infix_len
-    prefix_range = SlotRange(m, m + s)
-    infix_range = SlotRange(m + s, m + s + t)
-    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, m))]
-    segments += _soft_body(x, examples, prefix_range, infix_range)
+    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, spec.global_prefix_len))]
+    segments += _soft_body(x, examples, *spec.span_ranges())
     return PromptLayout(
         segments=tuple(segments),
         spec=spec,
         examples=tuple(examples),
-        slot_universe=m + s + t,
+        slot_universe=spec.slot_universe(),
     )
 
 
@@ -287,20 +277,17 @@ def assemble_ncrapt(
     """
     spec = spec or SlotSpec()
     if not spec.classes:
-        spec = spec.with_all_classes()
+        spec = dataclasses.replace(spec, classes=tuple(NoveltyClass))
     _check_ascending(examples)
-    m, s, t = spec.global_prefix_len, spec.class_prefix_len, spec.infix_len
 
     def class_ranges(cls: NoveltyClass | None) -> tuple[SlotRange, SlotRange]:
         if cls is None:
             raise AssemblyError("every example needs a novelty class in conditioned mode")
         if cls not in spec.classes:
             raise AssemblyError(f"class {cls.label!r} not in slot spec classes")
-        ci = spec.classes.index(cls)
-        base = m + ci * (s + t)
-        return SlotRange(base, base + s), SlotRange(base + s, base + s + t)
+        return spec.span_ranges(spec.classes.index(cls))
 
-    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, m))]
+    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, spec.global_prefix_len))]
     for example in examples:
         prefix_range, infix_range = class_ranges(example.novelty)
         segments.append(
@@ -319,7 +306,7 @@ def assemble_ncrapt(
         segments=tuple(segments),
         spec=spec,
         examples=tuple(examples),
-        slot_universe=m + len(spec.classes) * (s + t),
+        slot_universe=spec.slot_universe(len(spec.classes)),
     )
 
 

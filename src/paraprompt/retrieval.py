@@ -8,8 +8,7 @@ order, and a query may exclude ids (retrieving examples for a training
 item must exclude the item itself, or the prompt would contain its own
 answer).
 
-Embedding files come in two formats: JSONL lines {"id":..., "vector":
-[...]}, or a binary file (magic "RAPTEMB1", u32-LE count, u32-LE dim,
+Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
 then count*dim f32-LE values) with ids in a JSONL sidecar.
 """
 
@@ -27,7 +26,6 @@ import numpy as np
 from .dataio import DataFormatError, ParaphrasePair, atomic_write_text
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
-UNIT_NORM_TOLERANCE = 1e-6
 
 
 class IndexBuildError(ValueError):
@@ -42,13 +40,12 @@ class ExampleRecord:
 
 
 class RetrievalIndex:
-    """Immutable store of unit vectors addressable by id."""
+    """Immutable store of unit vectors, one matrix row per record."""
 
-    def __init__(self, records: list[ExampleRecord], matrix: np.ndarray) -> None:
-        self._records = records
+    def __init__(self, records: Sequence[ExampleRecord], matrix: np.ndarray) -> None:
+        self._records = tuple(records)
         self._matrix = matrix
         self._matrix.setflags(write=False)
-        self._by_id = {record.id: i for i, record in enumerate(records)}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -59,13 +56,7 @@ class RetrievalIndex:
 
     @property
     def records(self) -> tuple[ExampleRecord, ...]:
-        return tuple(self._records)
-
-    def __contains__(self, record_id: str) -> bool:
-        return record_id in self._by_id
-
-    def get(self, record_id: str) -> ExampleRecord:
-        return self._records[self._by_id[record_id]]
+        return self._records
 
 
 def unit_normalize(vector: Sequence[float]) -> np.ndarray:
@@ -113,6 +104,18 @@ def build_index(
     return RetrievalIndex(records, matrix)
 
 
+def _unit_query(index: RetrievalIndex, query: Sequence[float], k: int) -> np.ndarray | None:
+    """The unit-normalized query, or None when the index is empty."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if len(index) == 0:
+        return None
+    unit = unit_normalize(query)
+    if unit.shape[0] != index.dim:
+        raise ValueError(f"query dimension {unit.shape[0]} != index dimension {index.dim}")
+    return unit
+
+
 def query_knn(
     index: RetrievalIndex,
     query: Sequence[float],
@@ -120,13 +123,9 @@ def query_knn(
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[tuple[ExampleRecord, float]]:
     """Top-k records by cosine similarity, descending; insertion order on ties."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(index) == 0:
+    unit = _unit_query(index, query, k)
+    if unit is None:
         return []
-    unit = unit_normalize(query)
-    if unit.shape[0] != index.dim:
-        raise ValueError(f"query dimension {unit.shape[0]} != index dimension {index.dim}")
     sims = index._matrix @ unit
     # Stable sort on the negated scores keeps insertion order among ties.
     order = np.argsort(-sims, kind="stable")
@@ -153,49 +152,13 @@ def query_random(
     Cosine similarities are still computed so downstream prompt ordering
     (ascending similarity) stays well-defined.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(index) == 0:
+    unit = _unit_query(index, query, k)
+    if unit is None:
         return []
-    unit = unit_normalize(query)
-    if unit.shape[0] != index.dim:
-        raise ValueError(f"query dimension {unit.shape[0]} != index dimension {index.dim}")
     candidates = [r for r in index.records if r.id not in exclude]
     rng = random.Random(seed)
     chosen = rng.sample(candidates, min(k, len(candidates)))
     return [(record, float(np.dot(record.vector, unit))) for record in chosen]
-
-
-def write_embeddings_jsonl(path: str | Path, entries: Sequence[tuple[str, Sequence[float]]]) -> None:
-    lines = []
-    for record_id, vector in entries:
-        lines.append(json.dumps({"id": record_id, "vector": [float(v) for v in vector]}))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
-
-
-def load_embeddings_jsonl(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    out: list[tuple[str, np.ndarray]] = []
-    dim: int | None = None
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(obj, dict) or "id" not in obj or "vector" not in obj:
-                raise DataFormatError(path, lineno, 'expected {"id", "vector"}')
-            vec = np.asarray(obj["vector"], dtype=np.float64)
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise DataFormatError(
-                    path, lineno, f"vector dimension {vec.shape[0]} != {dim}"
-                )
-            out.append((str(obj["id"]), vec))
-    return out
 
 
 def write_embeddings_binary(

@@ -7,8 +7,8 @@ was used; reports therefore record the config they were computed under.
 
 from __future__ import annotations
 
+import dataclasses
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass
 
 TokenSeq = tuple[str, ...]
@@ -26,12 +26,7 @@ class NormalizationConfig:
     collapse_whitespace: bool = True
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "lowercase": self.lowercase,
-            "unicode_normalize": self.unicode_normalize,
-            "punctuation_split": self.punctuation_split,
-            "collapse_whitespace": self.collapse_whitespace,
-        }
+        return dataclasses.asdict(self)
 
 
 DEFAULT_NORMALIZATION = NormalizationConfig()
@@ -77,23 +72,7 @@ def render(seq: TokenSeq) -> str:
     return " ".join(seq)
 
 
-@dataclass(frozen=True)
-class NGramProfile:
-    """Multiset of the n-token windows of one sequence."""
-
-    n: int
-    counts: Counter
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
 def ngram_windows(seq: TokenSeq, n: int) -> list[TokenSeq]:
     if not 1 <= n <= MAX_NGRAM_ORDER:
         raise ValueError(f"n-gram order must be in [1, {MAX_NGRAM_ORDER}], got {n}")
     return [tuple(seq[i : i + n]) for i in range(len(seq) - n + 1)]
-
-
-def ngrams(seq: TokenSeq, n: int) -> NGramProfile:
-    """Sliding-window n-gram counts; the count total is max(0, len-n+1)."""
-    return NGramProfile(n=n, counts=Counter(ngram_windows(seq, n)))

@@ -225,3 +225,5 @@ def test_config_validation():
         BackendConfig(max_in_flight=0)
     with pytest.raises(ValueError):
         BackendConfig(retry_limit=0)
+    with pytest.raises(ValueError):
+        BackendConfig(timeout=0)

@@ -245,3 +245,51 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     config = tmp_path / "bad.conf"
     config.write_text("no_such_key=1\n", encoding="utf-8")
     assert main(["label", "--config", str(config)]) == 1
+
+
+INVALID_SETTINGS = [
+    (["--low-max", "0.5", "--high-min", "0.3"], None),
+    (["--infix-len", "0"], None),
+    (["--max-in-flight", "0"], None),
+    (["--retry-limit", "0"], None),
+    (["--timeout", "0"], None),
+    (["--k", "0"], None),
+    ([], "seed=abc"),
+    ([], "strategy=bogus"),
+    ([], "query_class=extreme"),
+    ([], "exclude_self=bogus"),
+    ([], "data_format=xml"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, config_line", INVALID_SETTINGS,
+    ids=[" ".join(flags) or line for flags, line in INVALID_SETTINGS],
+)
+def test_invalid_setting_is_usage_error(data_dir, capsys, flags, config_line):
+    args = [
+        "generate", "--train", data_dir / "train.jsonl",
+        "--test", data_dir / "test.jsonl", "--out", data_dir / "out", *flags,
+    ]
+    if config_line is not None:
+        config = data_dir / "bad.conf"
+        config.write_text(config_line + "\n", encoding="utf-8")
+        args += ["--config", config]
+    assert run(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:")
+    assert "Traceback" not in err
+
+
+def test_query_index_dimension_mismatch_is_data_error(data_dir, capsys):
+    out = data_dir / "out"
+    assert run([
+        "index", "--train", data_dir / "train.jsonl", "--out", out,
+        "--embedding-url", "mock:hash?dim=8",
+    ]) == 0
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "embeddings.bin" in err
+    assert "index dimension 8 != query dimension 16" in err

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +107,7 @@ def test_generation_records_round_trip(tmp_path):
     rows = [
         {"id": "0", "prompt_n": 12, "output": "text one"},
         {"id": "1", "prompt_n": 300, "output": "text two", "mode": "rapt"},
+        {"id": "2", "prompt_n": 3, "output": "x é y"},
     ]
     write_generations(path, rows)
     assert load_generations(path) == rows
@@ -117,36 +116,6 @@ def test_generation_records_round_trip(tmp_path):
 def test_generation_records_schema_enforced(tmp_path):
     with pytest.raises(ValueError, match="missing fields"):
         write_generations(tmp_path / "g.jsonl", [{"id": "0"}])
-
-
-def test_write_outputs_dispatch(tmp_path):
-    from paraprompt.dataio import write_outputs
-    from paraprompt.novelty import label_dataset
-
-    labeled = label_dataset([ParaphrasePair("0", "a b c d", "a b x d")]).labeled
-    write_outputs(labeled, tmp_path / "labeled.jsonl", "labeled")
-    row = json.loads((tmp_path / "labeled.jsonl").read_text())
-    assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
-                   "ter": 0.25, "class": "medium"}
-
-    rows = [{"id": "0", "prompt_n": 3, "output": "x é y"}]
-    write_outputs(rows, tmp_path / "gen.jsonl", "generations")
-    assert load_generations(tmp_path / "gen.jsonl") == rows
-
-    with pytest.raises(ValueError, match="unknown output kind"):
-        write_outputs([], tmp_path / "x", "mystery")
-
-
-def test_write_outputs_report_csv(tmp_path):
-    from paraprompt.dataio import write_outputs
-    from paraprompt.metrics import EvalRecord, evaluate_all
-
-    report = evaluate_all(
-        [EvalRecord(("a", "b", "c", "d"), ("a", "b", "c", "d"), (("a", "b", "c", "d"),))]
-    )
-    write_outputs(report, tmp_path / "report.csv", "report_csv")
-    lines = (tmp_path / "report.csv").read_text().splitlines()
-    assert lines[0] == "Method,BERT,Self-TER,Self-BLEU,BLEU,iBLEU,SARI"
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

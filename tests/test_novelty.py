@@ -106,7 +106,10 @@ def test_relabeling_is_fixed_point():
 
 def test_labeled_pair_round_trip():
     result = label_dataset(_pairs([("a b c d", "a b x d")]))
-    restored = labeled_pair_from_dict(result.labeled[0].as_dict())
+    row = result.labeled[0].as_dict()
+    assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
+                   "ter": 0.25, "class": "medium"}
+    restored = labeled_pair_from_dict(row)
     assert restored == result.labeled[0]
 
 

@@ -16,6 +16,8 @@ from paraprompt.paramcount import (
     report_table,
     trainable_params,
 )
+from paraprompt.novelty import NoveltyClass
+from paraprompt.promptkit import SlotSpec, assemble_ncrapt
 
 PUBLISHED = {
     "Fine Tuning": (354_823_168, 774_030_080),
@@ -131,3 +133,12 @@ def test_invalid_inputs():
         ModelShape(name="bad", layers=0, width=8)
     with pytest.raises(ValueError):
         trainable_params(GPT2_MEDIUM, "not a method")
+
+
+def test_rapt_and_ncrapt_count_the_layout_slots():
+    lora = trainable_params(GPT2_MEDIUM, LoRA())
+    d = GPT2_MEDIUM.width
+    shorter = RAPT(slots=SlotSpec(global_prefix_len=100))
+    assert trainable_params(GPT2_MEDIUM, shorter) == (100 + 8 + 8) * d + lora
+    layout = assemble_ncrapt(("x",), [], NoveltyClass.HIGH)
+    assert trainable_params(GPT2_MEDIUM, NCRAPT()) == layout.slot_universe * d + lora

@@ -145,3 +145,14 @@ def test_misaligned_vectors_rejected():
     records = _records([(("a",), ("a",), ("a",))])
     with pytest.raises(ValueError):
         evaluate_all(records, [])
+
+
+def test_bleu_zero_corpus_reports_diagnostics():
+    # no 3-gram or 4-gram of the prediction matches, so BLEU is 0
+    records = _records([(("a", "b", "c", "d"), ("a", "b", "x", "y"), ("a", "b", "c", "d"))])
+    report = evaluate_all(records)
+    assert report.bleu == 0.0
+    assert report.diagnostics["bleu_zero_match_orders"] == [3, 4]
+    text = report_text(report)
+    assert text.splitlines()[-1] == "# diagnostics={'bleu_zero_match_orders': [3, 4]}"
+    assert len(report_csv(report).splitlines()) == 2

@@ -9,11 +9,9 @@ from paraprompt.retrieval import (
     IndexBuildError,
     build_index,
     load_embeddings_binary,
-    load_embeddings_jsonl,
     query_knn,
     query_random,
     write_embeddings_binary,
-    write_embeddings_jsonl,
 )
 
 from oracles import brute_knn
@@ -51,6 +49,25 @@ def test_zero_vector_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(IndexBuildError, match="'2'"):
         build_index([(pair(1), [1.0, 0.0]), (pair(2), [1.0, 0.0, 0.0])])
+
+
+def test_records_is_one_stored_tuple():
+    index = build_index(entries_from([[1.0, 0.0], [0.0, 1.0]]))
+    assert isinstance(index.records, tuple)
+    assert index.records is index.records
+    assert [r.id for r in index.records] == ["0", "1"]
+
+
+@pytest.mark.parametrize("query", [query_knn, query_random])
+def test_query_validation_is_shared(query):
+    index = build_index(entries_from([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        query(index, [1.0, 0.0], 0)
+    with pytest.raises(ValueError, match="query dimension 3 != index dimension 2"):
+        query(index, [1.0, 0.0, 0.0], 1)
+    with pytest.raises(ValueError, match="zero-norm"):
+        query(index, [0.0, 0.0], 1)
+    assert query(build_index([]), [1.0, 0.0], 1) == []
 
 
 def test_self_match_scores_one():
@@ -160,14 +177,6 @@ def test_empty_index_returns_no_hits():
     assert len(index) == 0
     assert query_knn(index, [1.0, 0.0], k=2) == []
     assert query_random(index, [1.0, 0.0], k=2, seed=0) == []
-
-
-def test_jsonl_round_trip(tmp_path):
-    path = tmp_path / "vectors.jsonl"
-    entries = [("a", [0.1, 0.2]), ("b", [0.3, -0.4])]
-    write_embeddings_jsonl(path, entries)
-    loaded = load_embeddings_jsonl(path)
-    assert [(i, list(v)) for i, v in loaded] == [(i, v) for i, v in entries]
 
 
 def test_binary_round_trip(tmp_path):
