@@ -82,6 +82,8 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if self.max_prompt_tokens < 1:
+            raise ValueError(f"max_prompt_tokens must be >= 1, got {self.max_prompt_tokens}")
 
     def template(self) -> promptkit.TextTemplate:
         if self.template_path:
@@ -256,8 +258,8 @@ def cmd_generate(config: PipelineConfig) -> int:
         if config.mode == "ncrapt":
             classes_by_id = _novelty_by_id(config, train)
         embedder = backend_mod.make_embedding_backend(config.backend)
-        query_vectors = embedder.embed([p.source for p in inputs.pairs])
-        if len(index) and len(query_vectors[0]) != index.dim:
+        query_vectors = embedder.embed([p.source for p in inputs.pairs]) if inputs.pairs else []
+        if len(index) and len(query_vectors) and len(query_vectors[0]) != index.dim:
             raise dataio.DataFormatError(
                 out_dir / "embeddings.bin", None,
                 f"index dimension {index.dim} != query dimension {len(query_vectors[0])}; "
@@ -273,7 +275,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     for i, pair in enumerate(inputs.pairs):
         x = normalize(pair.source, cfg_norm)
         if not x:
-            prompt_meta.append({"id": pair.id, "skip": "empty source after normalization"})
+            prompt_meta.append({"id": pair.id, "prompt_n": 0, "skip": "empty source after normalization"})
             continue
         dropped = 0
         if config.mode == "manual":
@@ -305,8 +307,16 @@ def cmd_generate(config: PipelineConfig) -> int:
             layout, dropped = promptkit.fit_examples_to_budget(
                 assemble, examples, gen_backend.count_tokens, config.max_prompt_tokens
             )
-        prompt = promptkit.render_text(layout, template)
         length = promptkit.layout_length(layout, gen_backend.count_tokens)
+        if length.prompt_tokens > config.max_prompt_tokens:
+            prompt_meta.append({
+                "id": pair.id,
+                "prompt_n": length.prompt_tokens,
+                "skip": f"prompt of {length.prompt_tokens} tokens exceeds "
+                f"max_prompt_tokens {config.max_prompt_tokens}",
+            })
+            continue
+        prompt = promptkit.render_text(layout, template)
         requests_list.append(
             backend_mod.GenerationRequest(
                 prompt=prompt,
@@ -329,7 +339,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     infix_class = query_class if config.mode == "ncrapt" else None
     for meta in prompt_meta:
         if "skip" in meta:
-            rows.append({"id": meta["id"], "prompt_n": 0, "output": "", "error": meta["skip"]})
+            rows.append({"id": meta["id"], "prompt_n": meta["prompt_n"], "output": "", "error": meta["skip"]})
             continue
         response = next(resp_iter)
         row = {"id": meta["id"], "prompt_n": meta["prompt_n"], "mode": config.mode}

@@ -12,6 +12,17 @@ equally good shifts go to the leftmost block start, then the longest
 block, then the leftmost destination. Every applied shift strictly
 reduces the edit distance, so greedy TER never exceeds the shift-free
 Levenshtein rate.
+
+Edit distances are computed with the bit-parallel column recurrence of
+Myers (1999) in Hyyro's (2003) global-distance form. The reference is
+the pattern: its match table maps each token to the bitmask of the
+reference positions holding it, and each hypothesis token advances one
+DP column held as two Python ints of vertical +1/-1 deltas, so there is
+no length limit. The reference is fixed for the whole greedy search, so
+``ter_detail`` builds the table once. Every shift candidate shares the
+prefix ``cur[:min(start, dest)]`` with the current hypothesis, so each
+round records the column state after every prefix of ``cur`` and resumes
+each candidate from it, stepping only through the moved suffix.
 """
 
 from __future__ import annotations
@@ -26,25 +37,58 @@ from ..textcore import TokenSeq
 MAX_SHIFT_BLOCK = 10
 
 
+# Column state after some hypothesis prefix: (vp, vn, dist), the bitmasks
+# of +1 and -1 vertical deltas down the column and the bottom cell.
+_Column = tuple[int, int, int]
+
+
+def _match_table(ref: Sequence[str]) -> dict[str, int]:
+    table: dict[str, int] = {}
+    for pos, tok in enumerate(ref):
+        table[tok] = table.get(tok, 0) | (1 << pos)
+    return table
+
+
+def _advance(
+    table: dict[str, int],
+    ref_len: int,
+    tokens: Sequence[str],
+    column: _Column,
+    trail: list[_Column] | None = None,
+) -> _Column:
+    """Step ``column`` through ``tokens``; append each new state to ``trail``."""
+    vp, vn, dist = column
+    mask = (1 << ref_len) - 1
+    last = 1 << (ref_len - 1)
+    for tok in tokens:
+        eq = table.get(tok, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        ph = vn | ~(xh | vp)
+        mh = vp & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # The top row of the global DP grows by one per column.
+        ph = (ph << 1) | 1
+        mh <<= 1
+        vp = (mh | ~(xv | ph)) & mask
+        vn = ph & xv
+        if trail is not None:
+            trail.append((vp, vn, dist))
+    return vp, vn, dist
+
+
+def _first_column(ref_len: int) -> _Column:
+    return (1 << ref_len) - 1, 0, ref_len
+
+
 def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     """Word-level edit distance (insert/delete/substitute, unit costs)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
     if not b:
         return len(a)
-    prev = list(range(len(b) + 1))
-    for i, tok_a in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
-        for j, tok_b in enumerate(b, start=1):
-            cur[j] = min(
-                prev[j] + 1,
-                cur[j - 1] + 1,
-                prev[j - 1] + (tok_a != tok_b),
-            )
-        prev = cur
-    return prev[-1]
+    return _advance(_match_table(b), len(b), a, _first_column(len(b)))[2]
 
 
 def _matching_blocks(
@@ -103,8 +147,13 @@ def ter_detail(
     cur = list(hypothesis)
     ref = list(reference)
     dist = levenshtein(cur, ref)
+    table = _match_table(ref)
+    ref_len = len(ref)
     shifts = 0
     while dist > 0:
+        # prefix[p] is the column after cur[:p].
+        prefix = [_first_column(ref_len)]
+        _advance(table, ref_len, cur, prefix[0], prefix)
         # (reduction, -start, length, -dest): max picks the largest
         # reduction, then leftmost start, longest block, leftmost dest.
         best_key = None
@@ -112,7 +161,10 @@ def ter_detail(
         best_dist = None
         for start, dest, length in _matching_blocks(cur, ref, max_block):
             cand = _apply_shift(cur, start, length, dest)
-            cand_dist = levenshtein(cand, ref)
+            # cand[:shared] == cur[:shared]; dest is clamped to
+            # len(cur) - length >= start, which leaves the min unchanged.
+            shared = min(start, dest)
+            cand_dist = _advance(table, ref_len, cand[shared:], prefix[shared])[2]
             if cand_dist >= dist:
                 continue
             key = (dist - cand_dist, -start, length, -dest)

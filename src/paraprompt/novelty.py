@@ -18,7 +18,7 @@ from typing import Sequence
 
 from .dataio import ParaphrasePair
 from .metrics.ter import ter
-from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, normalize
+from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
 
 TER_DIRECTION = "hypothesis=target, reference=source"
 
@@ -110,18 +110,22 @@ def label_dataset(
     """Label every pair with TER(target, source) and its novelty class.
 
     Pairs whose source normalizes to nothing cannot be rated; they land
-    in ``rejected`` with a reason and the run continues.
+    in ``rejected`` with a reason and the run continues. TER is computed
+    once per distinct (target tokens, source tokens) pair.
     """
     result = LabelingResult(
         labeled=[], rejected=[], thresholds=thresholds, normalization=cfg
     )
+    ter_by_tokens: dict[tuple[TokenSeq, TokenSeq], float] = {}
     for pair in pairs:
         source_tokens = normalize(pair.source, cfg)
         if not source_tokens:
             result.rejected.append((pair, "source is empty after normalization"))
             continue
-        target_tokens = normalize(pair.target, cfg)
-        ter_value = ter(target_tokens, source_tokens)
+        key = (normalize(pair.target, cfg), source_tokens)
+        if key not in ter_by_tokens:
+            ter_by_tokens[key] = ter(*key)
+        ter_value = ter_by_tokens[key]
         novelty = classify(ter_value, thresholds)
         result.labeled.append(LabeledPair(pair=pair, ter_value=ter_value, novelty=novelty))
         result.histogram[novelty] += 1

@@ -2,8 +2,10 @@
 
 Each oracle is deliberately written along a different path than the
 implementation it validates: recursive edit distance with memoization,
-breadth-first search over block moves for minimum TER, a string-keyed
-SARI port, window-by-window BLEU counting, and a no-numpy kNN sort.
+the row-by-row edit-distance DP and the greedy shift search built on it
+(the library's former TER engine, kept verbatim), breadth-first search
+over block moves for minimum TER, a string-keyed SARI port,
+window-by-window BLEU counting, and a no-numpy kNN sort.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
+
+from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
 
 
 def lev_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -25,6 +30,90 @@ def lev_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
         return 1 + min(go(i + 1, j), go(i, j + 1), go(i + 1, j + 1))
 
     return go(0, 0)
+
+
+def levenshtein_dp(a: Sequence[str], b: Sequence[str]) -> int:
+    """Word-level edit distance (insert/delete/substitute, unit costs)."""
+    if a == b:
+        return 0
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, tok_a in enumerate(a, start=1):
+        cur = [i] + [0] * len(b)
+        for j, tok_b in enumerate(b, start=1):
+            cur[j] = min(
+                prev[j] + 1,
+                cur[j - 1] + 1,
+                prev[j - 1] + (tok_a != tok_b),
+            )
+        prev = cur
+    return prev[-1]
+
+
+def _matching_blocks(
+    hyp: list[str], ref: Sequence[str], max_block: int
+) -> list[tuple[int, int, int]]:
+    out = []
+    for i in range(len(hyp)):
+        for j in range(len(ref)):
+            if i == j and hyp[i] == ref[j]:
+                continue
+            length = 0
+            while (
+                i + length < len(hyp)
+                and j + length < len(ref)
+                and length < max_block
+                and hyp[i + length] == ref[j + length]
+            ):
+                length += 1
+                out.append((i, j, length))
+    return out
+
+
+def _apply_shift(hyp: list[str], start: int, length: int, dest: int) -> list[str]:
+    block = hyp[start : start + length]
+    rest = hyp[:start] + hyp[start + length :]
+    dest = min(dest, len(rest))
+    return rest[:dest] + block + rest[dest:]
+
+
+def greedy_ter_dp(
+    hypothesis: Sequence[str],
+    reference: Sequence[str],
+    max_block: int = MAX_SHIFT_BLOCK,
+) -> TerResult:
+    """Greedy-shift TER re-running the full DP for every shift candidate."""
+    if len(reference) == 0:
+        raise ValueError("TER is undefined against an empty reference")
+    cur = list(hypothesis)
+    ref = list(reference)
+    dist = levenshtein_dp(cur, ref)
+    shifts = 0
+    while dist > 0:
+        # (reduction, -start, length, -dest): max picks the largest
+        # reduction, then leftmost start, longest block, leftmost dest.
+        best_key = None
+        best_seq = None
+        best_dist = None
+        for start, dest, length in _matching_blocks(cur, ref, max_block):
+            cand = _apply_shift(cur, start, length, dest)
+            cand_dist = levenshtein_dp(cand, ref)
+            if cand_dist >= dist:
+                continue
+            key = (dist - cand_dist, -start, length, -dest)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_seq = cand
+                best_dist = cand_dist
+        if best_seq is None:
+            break
+        cur = best_seq
+        dist = best_dist
+        shifts += 1
+    return TerResult(edits=shifts + dist, shifts=shifts, reference_length=len(ref))
 
 
 def _block_moves(seq: tuple[str, ...]):

@@ -254,6 +254,7 @@ INVALID_SETTINGS = [
     (["--retry-limit", "0"], None),
     (["--timeout", "0"], None),
     (["--k", "0"], None),
+    (["--max-prompt-tokens", "0"], None),
     ([], "seed=abc"),
     ([], "strategy=bogus"),
     ([], "query_class=extreme"),
@@ -293,3 +294,38 @@ def test_query_index_dimension_mismatch_is_data_error(data_dir, capsys):
     assert err.startswith("data error:")
     assert "embeddings.bin" in err
     assert "index dimension 8 != query dimension 16" in err
+
+
+@pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
+def test_generate_retrieval_mode_on_empty_test_file(data_dir, capsys, mode):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    empty = data_dir / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl",
+        "--test", empty, "--out", out, "--mode", mode,
+    ]) == 0
+    assert (out / "generations.jsonl").read_text() == ""
+    assert "wrote 0 generations" in capsys.readouterr().out
+
+
+def test_prompt_over_budget_without_examples_is_an_error_row(data_dir, monkeypatch):
+    from paraprompt.backend import MockBackend
+
+    sent = []
+    generate = MockBackend.generate
+    monkeypatch.setattr(
+        MockBackend, "generate", lambda self, request: sent.append(request) or generate(self, request)
+    )
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    # the 248-slot global prefix alone exceeds the budget
+    assert _generate(data_dir, out, "rapt", ["--max-prompt-tokens", "100"]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert sent == []
+    assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
+    for row in rows:
+        assert row["output"] == ""
+        assert row["prompt_n"] > 248
+        assert row["error"] == f"prompt of {row['prompt_n']} tokens exceeds max_prompt_tokens 100"

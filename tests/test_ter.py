@@ -4,7 +4,7 @@ import pytest
 
 from paraprompt.metrics import levenshtein, self_ter, ter, ter_detail
 
-from oracles import exhaustive_min_ter, lev_recursive
+from oracles import exhaustive_min_ter, greedy_ter_dp, lev_recursive, levenshtein_dp
 
 ALPHABET = ["a", "b", "c", "d", "e"]
 
@@ -49,7 +49,104 @@ def test_levenshtein_against_recursive_oracle():
     for _ in range(300):
         a = rand_seq(rng, 0, 7)
         b = rand_seq(rng, 0, 7)
-        assert levenshtein(a, b) == lev_recursive(a, b)
+        assert levenshtein(a, b) == lev_recursive(a, b) == levenshtein_dp(a, b)
+
+
+def test_levenshtein_matches_dp_across_word_boundary():
+    rng = random.Random(17)
+    words = [f"w{i}" for i in range(12)]
+    for _ in range(300):
+        a = [rng.choice(words) for _ in range(rng.randint(0, 140))]
+        b = [rng.choice(words) for _ in range(rng.randint(0, 140))]
+        assert levenshtein(a, b) == levenshtein_dp(a, b)
+
+
+def test_greedy_matches_dp_engine_on_dense_ties():
+    rng = random.Random(23)
+    for _ in range(20_000):
+        alphabet = ALPHABET[: rng.randint(3, 5)]
+        hyp = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+        ref = [rng.choice(alphabet) for _ in range(rng.randint(0, 12))]
+        assert levenshtein(hyp, ref) == levenshtein_dp(hyp, ref)
+        if ref:
+            assert ter_detail(hyp, ref) == greedy_ter_dp(hyp, ref), (hyp, ref)
+
+
+def _long_pair(rng):
+    """A 30-90 token reference and a hypothesis with one nearby block
+    move, a few substitutions and length changes near the end."""
+    ref = [
+        rng.choice(("the", "a", "of")) if rng.random() < 0.05 else f"w{rng.randrange(400)}"
+        for _ in range(rng.randint(30, 90))
+    ]
+    hyp = list(ref)
+    size = rng.randint(1, 3)
+    start = rng.randrange(len(hyp) - size)
+    block = hyp[start : start + size]
+    del hyp[start : start + size]
+    at = min(len(hyp), max(0, start + rng.randint(-3, 3)))
+    hyp[at:at] = block
+    for _ in range(rng.randint(0, 3)):
+        hyp[rng.randrange(len(hyp))] = f"x{rng.randrange(50)}"
+    for _ in range(rng.randint(0, 2)):
+        pos = rng.randrange(len(hyp) - 3, len(hyp))
+        if rng.random() < 0.5:
+            del hyp[pos]
+        else:
+            hyp.insert(pos, "the")
+    return hyp, ref
+
+
+def test_greedy_matches_dp_engine_on_long_pairs():
+    rng = random.Random(29)
+    wide = 0
+    for _ in range(300):
+        hyp, ref = _long_pair(rng)
+        assert ter_detail(hyp, ref) == greedy_ter_dp(hyp, ref), (hyp, ref)
+        wide += len(ref) > 64
+    assert wide >= 50
+
+
+FUNCTION_WORDS = ("the", "a", "to", "of", "in", "for", "is", "my")
+# (rotate a block to the front, deleted, inserted, substituted word shares)
+EDIT_KINDS = {
+    "copy": (False, 0.0, 0.0, 0.0),
+    "sub_low": (False, 0.0, 0.0, 0.1),
+    "ins_low": (False, 0.0, 0.06, 0.0),
+    "rot": (True, 0.0, 0.0, 0.0),
+    "del_sub_med": (False, 0.1, 0.05, 0.2),
+    "ins_sub_med": (False, 0.0, 0.12, 0.2),
+    "rot_ins_med": (True, 0.0, 0.08, 0.1),
+    "ins_del_high": (False, 0.08, 0.2, 0.25),
+    "rot_sub_high": (True, 0.0, 0.05, 0.4),
+}
+
+
+def _paraphrase_pair(rng, n, kind):
+    """A QQP-like question of ``n`` words whose every other word is a
+    recurring function word, and its paraphrase under one edit kind."""
+    fresh = iter(f"c{i}" for i in range(1000))
+    source = [rng.choice(FUNCTION_WORDS) if i % 2 else next(fresh) for i in range(n)]
+    rotate, del_share, ins_share, sub_share = EDIT_KINDS[kind]
+    target = list(source)
+    if rotate:
+        size, start = max(1, n // 4), max(1, n // 3)
+        target = target[start : start + size] + target[:start] + target[start + size :]
+    for _ in range(round(del_share * n)):
+        del target[rng.randrange(len(target))]
+    for _ in range(round(ins_share * n)):
+        target.insert(rng.randint(0, len(target)), rng.choice(FUNCTION_WORDS))
+    for _ in range(round(sub_share * n)):
+        target[rng.randrange(len(target))] = next(fresh)
+    return target, source
+
+
+@pytest.mark.parametrize("kind", sorted(EDIT_KINDS))
+def test_greedy_matches_dp_engine_on_paraphrase_edits(kind):
+    rng = random.Random(kind)
+    for n in (6, 13, 21, 30, 40):
+        hyp, ref = _paraphrase_pair(rng, n, kind)
+        assert ter_detail(hyp, ref) == greedy_ter_dp(hyp, ref), (hyp, ref)
 
 
 def test_greedy_bounded_by_levenshtein_and_length_gap():
