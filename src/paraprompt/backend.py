@@ -8,7 +8,7 @@ a minimal self-owned pair of JSON-over-HTTP endpoints:
                              "layout": {...}?}
                          -> {"text": str, "token_count": int}
     POST <embedding_url>    {"texts": [str], "model": str}
-                         -> {"vectors": [[float]]}
+                         -> {"vectors": [[float]]}  finite, float32 range
 
 Structured layouts ride along under "layout" for backends that bind soft
 slots; text-only backends ignore the key. Prompts that exceed the
@@ -321,6 +321,9 @@ class HttpBackend:
         dims = {v.shape for v in vectors}
         if len(dims) > 1:
             raise MalformedResponseError(f"mixed vector dimensions in one batch: {dims}")
+        # Embedding files store float32; NaN fails this comparison too.
+        if not all(np.all(np.abs(v) <= np.finfo(np.float32).max) for v in vectors):
+            raise MalformedResponseError("embedding values must be finite and in float32 range")
         return vectors
 
     def count_tokens(self, text: str) -> int:

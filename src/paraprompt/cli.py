@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,7 @@ from typing import Sequence
 from . import backend as backend_mod
 from . import dataio, novelty, paramcount, promptkit, retrieval
 from .metrics import EvalRecord, evaluate_all, report_csv, report_text
-from .textcore import NormalizationConfig, normalize, render
+from .textcore import NormalizationConfig, TokenSeq, normalize, render
 
 # Allowed values of the enumerated run settings, read by both the argparse
 # choices and PipelineConfig's validation.
@@ -182,13 +183,10 @@ def cmd_index(config: PipelineConfig) -> int:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([p.source for p in split.pairs])
-    entries = [(p.id, vec) for p, vec in zip(split.pairs, vectors)]
+    index = retrieval.build_index(zip(split.pairs, vectors))
     emb_path = out_dir / "embeddings.bin"
-    ids_path = out_dir / "embeddings.ids.jsonl"
-    retrieval.write_embeddings_binary(emb_path, ids_path, entries)
-    index = retrieval.build_index(
-        [(p, vec) for p, vec in zip(split.pairs, vectors)]
-    )
+    entries = [(p.id, vector) for p, vector in zip(split.pairs, vectors)]
+    retrieval.write_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl", entries)
     write_config_snapshot(config, out_dir, "index")
     print(f"indexed {len(index)} vectors of dim {index.dim} -> {emb_path}")
     return 0
@@ -200,169 +198,151 @@ def _load_index(config: PipelineConfig, split: dataio.DatasetSplit) -> retrieval
     ids_path = out_dir / "embeddings.ids.jsonl"
     if not emb_path.exists():
         raise dataio.DataFormatError(emb_path, None, "embedding file missing; run the index command first")
-    entries = retrieval.load_embeddings_binary(emb_path, ids_path)
+    ids, matrix = retrieval.load_embeddings_binary(emb_path, ids_path)
     by_id = {p.id: p for p in split.pairs}
-    missing = [record_id for record_id, _ in entries if record_id not in by_id]
+    missing = [record_id for record_id in ids if record_id not in by_id]
     if missing:
         raise dataio.DataFormatError(
             emb_path, None, f"embeddings reference unknown train ids (first: {missing[0]!r})"
         )
-    return retrieval.build_index([(by_id[rid], vec) for rid, vec in entries])
+    return retrieval.build_index(zip((by_id[rid] for rid in ids), matrix))
 
 
 def _novelty_by_id(config: PipelineConfig, split: dataio.DatasetSplit) -> dict[str, novelty.NoveltyClass]:
     labeled_path = Path(config.out_dir) / "labeled.jsonl"
     if labeled_path.exists():
-        out = {}
-        with open(labeled_path, "r", encoding="utf-8-sig") as fh:
-            for line in fh:
-                if line.strip():
-                    lp = novelty.labeled_pair_from_dict(json.loads(line))
-                    out[lp.pair.id] = lp.novelty
-        return out
-    result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
-    return {lp.pair.id: lp.novelty for lp in result.labeled}
+        rows = dataio.load_jsonl_objects(labeled_path, ("id", "source", "target", "ter", "class"))
+        labeled = [novelty.labeled_pair_from_dict(row) for row in rows]
+    else:
+        labeled = novelty.label_dataset(split.pairs, config.normalization, config.thresholds).labeled
+    return {lp.pair.id: lp.novelty for lp in labeled}
+
+
+def _retrieve(
+    config: PipelineConfig, queries: Sequence[tuple[dataio.ParaphrasePair, TokenSeq]]
+) -> list[list[promptkit.PromptExample]]:
+    """Each query's examples in ascending similarity; none for a query
+    whose source normalizes to nothing."""
+    train_path = _require(config, "train_path", "--train")
+    train = _load_split(config, train_path, "train")
+    index = _load_index(config, train)
+    if len(index) == 0:
+        print("warning: retrieval index is empty; layouts degrade to 0 examples")
+    classes_by_id = _novelty_by_id(config, train) if config.mode == "ncrapt" else {}
+    embedder = backend_mod.make_embedding_backend(config.backend)
+    vectors = embedder.embed([pair.source for pair, _ in queries]) if queries else []
+    if len(index) and vectors and len(vectors[0]) != index.dim:
+        raise dataio.DataFormatError(
+            Path(config.out_dir) / "embeddings.bin", None,
+            f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
+            "index and generate need the same embedding backend",
+        )
+    # "auto": the same file under any spelling; both were just loaded
+    exclude_self = config.exclude_self == "always" or (
+        config.exclude_self == "auto" and os.path.samefile(train_path, config.test_path)
+    )
+    retrieved = []
+    for i, ((pair, x), vector) in enumerate(zip(queries, vectors)):
+        exclude = {pair.id} if exclude_self else set()
+        if not x:
+            hits = []
+        elif config.strategy == "random":
+            hits = retrieval.query_random(index, vector, config.k, exclude, seed=config.seed + i)
+            hits.sort(key=lambda hit: hit[1], reverse=True)
+        else:
+            hits = retrieval.query_knn(index, vector, config.k, exclude)
+        retrieved.append([
+            promptkit.PromptExample(
+                source=normalize(record.pair.source, config.normalization),
+                target=normalize(record.pair.target, config.normalization),
+                similarity=sim,
+                novelty=classes_by_id.get(record.id),
+                id=record.id,
+            )
+            for record, sim in reversed(hits)
+        ])
+    return retrieved
+
+
+def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:
+    """Plan one prompt per query, send those within budget, parse the replies."""
+    template = config.template()
+    gen_backend = backend_mod.make_generation_backend(config.backend)
+    query_class = novelty.NoveltyClass.from_label(config.query_class)
+    assemble = {
+        "manual": lambda x, examples: promptkit.assemble_manual(x, template),
+        "rapt": lambda x, examples: promptkit.assemble_rapt(x, examples, config.slots),
+        "ncrapt": lambda x, examples: promptkit.assemble_ncrapt(
+            x, examples, query_class, config.slots
+        ),
+    }[config.mode]
+    queries = [(pair, normalize(pair.source, config.normalization)) for pair in pairs]
+    retrieved = [[]] * len(queries) if config.mode == "manual" else _retrieve(config, queries)
+    rows: list[dict] = []
+    pending: list[tuple[dict, backend_mod.GenerationRequest, int]] = []
+    for (pair, x), examples in zip(queries, retrieved):
+        row = {"id": pair.id, "prompt_n": 0}
+        rows.append(row)
+        if not x:
+            row.update(output="", error="empty source after normalization")
+            continue
+        layout, row["prompt_n"], dropped = promptkit.fit_examples_to_budget(
+            lambda kept: assemble(x, kept), examples, gen_backend.count_tokens,
+            config.max_prompt_tokens,
+        )
+        if row["prompt_n"] > config.max_prompt_tokens:
+            row.update(output="", error=f"prompt of {row['prompt_n']} tokens exceeds "
+                       f"max_prompt_tokens {config.max_prompt_tokens}")
+            continue
+        row["mode"] = config.mode
+        if config.mode != "manual":
+            # soft slot spans have no canonical text; the prompt crossed
+            # the wire through the template's stand-in strings
+            row.update(discrete_render=True, examples=[e.id for e in layout.examples])
+        request = backend_mod.GenerationRequest(
+            prompt=promptkit.render_text(layout, template),
+            stop=("\n",),
+            request_id=pair.id,
+            layout_json=promptkit.layout_to_json(layout),
+        )
+        pending.append((row, request, dropped))
+
+    responses = backend_mod.generate_batch(
+        gen_backend, [request for _, request, _ in pending],
+        max_in_flight=config.backend.max_in_flight,
+    )
+    infix_class = query_class if config.mode == "ncrapt" else None
+    for (row, request, dropped), response in zip(pending, responses):
+        try:
+            tokens = backend_mod.parse_completion(
+                request.prompt + response.text, template, infix_class, config.normalization
+            )
+            row["output"] = render(tokens)
+        except backend_mod.CompletionParseError as err:
+            row.update(output="", error=str(err))
+        if dropped:
+            row["dropped_examples"] = dropped
+    return rows
 
 
 def cmd_generate(config: PipelineConfig) -> int:
     """Assemble prompts for the test inputs and collect completions."""
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
-    cfg_norm = config.normalization
-    template = config.template()
-    inputs = _load_split(config, test_path, "test")
-    rows: list[dict] = []
-
+    pairs = _load_split(config, test_path, "test").pairs
     if config.mode in ("copy", "ground-truth"):
-        for pair in inputs.pairs:
-            output = pair.source if config.mode == "copy" else pair.target
-            rows.append({"id": pair.id, "prompt_n": 0, "output": output, "mode": config.mode})
-        dataio.write_generations(out_dir / "generations.jsonl", rows)
-        write_config_snapshot(config, out_dir, "generate")
-        print(f"wrote {len(rows)} {config.mode} pseudo-generations")
-        return 0
-
-    gen_backend = backend_mod.make_generation_backend(config.backend)
-    query_class = novelty.NoveltyClass.from_label(config.query_class)
-
-    index = None
-    classes_by_id: dict[str, novelty.NoveltyClass] = {}
-    query_vectors = None
-    exclude_self = False
-    if config.mode in ("rapt", "ncrapt"):
-        train_path = _require(config, "train_path", "--train")
-        train = _load_split(config, train_path, "train")
-        index = _load_index(config, train)
-        if len(index) == 0:
-            print("warning: retrieval index is empty; layouts degrade to 0 examples")
-        if config.mode == "ncrapt":
-            classes_by_id = _novelty_by_id(config, train)
-        embedder = backend_mod.make_embedding_backend(config.backend)
-        query_vectors = embedder.embed([p.source for p in inputs.pairs]) if inputs.pairs else []
-        if len(index) and len(query_vectors) and len(query_vectors[0]) != index.dim:
-            raise dataio.DataFormatError(
-                out_dir / "embeddings.bin", None,
-                f"index dimension {index.dim} != query dimension {len(query_vectors[0])}; "
-                "index and generate need the same embedding backend",
-            )
-        exclude_self = (
-            config.exclude_self == "always"
-            or (config.exclude_self == "auto" and config.train_path == config.test_path)
-        )
-
-    requests_list: list[backend_mod.GenerationRequest] = []
-    prompt_meta: list[dict] = []
-    for i, pair in enumerate(inputs.pairs):
-        x = normalize(pair.source, cfg_norm)
-        if not x:
-            prompt_meta.append({"id": pair.id, "prompt_n": 0, "skip": "empty source after normalization"})
-            continue
-        dropped = 0
-        if config.mode == "manual":
-            layout = promptkit.assemble_manual(x, template)
-        else:
-            exclude = {pair.id} if exclude_self else set()
-            if config.strategy == "random":
-                hits = retrieval.query_random(
-                    index, query_vectors[i], config.k, exclude, seed=config.seed + i
-                )
-                hits.sort(key=lambda pair_sim: pair_sim[1], reverse=True)
-            else:
-                hits = retrieval.query_knn(index, query_vectors[i], config.k, exclude)
-            ascending = list(reversed(hits))
-            examples = [
-                promptkit.PromptExample(
-                    source=normalize(record.pair.source, cfg_norm),
-                    target=normalize(record.pair.target, cfg_norm),
-                    similarity=sim,
-                    novelty=classes_by_id.get(record.id),
-                    id=record.id,
-                )
-                for record, sim in ascending
-            ]
-            if config.mode == "rapt":
-                assemble = lambda ex: promptkit.assemble_rapt(x, ex, config.slots)
-            else:
-                assemble = lambda ex: promptkit.assemble_ncrapt(x, ex, query_class, config.slots)
-            layout, dropped = promptkit.fit_examples_to_budget(
-                assemble, examples, gen_backend.count_tokens, config.max_prompt_tokens
-            )
-        length = promptkit.layout_length(layout, gen_backend.count_tokens)
-        if length.prompt_tokens > config.max_prompt_tokens:
-            prompt_meta.append({
-                "id": pair.id,
-                "prompt_n": length.prompt_tokens,
-                "skip": f"prompt of {length.prompt_tokens} tokens exceeds "
-                f"max_prompt_tokens {config.max_prompt_tokens}",
-            })
-            continue
-        prompt = promptkit.render_text(layout, template)
-        requests_list.append(
-            backend_mod.GenerationRequest(
-                prompt=prompt,
-                stop=("\n",),
-                request_id=pair.id,
-                layout_json=promptkit.layout_to_json(layout),
-            )
-        )
-        meta = {"id": pair.id, "prompt_n": length.prompt_tokens, "prompt": prompt}
-        if config.mode != "manual":
-            meta["examples"] = [e.id for e in layout.examples]
-        if dropped:
-            meta["dropped_examples"] = dropped
-        prompt_meta.append(meta)
-
-    responses = backend_mod.generate_batch(
-        gen_backend, requests_list, max_in_flight=config.backend.max_in_flight
-    )
-    resp_iter = iter(responses)
-    infix_class = query_class if config.mode == "ncrapt" else None
-    for meta in prompt_meta:
-        if "skip" in meta:
-            rows.append({"id": meta["id"], "prompt_n": meta["prompt_n"], "output": "", "error": meta["skip"]})
-            continue
-        response = next(resp_iter)
-        row = {"id": meta["id"], "prompt_n": meta["prompt_n"], "mode": config.mode}
-        if config.mode != "manual":
-            # soft slot spans have no canonical text; the prompt crossed
-            # the wire through the template's stand-in strings
-            row["discrete_render"] = True
-            row["examples"] = meta["examples"]
-        try:
-            tokens = backend_mod.parse_completion(
-                meta["prompt"] + response.text, template, infix_class, cfg_norm
-            )
-            row["output"] = render(tokens)
-        except backend_mod.CompletionParseError as err:
-            row["output"] = ""
-            row["error"] = str(err)
-        if "dropped_examples" in meta:
-            row["dropped_examples"] = meta["dropped_examples"]
-        rows.append(row)
-
+        rows = [
+            {"id": pair.id, "prompt_n": 0,
+             "output": pair.source if config.mode == "copy" else pair.target, "mode": config.mode}
+            for pair in pairs
+        ]
+        summary = f"wrote {len(rows)} {config.mode} pseudo-generations"
+    else:
+        rows = _generate_rows(config, pairs)
+        summary = f"wrote {len(rows)} generations ({config.mode}) -> {out_dir / 'generations.jsonl'}"
     dataio.write_generations(out_dir / "generations.jsonl", rows)
     write_config_snapshot(config, out_dir, "generate")
-    print(f"wrote {len(rows)} generations ({config.mode}) -> {out_dir / 'generations.jsonl'}")
+    print(summary)
     return 0
 
 

@@ -199,7 +199,9 @@ def write_generations(path: str | Path, rows: Sequence[dict]) -> None:
     write_jsonl(path, rows)
 
 
-def load_generations(path: str | Path) -> list[dict]:
+def load_jsonl_objects(path: str | Path, required: Sequence[str]) -> list[dict]:
+    """The objects on the non-blank lines of a JSONL file, each of which
+    must carry the ``required`` keys."""
     rows = []
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -210,7 +212,11 @@ def load_generations(path: str | Path) -> list[dict]:
                 obj = json.loads(line)
             except json.JSONDecodeError as err:
                 raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(obj, dict) or "id" not in obj or "output" not in obj:
-                raise DataFormatError(path, lineno, 'expected {"id", "prompt_n", "output"}')
+            if not isinstance(obj, dict) or any(key not in obj for key in required):
+                raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
             rows.append(obj)
     return rows
+
+
+def load_generations(path: str | Path) -> list[dict]:
+    return load_jsonl_objects(path, ("id", "output"))

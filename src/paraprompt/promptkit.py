@@ -412,17 +412,16 @@ def fit_examples_to_budget(
     assemble: Callable[[Sequence[PromptExample]], PromptLayout],
     examples: Sequence[PromptExample],
     token_counter: Callable[[str], int],
-    max_prompt_tokens: int | None,
-) -> tuple[PromptLayout, int]:
+    max_prompt_tokens: int,
+) -> tuple[PromptLayout, int, int]:
     """Drop least-similar examples (front of the ascending list) until the
-    prompt fits; returns the layout and how many were dropped."""
+    prompt fits or none are left; returns the layout, its size, the drops."""
     kept = list(examples)
     while True:
         layout = assemble(kept)
-        if max_prompt_tokens is None:
-            return layout, 0
-        if layout_length(layout, token_counter).prompt_tokens <= max_prompt_tokens or not kept:
-            return layout, len(examples) - len(kept)
+        prompt_tokens = layout_length(layout, token_counter).prompt_tokens
+        if prompt_tokens <= max_prompt_tokens or not kept:
+            return layout, prompt_tokens, len(examples) - len(kept)
         kept.pop(0)
 
 

@@ -1,15 +1,15 @@
 """Exact kNN retrieval over sentence-embedding vectors.
 
-The index is a plain matrix scanned linearly: the corpora involved are
-at most ~134K rows, where exact search is cheap and, unlike approximate
-structures, deterministic. Vectors are unit-normalized at build time so
-cosine similarity reduces to a dot product. Ties are broken by insertion
-order, and a query may exclude ids (retrieving examples for a training
-item must exclude the item itself, or the prompt would contain its own
-answer).
+The index is one float64 matrix of unit rows, scanned linearly: corpora
+here are at most ~134K rows, where exact search is cheap and, unlike
+approximate structures, deterministic. Each record's vector is a read-only
+view of its row. Cosine similarity is a dot product; ties break by
+insertion order, and a query may exclude ids (a training item must not
+retrieve itself, or the prompt would contain its own answer).
 
 Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
-then count*dim f32-LE values) with ids in a JSONL sidecar.
+then count*dim f32-LE values, written and read as one array) with ids in
+a JSONL sidecar.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DataFormatError, ParaphrasePair, atomic_write_text
+from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_jsonl_objects
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
 
@@ -42,10 +42,12 @@ class ExampleRecord:
 class RetrievalIndex:
     """Immutable store of unit vectors, one matrix row per record."""
 
-    def __init__(self, records: Sequence[ExampleRecord], matrix: np.ndarray) -> None:
-        self._records = tuple(records)
+    def __init__(self, pairs: Sequence[ParaphrasePair], matrix: np.ndarray) -> None:
+        matrix.setflags(write=False)
         self._matrix = matrix
-        self._matrix.setflags(write=False)
+        self._records = tuple(
+            ExampleRecord(id=pair.id, pair=pair, vector=row) for pair, row in zip(pairs, matrix)
+        )
 
     def __len__(self) -> int:
         return len(self._records)
@@ -75,33 +77,33 @@ def build_index(
     All vectors must share one dimension, have non-zero norm, and carry
     unique ids; violations raise ``IndexBuildError`` naming the offender.
     """
-    records: list[ExampleRecord] = []
-    rows: list[np.ndarray] = []
+    entries = list(entries)
     seen: set[str] = set()
-    dim: int | None = None
-    for pair, vector in entries:
+    matrix = np.empty((0, 0), dtype=np.float64)
+    for i, (pair, vector) in enumerate(entries):
         if pair.id in seen:
             raise IndexBuildError(f"duplicate id {pair.id!r}")
         seen.add(pair.id)
-        arr = np.asarray(vector, dtype=np.float64)
+        arr = np.asarray(vector)
         if arr.ndim != 1:
             raise IndexBuildError(f"id {pair.id!r}: vector must be 1-dimensional")
-        if dim is None:
-            dim = int(arr.shape[0])
-            if dim == 0:
+        if i == 0:
+            if arr.shape[0] == 0:
                 raise IndexBuildError(f"id {pair.id!r}: vector has dimension 0")
-        elif arr.shape[0] != dim:
+            matrix = np.empty((len(entries), arr.shape[0]), dtype=np.float64)
+        elif arr.shape[0] != matrix.shape[1]:
             raise IndexBuildError(
-                f"id {pair.id!r}: dimension {arr.shape[0]} != index dimension {dim}"
+                f"id {pair.id!r}: dimension {arr.shape[0]} != index dimension {matrix.shape[1]}"
             )
-        try:
-            unit = unit_normalize(arr)
-        except ValueError:
-            raise IndexBuildError(f"id {pair.id!r}: zero-norm vector") from None
-        records.append(ExampleRecord(id=pair.id, pair=pair, vector=unit))
-        rows.append(unit)
-    matrix = np.vstack(rows) if rows else np.empty((0, dim or 0), dtype=np.float64)
-    return RetrievalIndex(records, matrix)
+        row = matrix[i]
+        row[:] = arr
+        # per row, as unit_normalize does; a batched axis=1 norm can differ
+        # in the last bit
+        norm = float(np.linalg.norm(row))
+        if norm == 0.0:
+            raise IndexBuildError(f"id {pair.id!r}: zero-norm vector")
+        row /= norm
+    return RetrievalIndex([pair for pair, _ in entries], matrix)
 
 
 def _unit_query(index: RetrievalIndex, query: Sequence[float], k: int) -> np.ndarray | None:
@@ -167,20 +169,15 @@ def write_embeddings_binary(
     entries: Sequence[tuple[str, Sequence[float]]],
 ) -> None:
     """Binary matrix plus a JSONL id sidecar, row-aligned."""
-    count = len(entries)
     dims = {len(vector) for _, vector in entries}
     if len(dims) > 1:
         raise ValueError(f"mixed vector dimensions: {sorted(dims)}")
-    dim = dims.pop() if dims else 0
+    matrix = np.asarray([vector for _, vector in entries], dtype="<f4")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = bytearray()
-    payload += EMBEDDING_MAGIC
-    payload += struct.pack("<II", count, dim)
-    for _, vector in entries:
-        payload += struct.pack(f"<{dim}f", *[float(v) for v in vector])
+    header = EMBEDDING_MAGIC + struct.pack("<II", len(entries), dims.pop() if dims else 0)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(bytes(payload))
+    tmp.write_bytes(header + matrix.tobytes())
     tmp.replace(path)
     atomic_write_text(
         ids_path,
@@ -188,7 +185,8 @@ def write_embeddings_binary(
     )
 
 
-def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> list[tuple[str, np.ndarray]]:
+def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The sidecar ids and a read-only (count, dim) float32 view of the file."""
     blob = Path(path).read_bytes()
     if blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
         raise DataFormatError(path, None, "bad magic; not an embedding file")
@@ -202,21 +200,9 @@ def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> list[tuple
             path, None, f"size mismatch: expected {expected} bytes, found {len(blob)}"
         )
     matrix = np.frombuffer(blob, dtype="<f4", offset=header_end).reshape(count, dim)
-    ids: list[str] = []
-    with open(ids_path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(ids_path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(obj, dict) or "id" not in obj:
-                raise DataFormatError(ids_path, lineno, 'expected {"id"}')
-            ids.append(str(obj["id"]))
+    ids = [str(obj["id"]) for obj in load_jsonl_objects(ids_path, ("id",))]
     if len(ids) != count:
         raise DataFormatError(
             ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors"
         )
-    return [(record_id, matrix[i].astype(np.float64)) for i, record_id in enumerate(ids)]
+    return ids, matrix

@@ -5,12 +5,14 @@ implementation it validates: recursive edit distance with memoization,
 the row-by-row edit-distance DP and the greedy shift search built on it
 (the library's former TER engine, kept verbatim), breadth-first search
 over block moves for minimum TER, a string-keyed SARI port,
-window-by-window BLEU counting, and a no-numpy kNN sort.
+window-by-window BLEU counting, a no-numpy kNN sort, and the library's
+former per-row packing of embedding files.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
@@ -171,6 +173,15 @@ def brute_knn(
     ]
     scored.sort(key=lambda t: (-t[2], t[0]))
     return [(rid, sim) for _, rid, sim in scored[:k]]
+
+
+def pack_embeddings_per_row(magic: bytes, vectors: list[Sequence[float]]) -> bytes:
+    """Embedding-file bytes packed one row at a time with ``struct``."""
+    dim = len(vectors[0]) if vectors else 0
+    payload = bytearray(magic + struct.pack("<II", len(vectors), dim))
+    for vector in vectors:
+        payload += struct.pack(f"<{dim}f", *[float(v) for v in vector])
+    return bytes(payload)
 
 
 def bleu_oracle(pairs: list[tuple[tuple[str, ...], list[tuple[str, ...]]]]) -> float:

@@ -199,6 +199,28 @@ def test_http_embed_batch_dimension_check(monkeypatch):
         backend.embed(["a", "b"])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1e39])
+def test_http_embed_rejects_values_outside_float32(monkeypatch, value):
+    # embedding files store float32: 1e39 would become inf, NaN a NaN index
+    def post(*args, **kwargs):
+        return _FakeResponse(body={"vectors": [[1.0, 2.0], [0.5, value]]})
+
+    monkeypatch.setattr("paraprompt.backend.requests.post", post)
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    with pytest.raises(MalformedResponseError, match="finite and in float32 range"):
+        backend.embed(["a", "b"])
+
+
+def test_http_embed_accepts_float32_extremes(monkeypatch):
+    big = float(np.finfo(np.float32).max)
+    monkeypatch.setattr(
+        "paraprompt.backend.requests.post",
+        lambda *args, **kwargs: _FakeResponse(body={"vectors": [[big, -big, 1e-45]]}),
+    )
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    assert backend.embed(["a"])[0].tolist() == [big, -big, 1e-45]
+
+
 def test_parse_completion_extracts_after_final_marker():
     raw = "Input: x\nParaphrase: noise\n\nInput: q\nParaphrase: how do i learn\nInput:"
     assert parse_completion(raw) == ("how", "do", "i", "learn")

@@ -106,6 +106,39 @@ def test_generate_on_training_file_excludes_self(data_dir):
         assert len(row["examples"]) == 2
 
 
+def test_generate_auto_excludes_self_under_another_path_spelling(data_dir):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    # "./" names the same file, so every row must still skip itself
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl",
+        "--test", f"{data_dir}/./train.jsonl", "--out", out, "--mode", "rapt", "--k", "1",
+    ]) == 0
+    rows = [json.loads(l) for l in (out / "generations.jsonl").read_text().splitlines()]
+    assert len(rows) == len(TRAIN_ROWS)
+    for row in rows:
+        assert row["examples"] and row["id"] not in row["examples"]
+
+
+def test_index_rejects_out_of_range_embedding_as_backend_error(data_dir, capsys, monkeypatch):
+    from paraprompt.backend import requests as requests_lib
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"vectors": [[1e39, 0.0]] * len(TRAIN_ROWS)}
+
+    monkeypatch.setattr(requests_lib, "post", lambda *args, **kwargs: Response())
+    out = data_dir / "out"
+    assert run([
+        "index", "--train", data_dir / "train.jsonl", "--out", out,
+        "--embedding-url", "http://embed.invalid/embed",
+    ]) == 3
+    assert "float32 range" in capsys.readouterr().err
+    assert not (out / "embeddings.bin").exists()
+
+
 def test_generate_on_test_file_keeps_id_collisions(data_dir):
     # distinct files may reuse ids; auto mode must not exclude train rows
     # that merely share an id with the query

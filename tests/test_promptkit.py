@@ -236,18 +236,20 @@ def test_budget_drops_least_similar_first():
     counter = lambda text: len(text.split())
     full = assemble(exs)
     full_len = layout_length(full, counter).prompt_tokens
-    layout, dropped = fit_examples_to_budget(assemble, exs, counter, full_len - 1)
+    layout, prompt_n, dropped = fit_examples_to_budget(assemble, exs, counter, full_len - 1)
     assert dropped == 1
+    assert prompt_n == layout_length(layout, counter).prompt_tokens < full_len
     kept_ids = [s.tokens for s in layout.segments if s.kind is SegmentKind.EXAMPLE_INPUT]
     assert kept_ids == [("src", "1"), ("src", "2")]
 
 
 def test_budget_unlimited_keeps_everything():
     exs = examples(2)
-    layout, dropped = fit_examples_to_budget(
-        lambda kept: assemble_exemplar(X, kept), exs, lambda t: 0, None
+    layout, prompt_n, dropped = fit_examples_to_budget(
+        lambda kept: assemble_exemplar(X, kept), exs, lambda t: 0, 10**9
     )
     assert dropped == 0
+    assert prompt_n == layout.soft_slot_occurrences()
     assert len(layout.examples) == 2
 
 

@@ -6,15 +6,17 @@ import pytest
 
 from paraprompt.dataio import ParaphrasePair
 from paraprompt.retrieval import (
+    EMBEDDING_MAGIC,
     IndexBuildError,
     build_index,
     load_embeddings_binary,
     query_knn,
     query_random,
+    unit_normalize,
     write_embeddings_binary,
 )
 
-from oracles import brute_knn
+from oracles import brute_knn, pack_embeddings_per_row
 
 
 def pair(i):
@@ -184,11 +186,40 @@ def test_binary_round_trip(tmp_path):
     ids_path = tmp_path / "vectors.ids.jsonl"
     entries = [("a", [0.125, 0.25, -0.5]), ("b", [1.0, 2.0, 3.0])]
     write_embeddings_binary(path, ids_path, entries)
-    loaded = load_embeddings_binary(path, ids_path)
-    assert [i for i, _ in loaded] == ["a", "b"]
-    for (_, got), (_, want) in zip(loaded, entries):
+    ids, matrix = load_embeddings_binary(path, ids_path)
+    assert ids == ["a", "b"]
+    assert matrix.dtype == np.dtype("<f4") and matrix.shape == (2, 3)
+    for got, (_, want) in zip(matrix, entries):
         assert list(got) == pytest.approx(want, abs=1e-7)
     assert path.read_bytes().startswith(b"RAPTEMB1")
+
+
+def test_binary_writer_matches_per_row_packing(tmp_path):
+    rng = np.random.default_rng(3)
+    vectors = [rng.normal(scale=10.0 ** rng.integers(-30, 30), size=7) for _ in range(50)]
+    vectors += [[0.1, -0.0, 1e-45, 3.4e38, -1.5e-39, 1.0 / 3.0, 2.0**-149]]
+    path = tmp_path / "vectors.bin"
+    write_embeddings_binary(path, tmp_path / "ids.jsonl", [(str(i), v) for i, v in enumerate(vectors)])
+    assert path.read_bytes() == pack_embeddings_per_row(EMBEDDING_MAGIC, vectors)
+    write_embeddings_binary(path, tmp_path / "ids.jsonl", [])
+    assert path.read_bytes() == pack_embeddings_per_row(EMBEDDING_MAGIC, [])
+
+
+def test_build_index_rows_equal_per_row_unit_normalize():
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(300, 768)).astype(np.float32)
+    index = build_index(entries_from(rows))
+    for record, row in zip(index.records, rows):
+        assert np.array_equal(record.vector, unit_normalize(row))
+
+
+def test_record_vectors_are_read_only_views_of_the_matrix():
+    index = build_index(entries_from([[3.0, 4.0], [1.0, 0.0]]))
+    for i, record in enumerate(index.records):
+        assert np.shares_memory(record.vector, index._matrix)
+        assert np.array_equal(record.vector, index._matrix[i])
+        with pytest.raises(ValueError):
+            record.vector[0] = 0.0
 
 
 def test_binary_size_validation(tmp_path):
