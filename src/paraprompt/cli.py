@@ -241,17 +241,25 @@ def _retrieve(
     exclude_self = config.exclude_self == "always" or (
         config.exclude_self == "auto" and os.path.samefile(train_path, config.test_path)
     )
-    retrieved = []
-    for i, ((pair, x), vector) in enumerate(zip(queries, vectors)):
-        exclude = {pair.id} if exclude_self else set()
-        if not x:
-            hits = []
-        elif config.strategy == "random":
-            hits = retrieval.query_random(index, vector, config.k, exclude, seed=config.seed + i)
-            hits.sort(key=lambda hit: hit[1], reverse=True)
-        else:
-            hits = retrieval.query_knn(index, vector, config.k, exclude)
-        retrieved.append([
+    excludes = [{pair.id} if exclude_self else set() for pair, _ in queries]
+    looked_up = [i for i, (_, x) in enumerate(queries) if x]
+    if config.strategy == "random":
+        found = [
+            sorted(
+                retrieval.query_random(
+                    index, vectors[i], config.k, excludes[i], seed=config.seed + i
+                ),
+                key=lambda hit: hit[1], reverse=True,
+            )
+            for i in looked_up
+        ]
+    else:
+        found = retrieval.query_knn_batch(
+            index, [vectors[i] for i in looked_up], config.k, [excludes[i] for i in looked_up]
+        )
+    hits_by_query = dict(zip(looked_up, found))
+    return [
+        [
             promptkit.PromptExample(
                 source=normalize(record.pair.source, config.normalization),
                 target=normalize(record.pair.target, config.normalization),
@@ -259,9 +267,10 @@ def _retrieve(
                 novelty=classes_by_id.get(record.id),
                 id=record.id,
             )
-            for record, sim in reversed(hits)
-        ])
-    return retrieved
+            for record, sim in reversed(hits_by_query.get(i, []))
+        ]
+        for i in range(len(queries))
+    ]
 
 
 def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:

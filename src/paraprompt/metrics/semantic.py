@@ -2,7 +2,8 @@
 
 Works on pre-computed sentence vectors; nothing here runs a model. A
 zero-norm vector makes cosine undefined, so such records are excluded
-and tallied instead of poisoning the mean.
+and tallied instead of poisoning the mean; with none left to score, the
+mean is absent (None), not an error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SemanticSummary:
-    percent: float
+    percent: float | None
     scored: int
     excluded: int
 
@@ -38,7 +39,8 @@ def cosine(u: Sequence[float], v: Sequence[float]) -> float:
 def semantic_similarity(
     vector_pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
 ) -> SemanticSummary:
-    """Mean cosine x 100 over (source_vector, prediction_vector) pairs."""
+    """Mean cosine x 100 over (source_vector, prediction_vector) pairs;
+    None when every pair has a zero-norm vector."""
     if not vector_pairs:
         raise ValueError("semantic similarity needs a non-empty corpus")
     total = 0.0
@@ -53,8 +55,6 @@ def semantic_similarity(
                 continue
             raise
         scored += 1
-    if scored == 0:
-        raise ValueError("semantic similarity: every vector pair was degenerate")
     return SemanticSummary(
-        percent=100.0 * total / scored, scored=scored, excluded=excluded
+        percent=100.0 * total / scored if scored else None, scored=scored, excluded=excluded
     )

@@ -1,11 +1,26 @@
 """Exact kNN retrieval over sentence-embedding vectors.
 
-The index is one float64 matrix of unit rows, scanned linearly: corpora
-here are at most ~134K rows, where exact search is cheap and, unlike
+The index is one float64 matrix of unit rows. Search is exact: corpora
+here are at most ~134K rows, where a brute-force scan is cheap and, unlike
 approximate structures, deterministic. Each record's vector is a read-only
 view of its row. Cosine similarity is a dot product; ties break by
 insertion order, and a query may exclude ids (a training item must not
 retrieve itself, or the prompt would contain its own answer).
+
+Queries are scored in blocks, one ``Q_block @ M.T`` product per block of
+at most ``SCORE_BLOCK_BYTES`` of scores, so the matrix is read once per
+block rather than once per query. The product only draws a shortlist:
+BLAS rounds a row differently depending on where it sits in the operand,
+so identical rows can score a last bit apart. Any summation order puts a
+dot product of two unit vectors within about dim * u of its exact value
+(u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
+3.1), so a row of the exact top m, m = k + |exclude|, trails the m-th
+largest product score by at most 4 * dim * u. The shortlist keeps every
+row within ``4 * dim * eps``, twice that, of it. Each shortlisted row is
+rescored on its own by a reduction whose result depends only on the
+row's values; those are the returned similarities, and a stable sort on
+them gives the top k with ties in insertion order, identical vectors
+included.
 
 Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
 then count*dim f32-LE values, written and read as one array) with ids in
@@ -26,6 +41,10 @@ import numpy as np
 from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_jsonl_objects
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
+
+# Byte budget for one block of float64 query-by-row scores; a block holds
+# at least one query.
+SCORE_BLOCK_BYTES = 64 * 2**20
 
 
 class IndexBuildError(ValueError):
@@ -125,18 +144,58 @@ def query_knn(
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[tuple[ExampleRecord, float]]:
     """Top-k records by cosine similarity, descending; insertion order on ties."""
-    unit = _unit_query(index, query, k)
-    if unit is None:
-        return []
-    sims = index._matrix @ unit
-    # Stable sort on the negated scores keeps insertion order among ties.
+    return query_knn_batch(index, [query], k, [exclude])[0]
+
+
+def query_knn_batch(
+    index: RetrievalIndex,
+    queries: Sequence[Sequence[float]],
+    k: int,
+    excludes: Sequence[frozenset[str] | set[str]],
+) -> list[list[tuple[ExampleRecord, float]]]:
+    """``query_knn`` for each query, with ``excludes[i]`` for query i."""
+    if len(excludes) != len(queries):
+        raise ValueError(f"{len(excludes)} exclude sets for {len(queries)} queries")
+    units = [_unit_query(index, query, k) for query in queries]
+    if len(index) == 0:
+        return [[] for _ in queries]
+    matrix = index._matrix
+    per_block = max(1, SCORE_BLOCK_BYTES // (len(index) * matrix.itemsize))
+    out: list[list[tuple[ExampleRecord, float]]] = []
+    for start in range(0, len(units), per_block):
+        block = np.stack(units[start : start + per_block])
+        for unit, scores, exclude in zip(
+            block, block @ matrix.T, excludes[start : start + per_block]
+        ):
+            out.append(_top_k(index, unit, scores, k, exclude))
+    return out
+
+
+def _top_k(
+    index: RetrievalIndex,
+    unit: np.ndarray,
+    scores: np.ndarray,
+    k: int,
+    exclude: frozenset[str] | set[str],
+) -> list[tuple[ExampleRecord, float]]:
+    """Exact top-k from one row of product scores; see the module docstring."""
+    m = k + len(exclude)
+    if m >= scores.shape[0]:
+        candidates = np.arange(scores.shape[0])
+    else:
+        threshold = np.partition(scores, -m)[-m]
+        delta = 4 * index.dim * np.finfo(np.float64).eps
+        candidates = np.flatnonzero(scores >= threshold - delta)
+    # Not index._matrix[candidates] @ unit: BLAS rounds each row by its position.
+    sims = np.multiply(index._matrix[candidates], unit).sum(axis=1)
+    # candidates ascend, so a stable sort keeps insertion order among ties
     order = np.argsort(-sims, kind="stable")
     out: list[tuple[ExampleRecord, float]] = []
-    for idx in order:
-        record = index.records[int(idx)]
+    for i in order:
+        record = index.records[int(candidates[i])]
         if record.id in exclude:
             continue
-        out.append((record, float(sims[int(idx)])))
+        out.append((record, float(sims[i])))
         if len(out) == k:
             break
     return out

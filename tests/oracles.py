@@ -5,8 +5,8 @@ implementation it validates: recursive edit distance with memoization,
 the row-by-row edit-distance DP and the greedy shift search built on it
 (the library's former TER engine, kept verbatim), breadth-first search
 over block moves for minimum TER, a string-keyed SARI port,
-window-by-window BLEU counting, a no-numpy kNN sort, and the library's
-former per-row packing of embedding files.
+window-by-window BLEU counting, a no-numpy kNN sort, a shortlist-free
+kNN scan, and the library's former per-row packing of embedding files.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import struct
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
+
+import numpy as np
 
 from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
 
@@ -173,6 +175,17 @@ def brute_knn(
     ]
     scored.sort(key=lambda t: (-t[2], t[0]))
     return [(rid, sim) for _, rid, sim in scored[:k]]
+
+
+def knn_full_scan(
+    matrix: np.ndarray, unit: np.ndarray, k: int, exclude: set[int] = frozenset()
+) -> list[tuple[int, float]]:
+    """(row, similarity) top-k with no product-score shortlist: the library's
+    per-row reduction on every row, a stable sort, then the excluded rows
+    dropped."""
+    sims = np.multiply(matrix, unit).sum(axis=1)
+    order = np.argsort(-sims, kind="stable")
+    return [(int(i), float(sims[i])) for i in order if int(i) not in exclude][:k]
 
 
 def pack_embeddings_per_row(magic: bytes, vectors: list[Sequence[float]]) -> bytes:

@@ -362,3 +362,17 @@ def test_prompt_over_budget_without_examples_is_an_error_row(data_dir, monkeypat
         assert row["output"] == ""
         assert row["prompt_n"] > 248
         assert row["error"] == f"prompt of {row['prompt_n']} tokens exceeds max_prompt_tokens 100"
+
+
+def test_eval_with_every_prediction_empty_leaves_bert_blank(data_dir):
+    out = data_dir / "out"
+    # the bare manual prompt exceeds 3 tokens, so every output is empty
+    assert run([
+        "pipeline", "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
+        "--out", out, "--mode", "manual", "--max-prompt-tokens", "3",
+    ]) == 0
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert header == "Method,BERT,Self-TER,Self-BLEU,BLEU,iBLEU,SARI"
+    cells = row.split(",")
+    assert cells[1] == "" and all(cells[2:]) and len(cells) == 7
+    assert f"'bert_excluded': {len(TEST_ROWS)}" in (out / "report.txt").read_text()

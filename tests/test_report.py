@@ -48,6 +48,8 @@ def test_semantic_zero_norm_excluded_and_tallied():
     )
     assert summary.percent == 100.0
     assert summary.excluded == 1
+    summary = semantic_similarity([((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))])
+    assert (summary.percent, summary.scored, summary.excluded) == (None, 0, 2)
 
 
 def test_semantic_dimension_mismatch():

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from paraprompt import retrieval
 from paraprompt.dataio import ParaphrasePair
 from paraprompt.retrieval import (
     EMBEDDING_MAGIC,
@@ -11,12 +12,13 @@ from paraprompt.retrieval import (
     build_index,
     load_embeddings_binary,
     query_knn,
+    query_knn_batch,
     query_random,
     unit_normalize,
     write_embeddings_binary,
 )
 
-from oracles import brute_knn, pack_embeddings_per_row
+from oracles import brute_knn, knn_full_scan, pack_embeddings_per_row
 
 
 def pair(i):
@@ -148,6 +150,88 @@ def test_knn_matches_brute_force_fuzz():
         assert [h[0].id for h in hits] == [e[0] for e in expected]
         for (_, sim), (_, esim) in zip(hits, expected):
             assert sim == pytest.approx(esim, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [5, 7, 130, 1001])
+def test_duplicate_rows_tie_in_insertion_order(n):
+    # a BLAS product rounds a row by its position, so a copy in the tail
+    # could outscore its original by a last bit
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=(n, 768))
+    queries = [base[0] + rng.normal(scale=1e-3, size=768) for _ in range(8)]
+    for copy_at in range(max(1, n - 8), n):
+        rows = base.copy()
+        rows[copy_at] = base[0]
+        index = build_index(entries_from(rows))
+        batch = query_knn_batch(index, queries, 2, [frozenset()] * len(queries))
+        for query, batch_hits in zip(queries, batch):
+            for hits in (query_knn(index, query, k=2), batch_hits):
+                assert [h[0].id for h in hits] == ["0", str(copy_at)]
+                assert hits[0][1] == hits[1][1]
+
+
+def _fuzz_rows(kind, rng):
+    """(index rows, queries) for one fuzz case of the given kind."""
+    n = int(rng.integers(1, 60))
+    if kind == "dense-ties":
+        dim = int(rng.integers(1, 6))
+        pool = rng.integers(-2, 3, size=(int(rng.integers(1, 6)), dim)).astype(float)
+        pool = pool[np.abs(pool).sum(axis=1) > 0]
+        if len(pool) == 0:
+            pool = np.ones((1, dim))
+        rows = pool[rng.integers(0, len(pool), size=n)]
+        # copies of the first row in the tail
+        tail = rng.integers(max(0, n - 8), n, size=int(rng.integers(0, 4)))
+        rows[tail] = rows[0]
+        queries = [pool[int(rng.integers(0, len(pool)))] for _ in range(3)]
+        queries += [rng.integers(-2, 3, size=dim) + np.eye(dim)[0] * 0.5 for _ in range(2)]
+    elif kind == "one-ulp":
+        dim = int(rng.choice([2, 8, 64, 768]))
+        rows = rng.normal(size=(n, dim))
+        # each picked row differs from its neighbour by one ulp in one component
+        for i in rng.integers(1, n, size=int(rng.integers(0, n))) if n > 1 else []:
+            rows[i] = rows[i - 1]
+            c = int(rng.integers(0, dim))
+            rows[i, c] = np.nextafter(rows[i, c], rng.choice([-np.inf, np.inf]))
+        queries = [rows[int(rng.integers(0, n))] + rng.normal(scale=1e-6, size=dim)
+                   for _ in range(4)]
+    else:
+        dim = int(rng.integers(1, 40))
+        rows = rng.normal(size=(n, dim))
+        queries = [rng.normal(size=dim) for _ in range(4)]
+    return rows, queries
+
+
+@pytest.mark.parametrize("kind", ["dense-ties", "one-ulp", "random"])
+def test_batched_knn_matches_full_scan_fuzz(kind, monkeypatch):
+    rng = np.random.default_rng(["dense-ties", "one-ulp", "random"].index(kind))
+    for _ in range(200):
+        rows, queries = _fuzz_rows(kind, rng)
+        n = len(rows)
+        index = build_index(entries_from(rows))
+        k = int(rng.integers(1, n + 3))
+        excludes = [
+            {str(i) for i in rng.integers(0, n + 2, size=int(rng.integers(0, 4)))}
+            for _ in queries
+        ]
+        # one to three queries per score block, so blocks are crossed
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * n * int(rng.integers(1, 4)))
+        batch = query_knn_batch(index, queries, k, excludes)
+        assert len(batch) == len(queries)
+        for query, exclude, hits in zip(queries, excludes, batch):
+            expected = knn_full_scan(
+                index._matrix, unit_normalize(query), k, {int(e) for e in exclude}
+            )
+            assert [(h[0].id, h[1]) for h in hits] == [(str(i), sim) for i, sim in expected]
+            single = query_knn(index, query, k, exclude)
+            assert [(h[0].id, h[1]) for h in single] == [(h[0].id, h[1]) for h in hits]
+
+
+def test_batch_needs_one_exclude_set_per_query():
+    index = build_index(entries_from([[1.0, 0.0]]))
+    with pytest.raises(ValueError, match="1 exclude sets for 2 queries"):
+        query_knn_batch(index, [[1.0, 0.0], [0.0, 1.0]], 1, [set()])
+    assert query_knn_batch(index, [], 1, []) == []
 
 
 def test_random_retrieval_deterministic():
