@@ -183,7 +183,7 @@ def cmd_index(config: PipelineConfig) -> int:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([p.source for p in split.pairs])
-    index = retrieval.build_index(zip(split.pairs, vectors))
+    index = retrieval.RetrievalIndex(split.pairs, vectors)
     emb_path = out_dir / "embeddings.bin"
     entries = [(p.id, vector) for p, vector in zip(split.pairs, vectors)]
     retrieval.write_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl", entries)
@@ -205,7 +205,7 @@ def _load_index(config: PipelineConfig, split: dataio.DatasetSplit) -> retrieval
         raise dataio.DataFormatError(
             emb_path, None, f"embeddings reference unknown train ids (first: {missing[0]!r})"
         )
-    return retrieval.build_index(zip((by_id[rid] for rid in ids), matrix))
+    return retrieval.RetrievalIndex([by_id[rid] for rid in ids], matrix)
 
 
 def _novelty_by_id(config: PipelineConfig, split: dataio.DatasetSplit) -> dict[str, novelty.NoveltyClass]:

@@ -1,26 +1,40 @@
 """Exact kNN retrieval over sentence-embedding vectors.
 
-The index is one float64 matrix of unit rows. Search is exact: corpora
-here are at most ~134K rows, where a brute-force scan is cheap and, unlike
-approximate structures, deterministic. Each record's vector is a read-only
-view of its row. Cosine similarity is a dot product; ties break by
-insertion order, and a query may exclude ids (a training item must not
-retrieve itself, or the prompt would contain its own answer).
+The index keeps the (n, dim) rows exactly as given (``generate`` passes
+the read-only float32 view of ``embeddings.bin``, never copied) and one
+float64 norm per row, equal bit for bit to
+``float(np.linalg.norm(row.astype(np.float64)))``. A row's unit vector,
+``row.astype(float64) / norm``, is formed only when the row is rescored
+or returned. Search is exact: corpora here are at most ~134K rows, where a
+brute-force scan is cheap and, unlike approximate structures,
+deterministic. Cosine similarity is the dot product of unit vectors; ties
+break by insertion order, and a query may exclude ids (a training item
+must not retrieve itself, or the prompt would contain its own answer).
 
-Queries are scored in blocks, one ``Q_block @ M.T`` product per block of
-at most ``SCORE_BLOCK_BYTES`` of scores, so the matrix is read once per
-block rather than once per query. The product only draws a shortlist:
-BLAS rounds a row differently depending on where it sits in the operand,
-so identical rows can score a last bit apart. Any summation order puts a
-dot product of two unit vectors within about dim * u of its exact value
-(u = eps / 2; Higham, Accuracy and Stability of Numerical Algorithms,
-3.1), so a row of the exact top m, m = k + |exclude|, trails the m-th
-largest product score by at most 4 * dim * u. The shortlist keeps every
-row within ``4 * dim * eps``, twice that, of it. Each shortlisted row is
-rescored on its own by a reduction whose result depends only on the
-row's values; those are the returned similarities, and a stable sort on
-them gives the top k with ties in insertion order, identical vectors
-included.
+Queries are scored in blocks: one ``fl(Q_block) @ M.T`` product in the
+rows' dtype per block of at most ``SCORE_BLOCK_BYTES`` of scores, divided
+by the norms. That score only draws a shortlist. Let u be the unit
+roundoff of the rows' dtype (eps / 2). Rounding the unit query to that
+dtype moves a score by at most u, and any summation order keeps the
+product within about dim * u of its exact value (Higham, Accuracy and
+Stability of Numerical Algorithms, 3.1); BLAS also rounds a row by where
+it sits in the operand, so identical rows can score apart. A score is
+thus within about (dim + 1) * u of the row's cosine, and the float64
+similarity it stands for (below) within as much at most. A row of the
+exact top m, m = k + |exclude|, therefore trails the m-th largest score by
+at most about 4 * (dim + 1) * u, and the shortlist keeps every row within
+``4 * dim * eps`` (8 * dim * u) of it.
+
+The bound assumes no product underflows or overflows, which holds when a
+row's norm lies in [sqrt(tiny), sqrt(max)] of its dtype. Rows outside
+that range are listed once when the index is built (normally none); they
+are scored -inf for the threshold and always shortlisted.
+
+Each shortlisted row is rescored as a full scan would score it: its
+float64 unit vector times the float64 unit query, reduced along the row,
+a value that depends only on the row's values. Those are the returned similarities, and a stable
+sort on them gives the top k with ties in insertion order, identical
+vectors included.
 
 Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
 then count*dim f32-LE values, written and read as one array) with ids in
@@ -29,6 +43,7 @@ a JSONL sidecar.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import struct
@@ -42,9 +57,12 @@ from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_jso
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
 
-# Byte budget for one block of float64 query-by-row scores; a block holds
+# Byte budget for one block of query-by-row product scores; a block holds
 # at least one query.
 SCORE_BLOCK_BYTES = 64 * 2**20
+
+# Rows upcast to float64 at a time while the norms are computed.
+_NORM_CHUNK_ROWS = 256
 
 
 class IndexBuildError(ValueError):
@@ -59,25 +77,85 @@ class ExampleRecord:
 
 
 class RetrievalIndex:
-    """Immutable store of unit vectors, one matrix row per record."""
+    """Immutable exact-kNN store: the pairs, their (n, dim) rows as given
+    and one float64 norm per row.
+
+    ``matrix`` is kept, not copied, when it is a C-contiguous float32 or
+    float64 array; the caller must not write to it afterwards. A duplicate
+    id, or a row of dimension 0, zero norm or a non-finite value, raises
+    ``IndexBuildError`` naming the first such id.
+    """
 
     def __init__(self, pairs: Sequence[ParaphrasePair], matrix: np.ndarray) -> None:
+        matrix = np.asarray(matrix)
+        if matrix.dtype not in (np.float32, np.float64):
+            matrix = matrix.astype(np.float64)
+        matrix = np.ascontiguousarray(matrix).view()
         matrix.setflags(write=False)
+        self._pairs = list(pairs)
+        self._ids = [pair.id for pair in self._pairs]
+        if matrix.ndim != 2 or matrix.shape[0] != len(self._ids):
+            raise IndexBuildError(
+                f"{len(self._ids)} pairs need an ({len(self._ids)}, dim) matrix, "
+                f"got shape {matrix.shape}"
+            )
+        if self._ids and matrix.shape[1] == 0:
+            raise IndexBuildError(f"id {self._ids[0]!r}: vector has dimension 0")
+        seen: set[str] = set()
+        for rid in self._ids:
+            if rid in seen:
+                raise IndexBuildError(f"duplicate id {rid!r}")
+            seen.add(rid)
         self._matrix = matrix
-        self._records = tuple(
-            ExampleRecord(id=pair.id, pair=pair, vector=row) for pair, row in zip(pairs, matrix)
+        self._norms = _row_norms(matrix)
+        bad = (self._norms == 0.0) | ~np.isfinite(self._norms)
+        if bad.any():
+            row = int(np.argmax(bad))
+            what = "zero-norm vector" if self._norms[row] == 0.0 else "vector is not finite"
+            raise IndexBuildError(f"id {self._ids[row]!r}: {what}")
+        finfo = np.finfo(matrix.dtype)
+        # rows whose float products may underflow or overflow; see the module docstring
+        self._guarded = np.flatnonzero(
+            (self._norms < np.sqrt(finfo.tiny)) | (self._norms > np.sqrt(finfo.max))
         )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids)
 
     @property
     def dim(self) -> int:
         return int(self._matrix.shape[1])
 
-    @property
+    @functools.cached_property
     def records(self) -> tuple[ExampleRecord, ...]:
-        return self._records
+        """One record per row, its vector a read-only unit row; built on
+        first use."""
+        units = self._unit_rows(slice(None))
+        units.setflags(write=False)
+        return tuple(
+            ExampleRecord(id=pair.id, pair=pair, vector=row) for pair, row in zip(self._pairs, units)
+        )
+
+    def _unit_rows(self, rows: np.ndarray | slice) -> np.ndarray:
+        units = self._matrix[rows].astype(np.float64)
+        units /= self._norms[rows, None]
+        return units
+
+    def _record(self, row: int, unit: np.ndarray) -> ExampleRecord:
+        vector = unit.copy()
+        vector.setflags(write=False)
+        return ExampleRecord(id=self._ids[row], pair=self._pairs[row], vector=vector)
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """``float(np.linalg.norm(row.astype(np.float64)))`` for each row, bit
+    for bit: a stacked vector @ vector matmul takes the same BLAS dot per
+    row as ``linalg.norm``, whereas ``norm(axis=1)`` sums differently."""
+    squares = np.empty(matrix.shape[0])
+    for lo in range(0, matrix.shape[0], _NORM_CHUNK_ROWS):
+        rows = matrix[lo : lo + _NORM_CHUNK_ROWS].astype(np.float64)
+        np.matmul(rows[:, None, :], rows[:, :, None], out=squares[lo : lo + len(rows), None, None])
+    return np.sqrt(squares, out=squares)
 
 
 def unit_normalize(vector: Sequence[float]) -> np.ndarray:
@@ -93,35 +171,20 @@ def build_index(
 ) -> RetrievalIndex:
     """Build an index from (pair, vector) entries, keyed by pair id.
 
-    All vectors must share one dimension, have non-zero norm, and carry
-    unique ids; violations raise ``IndexBuildError`` naming the offender.
+    All vectors must share one dimension, have a finite non-zero norm, and
+    carry unique ids; violations raise ``IndexBuildError`` naming the
+    offender. Float32 vectors stay float32.
     """
     entries = list(entries)
-    seen: set[str] = set()
-    matrix = np.empty((0, 0), dtype=np.float64)
-    for i, (pair, vector) in enumerate(entries):
-        if pair.id in seen:
-            raise IndexBuildError(f"duplicate id {pair.id!r}")
-        seen.add(pair.id)
-        arr = np.asarray(vector)
+    vectors = [np.asarray(vector) for _, vector in entries]
+    for (pair, _), arr in zip(entries, vectors):
         if arr.ndim != 1:
             raise IndexBuildError(f"id {pair.id!r}: vector must be 1-dimensional")
-        if i == 0:
-            if arr.shape[0] == 0:
-                raise IndexBuildError(f"id {pair.id!r}: vector has dimension 0")
-            matrix = np.empty((len(entries), arr.shape[0]), dtype=np.float64)
-        elif arr.shape[0] != matrix.shape[1]:
+        if arr.shape != vectors[0].shape:
             raise IndexBuildError(
-                f"id {pair.id!r}: dimension {arr.shape[0]} != index dimension {matrix.shape[1]}"
+                f"id {pair.id!r}: dimension {arr.shape[0]} != index dimension {vectors[0].shape[0]}"
             )
-        row = matrix[i]
-        row[:] = arr
-        # per row, as unit_normalize does; a batched axis=1 norm can differ
-        # in the last bit
-        norm = float(np.linalg.norm(row))
-        if norm == 0.0:
-            raise IndexBuildError(f"id {pair.id!r}: zero-norm vector")
-        row /= norm
+    matrix = np.stack(vectors) if vectors else np.empty((0, 0))
     return RetrievalIndex([pair for pair, _ in entries], matrix)
 
 
@@ -164,38 +227,44 @@ def query_knn_batch(
     out: list[list[tuple[ExampleRecord, float]]] = []
     for start in range(0, len(units), per_block):
         block = np.stack(units[start : start + per_block])
-        for unit, scores, exclude in zip(
-            block, block @ matrix.T, excludes[start : start + per_block]
-        ):
-            out.append(_top_k(index, unit, scores, k, exclude))
+        # only guarded rows can overflow, and their scores are not used
+        with np.errstate(over="ignore"):
+            products = block.astype(matrix.dtype) @ matrix.T
+        for unit, row, exclude in zip(block, products, excludes[start : start + per_block]):
+            out.append(_top_k(index, unit, row, k, exclude))
     return out
 
 
 def _top_k(
     index: RetrievalIndex,
     unit: np.ndarray,
-    scores: np.ndarray,
+    products: np.ndarray,
     k: int,
     exclude: frozenset[str] | set[str],
 ) -> list[tuple[ExampleRecord, float]]:
     """Exact top-k from one row of product scores; see the module docstring."""
     m = k + len(exclude)
-    if m >= scores.shape[0]:
-        candidates = np.arange(scores.shape[0])
+    if m >= len(index):
+        candidates = np.arange(len(index))
     else:
+        scores = products / index._norms
+        scores[index._guarded] = -np.inf
         threshold = np.partition(scores, -m)[-m]
-        delta = 4 * index.dim * np.finfo(np.float64).eps
-        candidates = np.flatnonzero(scores >= threshold - delta)
-    # Not index._matrix[candidates] @ unit: BLAS rounds each row by its position.
-    sims = np.multiply(index._matrix[candidates], unit).sum(axis=1)
+        delta = 4 * index.dim * np.finfo(index._matrix.dtype).eps
+        shortlist = scores >= threshold - delta
+        shortlist[index._guarded] = True
+        candidates = np.flatnonzero(shortlist)
+    units = index._unit_rows(candidates)
+    # Not units @ unit: BLAS rounds each row by its position.
+    sims = np.multiply(units, unit).sum(axis=1)
     # candidates ascend, so a stable sort keeps insertion order among ties
     order = np.argsort(-sims, kind="stable")
     out: list[tuple[ExampleRecord, float]] = []
     for i in order:
-        record = index.records[int(candidates[i])]
-        if record.id in exclude:
+        row = int(candidates[i])
+        if index._ids[row] in exclude:
             continue
-        out.append((record, float(sims[i])))
+        out.append((index._record(row, units[i]), float(sims[i])))
         if len(out) == k:
             break
     return out
@@ -216,10 +285,13 @@ def query_random(
     unit = _unit_query(index, query, k)
     if unit is None:
         return []
-    candidates = [r for r in index.records if r.id not in exclude]
+    rows: Sequence[int] = range(len(index))
+    if exclude:
+        rows = [row for row, rid in enumerate(index._ids) if rid not in exclude]
     rng = random.Random(seed)
-    chosen = rng.sample(candidates, min(k, len(candidates)))
-    return [(record, float(np.dot(record.vector, unit))) for record in chosen]
+    chosen = rng.sample(rows, min(k, len(rows)))
+    units = index._unit_rows(np.array(chosen, dtype=np.intp))
+    return [(index._record(row, u), float(np.dot(u, unit))) for row, u in zip(chosen, units)]
 
 
 def write_embeddings_binary(
@@ -236,7 +308,9 @@ def write_embeddings_binary(
     path.parent.mkdir(parents=True, exist_ok=True)
     header = EMBEDDING_MAGIC + struct.pack("<II", len(entries), dims.pop() if dims else 0)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(header + matrix.tobytes())
+    with tmp.open("wb") as out:
+        out.write(header)
+        out.write(matrix.data)
     tmp.replace(path)
     atomic_write_text(
         ids_path,

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from paraprompt.cli import main
@@ -137,6 +138,61 @@ def test_index_rejects_out_of_range_embedding_as_backend_error(data_dir, capsys,
     ]) == 3
     assert "float32 range" in capsys.readouterr().err
     assert not (out / "embeddings.bin").exists()
+
+
+def test_generate_rejects_non_finite_embedding_as_data_error(data_dir, capsys):
+    from paraprompt import retrieval
+
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    ids, matrix = retrieval.load_embeddings_binary(out / "embeddings.bin", out / "embeddings.ids.jsonl")
+    rows = matrix.copy()
+    rows[2, 3] = float("nan")
+    retrieval.write_embeddings_binary(out / "embeddings.bin", out / "embeddings.ids.jsonl",
+                                      list(zip(ids, rows)))
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "id 't2': vector is not finite" in err
+
+
+def test_generate_index_shares_memory_with_the_loaded_file(data_dir, monkeypatch):
+    from paraprompt import cli, retrieval
+
+    returned = {}
+
+    def recording(name, fn):
+        def wrapper(*args):
+            returned[name] = fn(*args)
+            return returned[name]
+        return wrapper
+
+    monkeypatch.setattr(retrieval, "load_embeddings_binary",
+                        recording("loaded", retrieval.load_embeddings_binary))
+    monkeypatch.setattr(cli, "_load_index", recording("index", cli._load_index))
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert _generate(data_dir, out, "rapt") == 0
+    _, matrix = returned["loaded"]
+    assert np.shares_memory(returned["index"]._matrix, matrix)
+
+
+def test_generate_rapt_creates_records_only_for_hits(data_dir, monkeypatch):
+    from paraprompt import retrieval
+
+    made = []
+    record = retrieval.ExampleRecord
+
+    def counting(**fields):
+        made.append(fields["id"])
+        return record(**fields)
+
+    monkeypatch.setattr(retrieval, "ExampleRecord", counting)
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert _generate(data_dir, out, "rapt", ["--k", "2"]) == 0
+    assert 0 < len(made) <= 2 * len(TEST_ROWS)
 
 
 def test_generate_on_test_file_keeps_id_collisions(data_dir):

@@ -9,6 +9,7 @@ from paraprompt.dataio import ParaphrasePair
 from paraprompt.retrieval import (
     EMBEDDING_MAGIC,
     IndexBuildError,
+    RetrievalIndex,
     build_index,
     load_embeddings_binary,
     query_knn,
@@ -60,6 +61,49 @@ def test_records_is_one_stored_tuple():
     assert isinstance(index.records, tuple)
     assert index.records is index.records
     assert [r.id for r in index.records] == ["0", "1"]
+    with pytest.raises(ValueError):
+        index.records[0].vector[0] = 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vector_rejected(dtype, bad):
+    rows = np.ones((5, 3), dtype=dtype)
+    rows[2, 1] = bad
+    rows[4, 0] = np.nan
+    with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
+        build_index(entries_from(rows))
+    with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
+        RetrievalIndex([pair(i) for i in range(5)], rows)
+
+
+def test_index_from_a_matrix_names_faulty_ids():
+    rows = np.ones((4, 2))
+    rows[3] = 0.0
+    with pytest.raises(IndexBuildError, match="id '3': zero-norm"):
+        RetrievalIndex([pair(0), pair(1), pair(2), pair(3)], rows)
+    with pytest.raises(IndexBuildError, match="duplicate id '1'"):
+        RetrievalIndex([pair(0), pair(1), pair(1), pair(3)], rows)
+
+
+def test_index_keeps_the_rows_as_given():
+    rows = np.random.default_rng(4).normal(size=(6, 5)).astype(np.float32)
+    index = RetrievalIndex([pair(i) for i in range(6)], rows)
+    assert index._matrix.dtype == np.float32
+    assert np.shares_memory(index._matrix, rows)
+    assert build_index(entries_from(rows))._matrix.dtype == np.float32
+    assert build_index(entries_from(rows.tolist()))._matrix.dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norms_equal_per_row_linalg_norm(dtype):
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 7, 16, 17, 768):
+        rows = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-30, 30, size=(300, 1))
+        rows = rows.astype(dtype)
+        index = build_index(entries_from(rows))
+        want = [float(np.linalg.norm(row.astype(np.float64))) for row in rows]
+        assert np.array_equal(index._norms, want)
 
 
 @pytest.mark.parametrize("query", [query_knn, query_random])
@@ -170,8 +214,12 @@ def test_duplicate_rows_tie_in_insertion_order(n):
                 assert hits[0][1] == hits[1][1]
 
 
-def _fuzz_rows(kind, rng):
-    """(index rows, queries) for one fuzz case of the given kind."""
+FUZZ_KINDS = ["dense-ties", "one-ulp", "random", "extreme-scale"]
+
+
+def _fuzz_rows(kind, rng, dtype):
+    """(index rows of ``dtype``, float64 queries) for one fuzz case of the
+    given kind."""
     n = int(rng.integers(1, 60))
     if kind == "dense-ties":
         dim = int(rng.integers(1, 6))
@@ -179,7 +227,7 @@ def _fuzz_rows(kind, rng):
         pool = pool[np.abs(pool).sum(axis=1) > 0]
         if len(pool) == 0:
             pool = np.ones((1, dim))
-        rows = pool[rng.integers(0, len(pool), size=n)]
+        rows = pool[rng.integers(0, len(pool), size=n)].astype(dtype)
         # copies of the first row in the tail
         tail = rng.integers(max(0, n - 8), n, size=int(rng.integers(0, 4)))
         rows[tail] = rows[0]
@@ -187,44 +235,79 @@ def _fuzz_rows(kind, rng):
         queries += [rng.integers(-2, 3, size=dim) + np.eye(dim)[0] * 0.5 for _ in range(2)]
     elif kind == "one-ulp":
         dim = int(rng.choice([2, 8, 64, 768]))
-        rows = rng.normal(size=(n, dim))
-        # each picked row differs from its neighbour by one ulp in one component
+        rows = rng.normal(size=(n, dim)).astype(dtype)
+        # each picked row differs from its neighbour by one ulp of dtype in one component
         for i in rng.integers(1, n, size=int(rng.integers(0, n))) if n > 1 else []:
             rows[i] = rows[i - 1]
             c = int(rng.integers(0, dim))
-            rows[i, c] = np.nextafter(rows[i, c], rng.choice([-np.inf, np.inf]))
+            rows[i, c] = np.nextafter(rows[i, c], dtype(rng.choice([-np.inf, np.inf])))
         queries = [rows[int(rng.integers(0, n))] + rng.normal(scale=1e-6, size=dim)
                    for _ in range(4)]
+    elif kind == "extreme-scale":
+        dim = int(rng.choice([2, 8, 64, 768]))
+        base = rng.normal(size=(n, dim))
+        # some rows repeat the previous row's direction at another scale
+        for i in rng.integers(1, n, size=int(rng.integers(0, n))) if n > 1 else []:
+            base[i] = base[i - 1]
+        exponents = rng.integers(15, 38, size=(n, 1)) * rng.choice([-1, 1], size=(n, 1))
+        rows = (base * 10.0**exponents).astype(dtype)
+        queries = [base[int(rng.integers(0, n))] + rng.normal(scale=1e-6, size=dim)
+                   for _ in range(3)]
+        queries.append(rng.normal(size=dim))
     else:
         dim = int(rng.integers(1, 40))
-        rows = rng.normal(size=(n, dim))
+        rows = rng.normal(size=(n, dim)).astype(dtype)
         queries = [rng.normal(size=dim) for _ in range(4)]
     return rows, queries
 
 
-@pytest.mark.parametrize("kind", ["dense-ties", "one-ulp", "random"])
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
 def test_batched_knn_matches_full_scan_fuzz(kind, monkeypatch):
-    rng = np.random.default_rng(["dense-ties", "one-ulp", "random"].index(kind))
-    for _ in range(200):
-        rows, queries = _fuzz_rows(kind, rng)
-        n = len(rows)
-        index = build_index(entries_from(rows))
-        k = int(rng.integers(1, n + 3))
-        excludes = [
-            {str(i) for i in rng.integers(0, n + 2, size=int(rng.integers(0, 4)))}
-            for _ in queries
-        ]
-        # one to three queries per score block, so blocks are crossed
-        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 8 * n * int(rng.integers(1, 4)))
-        batch = query_knn_batch(index, queries, k, excludes)
-        assert len(batch) == len(queries)
-        for query, exclude, hits in zip(queries, excludes, batch):
-            expected = knn_full_scan(
-                index._matrix, unit_normalize(query), k, {int(e) for e in exclude}
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(
+            FUZZ_KINDS.index(kind) if dtype is np.float64 else [FUZZ_KINDS.index(kind), 32]
+        )
+        for _ in range(200):
+            rows, queries = _fuzz_rows(kind, rng, dtype)
+            n = len(rows)
+            index = build_index(entries_from(rows))
+            assert index._matrix.dtype == dtype
+            k = int(rng.integers(1, n + 3))
+            excludes = [
+                {str(i) for i in rng.integers(0, n + 2, size=int(rng.integers(0, 4)))}
+                for _ in queries
+            ]
+            # one to three queries per score block, so blocks are crossed
+            monkeypatch.setattr(
+                retrieval, "SCORE_BLOCK_BYTES", np.dtype(dtype).itemsize * n * int(rng.integers(1, 4))
             )
+            batch = query_knn_batch(index, queries, k, excludes)
+            assert len(batch) == len(queries)
+            units = np.stack([r.vector for r in index.records])
+            for query, exclude, hits in zip(queries, excludes, batch):
+                expected = knn_full_scan(
+                    units, unit_normalize(query), k, {int(e) for e in exclude}
+                )
+                assert [(h[0].id, h[1]) for h in hits] == [(str(i), sim) for i, sim in expected]
+                single = query_knn(index, query, k, exclude)
+                assert [(h[0].id, h[1]) for h in single] == [(h[0].id, h[1]) for h in hits]
+
+
+def test_rows_outside_the_float32_product_range_are_guarded():
+    # Row 0's float32 product overflows to inf, which as the threshold would
+    # shut out every finite score; row 2's products lose most of their bits
+    # to underflow, which alone would drop it, the top hit for [1, 1].
+    tiny = float(np.float32(2.0**-149))
+    rows = np.array([[3.4e38, 2e38], [1.0, 0.999], [3 * tiny, 3 * tiny]], dtype=np.float32)
+    index = build_index(entries_from(rows))
+    assert list(index._guarded) == [0, 2]
+    units = np.stack([r.vector for r in index.records])
+    for query, top in (([1.0, 1.0], "2"), ([1.0, 0.999], "1")):
+        for k in (1, 2):
+            hits = query_knn(index, query, k)
+            expected = knn_full_scan(units, unit_normalize(query), k)
             assert [(h[0].id, h[1]) for h in hits] == [(str(i), sim) for i, sim in expected]
-            single = query_knn(index, query, k, exclude)
-            assert [(h[0].id, h[1]) for h in single] == [(h[0].id, h[1]) for h in hits]
+            assert hits[0][0].id == top
 
 
 def test_batch_needs_one_exclude_set_per_query():
@@ -295,15 +378,6 @@ def test_build_index_rows_equal_per_row_unit_normalize():
     index = build_index(entries_from(rows))
     for record, row in zip(index.records, rows):
         assert np.array_equal(record.vector, unit_normalize(row))
-
-
-def test_record_vectors_are_read_only_views_of_the_matrix():
-    index = build_index(entries_from([[3.0, 4.0], [1.0, 0.0]]))
-    for i, record in enumerate(index.records):
-        assert np.shares_memory(record.vector, index._matrix)
-        assert np.array_equal(record.vector, index._matrix[i])
-        with pytest.raises(ValueError):
-            record.vector[0] = 0.0
 
 
 def test_binary_size_validation(tmp_path):
