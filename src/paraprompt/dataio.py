@@ -3,6 +3,9 @@
 JSONL is the canonical format; TSV is accepted because public paraphrase
 corpora ship that way. All writes are atomic (temp file + rename) and
 UTF-8; a BOM is tolerated on read and never written.
+
+Every JSONL reader goes through ``_jsonl_values``, which accepts exactly
+what ``json.loads`` accepts on each line and raises its messages.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 DATA_FORMATS = ("jsonl", "tsv")
 
@@ -64,13 +67,55 @@ def _open_text(path: str | Path):
     return open(path, "r", encoding="utf-8-sig")
 
 
+# The whitespace json.loads skips around a value.
+_JSON_SPACE = " \t\r\n"
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _jsonl_values(path: str | Path, strip: bool) -> Iterator[tuple[int, object]]:
+    """(1-based line number, value) for each non-blank line of a JSONL file.
+
+    A line is blank when it holds only whitespace (``str.isspace``). Any
+    other line must parse as ``json.loads`` parses the line without its
+    newline or, when ``strip``, the line after ``str.strip()``; if it does
+    not, ``DataFormatError`` carries json's message. A value with only JSON
+    whitespace around it is scanned in place; any other line is handed to
+    ``json.loads`` itself, so the BOM message and the error for, say, an
+    unterminated string before a trailing tab stay json's own.
+    """
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip(_JSON_SPACE)
+            try:
+                value, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end == len(text):
+                yield lineno, value
+            elif not line.isspace():
+                try:
+                    value = json.loads(line.strip() if strip else line.rstrip("\n"))
+                except json.JSONDecodeError as err:
+                    raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
+                yield lineno, value
+
+
+def _id_text(path: str | Path, lineno: int, value: object) -> str:
+    """A non-string id read from JSON: an integer (not a boolean) becomes
+    its decimal text; anything else is a ``DataFormatError``."""
+    if type(value) is not int:
+        raise DataFormatError(path, lineno, '"id" must be a string or an integer')
+    return str(value)
+
+
 def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") -> DatasetSplit:
     """Load paraphrase pairs from a JSONL or TSV file, preserving order.
 
-    JSONL lines look like {"id": ..., "source": ..., "target": ...}; ids
-    are optional and auto-assigned as "0", "1", ... when absent. TSV rows
-    carry either source<TAB>target or id<TAB>source<TAB>target. Duplicate
-    ids are rejected.
+    JSONL lines look like {"id": ..., "source": ..., "target": ...}:
+    ``source`` is a string, ``target`` a string or absent, and ``id`` a
+    string, an integer or absent; absent ids are auto-assigned as "0",
+    "1", ... TSV rows carry either source<TAB>target or
+    id<TAB>source<TAB>target. Duplicate ids are rejected.
     """
     if fmt is None:
         fmt = "tsv" if str(path).endswith((".tsv", ".txt")) else "jsonl"
@@ -78,37 +123,39 @@ def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") ->
         raise ValueError(f"unknown dataset format {fmt!r}")
     pairs: list[ParaphrasePair] = []
     seen: set[str] = set()
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if fmt == "jsonl":
-                pair = _parse_jsonl_line(path, lineno, line, default_id=str(len(pairs)))
-            else:
+    if fmt == "tsv":
+        with _open_text(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
                 pair = _parse_tsv_line(path, lineno, line, default_id=str(len(pairs)))
-            if pair.id in seen:
-                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
-            seen.add(pair.id)
-            pairs.append(pair)
+                if pair.id in seen:
+                    raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
+                seen.add(pair.id)
+                pairs.append(pair)
+        return DatasetSplit(name=name, pairs=pairs)
+    for lineno, obj in _jsonl_values(path, strip=False):
+        if not isinstance(obj, dict) or "source" not in obj:
+            raise DataFormatError(path, lineno, 'expected an object with a "source" field')
+        source = obj["source"]
+        target = obj.get("target", "")
+        row_id = obj["id"] if "id" in obj else str(len(pairs))
+        if type(source) is not str:
+            raise DataFormatError(path, lineno, '"source" must be a string')
+        if type(target) is not str:
+            raise DataFormatError(path, lineno, '"target" must be a string')
+        if type(row_id) is not str:
+            row_id = _id_text(path, lineno, row_id)
+        try:
+            pair = ParaphrasePair(id=row_id, source=source, target=target)
+        except ValueError as err:
+            raise DataFormatError(path, lineno, str(err)) from err
+        if row_id in seen:
+            raise DataFormatError(path, lineno, f"duplicate id {row_id!r}")
+        seen.add(row_id)
+        pairs.append(pair)
     return DatasetSplit(name=name, pairs=pairs)
-
-
-def _parse_jsonl_line(path, lineno: int, line: str, default_id: str) -> ParaphrasePair:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-    if not isinstance(obj, dict) or "source" not in obj:
-        raise DataFormatError(path, lineno, 'expected an object with a "source" field')
-    try:
-        return ParaphrasePair(
-            id=str(obj.get("id", default_id)),
-            source=str(obj["source"]),
-            target=str(obj.get("target", "")),
-        )
-    except ValueError as err:
-        raise DataFormatError(path, lineno, str(err)) from err
 
 
 def _parse_tsv_line(path, lineno: int, line: str, default_id: str) -> ParaphrasePair:
@@ -177,10 +224,15 @@ def atomic_write_text(path: str | Path, content: str) -> None:
         raise
 
 
+# json.dumps(row, ensure_ascii=False) without building an encoder per call
+_encode_row = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     buf = io.StringIO()
     for row in rows:
-        buf.write(json.dumps(row, ensure_ascii=False) + "\n")
+        buf.write(_encode_row(row))
+        buf.write("\n")
     atomic_write_text(path, buf.getvalue())
 
 
@@ -203,19 +255,24 @@ def load_jsonl_objects(path: str | Path, required: Sequence[str]) -> list[dict]:
     """The objects on the non-blank lines of a JSONL file, each of which
     must carry the ``required`` keys."""
     rows = []
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-            if not isinstance(obj, dict) or any(key not in obj for key in required):
-                raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
-            rows.append(obj)
+    for lineno, obj in _jsonl_values(path, strip=True):
+        if not isinstance(obj, dict) or any(key not in obj for key in required):
+            raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
+        rows.append(obj)
     return rows
+
+
+def load_ids(path: str | Path) -> list[str]:
+    """The ids of a JSONL id file, one {"id": ...} object per non-blank
+    line, as text; an id must be a string or an integer, as in
+    ``load_pairs``."""
+    ids = []
+    for lineno, obj in _jsonl_values(path, strip=True):
+        if not isinstance(obj, dict) or "id" not in obj:
+            raise DataFormatError(path, lineno, "expected an object with id")
+        row_id = obj["id"]
+        ids.append(row_id if type(row_id) is str else _id_text(path, lineno, row_id))
+    return ids
 
 
 def load_generations(path: str | Path) -> list[dict]:

@@ -37,23 +37,29 @@ sort on them gives the top k with ties in insertion order, identical
 vectors included.
 
 Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
-then count*dim f32-LE values, written and read as one array) with ids in
-a JSONL sidecar.
+then count*dim f32-LE values) with ids in a JSONL sidecar. The writer
+converts and writes ``_WRITE_CHUNK_ROWS`` rows at a time. The reader maps
+the file read-only and views its rows in place, so ``generate`` holds no
+copy of them; while a ``generate`` runs, the file must be replaced (a new
+file renamed over it, as this package's writers do), never rewritten in
+place, or the mapped rows change under the index.
 """
 
 from __future__ import annotations
 
 import functools
-import json
+import mmap
+import os
 import random
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_jsonl_objects
+from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_ids
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
 
@@ -63,6 +69,9 @@ SCORE_BLOCK_BYTES = 64 * 2**20
 
 # Rows upcast to float64 at a time while the norms are computed.
 _NORM_CHUNK_ROWS = 256
+
+# Rows converted to float32 at a time while an embedding file is written.
+_WRITE_CHUNK_ROWS = 4096
 
 
 class IndexBuildError(ValueError):
@@ -299,41 +308,52 @@ def write_embeddings_binary(
     ids_path: str | Path,
     entries: Sequence[tuple[str, Sequence[float]]],
 ) -> None:
-    """Binary matrix plus a JSONL id sidecar, row-aligned."""
+    """Binary matrix plus a JSONL id sidecar, row-aligned; ids are strings.
+
+    The matrix goes to a temporary file renamed into place, removed if a
+    vector fails to convert."""
     dims = {len(vector) for _, vector in entries}
     if len(dims) > 1:
         raise ValueError(f"mixed vector dimensions: {sorted(dims)}")
-    matrix = np.asarray([vector for _, vector in entries], dtype="<f4")
+    # json.dumps({"id": record_id}) for a str id
+    sidecar = "".join('{"id": %s}\n' % encode_basestring_ascii(record_id) for record_id, _ in entries)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     header = EMBEDDING_MAGIC + struct.pack("<II", len(entries), dims.pop() if dims else 0)
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as out:
-        out.write(header)
-        out.write(matrix.data)
-    tmp.replace(path)
-    atomic_write_text(
-        ids_path,
-        "".join(json.dumps({"id": record_id}) + "\n" for record_id, _ in entries),
-    )
+    try:
+        with tmp.open("wb") as out:
+            out.write(header)
+            for lo in range(0, len(entries), _WRITE_CHUNK_ROWS):
+                chunk = entries[lo : lo + _WRITE_CHUNK_ROWS]
+                out.write(np.asarray([vector for _, vector in chunk], dtype="<f4").data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    atomic_write_text(ids_path, sidecar)
 
 
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The sidecar ids and a read-only (count, dim) float32 view of the file."""
-    blob = Path(path).read_bytes()
-    if blob[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
-        raise DataFormatError(path, None, "bad magic; not an embedding file")
+    """The sidecar ids and a read-only (count, dim) float32 view of the
+    file, mapped read-only."""
     header_end = len(EMBEDDING_MAGIC) + 8
-    if len(blob) < header_end:
-        raise DataFormatError(path, None, "truncated header")
-    count, dim = struct.unpack("<II", blob[len(EMBEDDING_MAGIC) : header_end])
-    expected = header_end + 4 * count * dim
-    if len(blob) != expected:
-        raise DataFormatError(
-            path, None, f"size mismatch: expected {expected} bytes, found {len(blob)}"
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", offset=header_end).reshape(count, dim)
-    ids = [str(obj["id"]) for obj in load_jsonl_objects(ids_path, ("id",))]
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        header = fh.read(header_end)
+        if header[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
+            raise DataFormatError(path, None, "bad magic; not an embedding file")
+        if size < header_end:
+            raise DataFormatError(path, None, "truncated header")
+        count, dim = struct.unpack("<II", header[len(EMBEDDING_MAGIC) :])
+        expected = header_end + 4 * count * dim
+        if size != expected:
+            raise DataFormatError(
+                path, None, f"size mismatch: expected {expected} bytes, found {size}"
+            )
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    matrix = np.frombuffer(mapped, dtype="<f4", offset=header_end).reshape(count, dim)
+    ids = load_ids(ids_path)
     if len(ids) != count:
         raise DataFormatError(
             ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors"

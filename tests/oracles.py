@@ -6,19 +6,23 @@ the row-by-row edit-distance DP and the greedy shift search built on it
 (the library's former TER engine, kept verbatim), breadth-first search
 over block moves for minimum TER, a string-keyed SARI port,
 window-by-window BLEU counting, a no-numpy kNN sort, a shortlist-free
-kNN scan, and the library's former per-row packing of embedding files.
+kNN scan, the library's former per-row packing of embedding files, and
+its former JSONL readers, which call ``json.loads`` once per line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from collections import Counter
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from paraprompt.dataio import DataFormatError, ParaphrasePair
 from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
 
 
@@ -195,6 +199,59 @@ def pack_embeddings_per_row(magic: bytes, vectors: list[Sequence[float]]) -> byt
     for vector in vectors:
         payload += struct.pack(f"<{dim}f", *[float(v) for v in vector])
     return bytes(payload)
+
+
+def load_pairs_per_line(path: str | Path) -> list[ParaphrasePair]:
+    """The pairs of a JSONL file, read as the library's former
+    ``load_pairs`` read them: ``json.loads`` of each line without its
+    newline, a blank line being one that ``str.strip`` empties. Fields are
+    taken with ``str()``, so only string fields and string or integer ids
+    read as the library reads them now."""
+    pairs: list[ParaphrasePair] = []
+    seen: set[str] = set()
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
+            if not isinstance(obj, dict) or "source" not in obj:
+                raise DataFormatError(path, lineno, 'expected an object with a "source" field')
+            try:
+                pair = ParaphrasePair(
+                    id=str(obj.get("id", str(len(pairs)))),
+                    source=str(obj["source"]),
+                    target=str(obj.get("target", "")),
+                )
+            except ValueError as err:
+                raise DataFormatError(path, lineno, str(err)) from err
+            if pair.id in seen:
+                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
+            seen.add(pair.id)
+            pairs.append(pair)
+    return pairs
+
+
+def load_jsonl_objects_per_line(path: str | Path, required: Sequence[str]) -> list[dict]:
+    """The library's former ``load_jsonl_objects``: ``json.loads`` of each
+    line after ``str.strip``, skipping the lines that leaves empty."""
+    rows = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
+            if not isinstance(obj, dict) or any(key not in obj for key in required):
+                raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
+            rows.append(obj)
+    return rows
 
 
 def bleu_oracle(pairs: list[tuple[tuple[str, ...], list[tuple[str, ...]]]]) -> float:

@@ -320,6 +320,34 @@ def test_exit_code_data_error(tmp_path):
     assert main(["label", "--train", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("row", [
+    {"id": None, "source": None, "target": None},
+    {"source": ["a", "b"], "target": {"x": 1}},
+    {"id": "x", "source": True},
+    {"id": False, "source": "a"},
+])
+def test_non_string_dataset_fields_are_a_data_error(data_dir, capsys, row):
+    bad = data_dir / "bad.jsonl"
+    write_jsonl(bad, TRAIN_ROWS[:2] + [row])
+    assert run(["label", "--train", bad, "--out", data_dir / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {bad}:3: ") and "must be a string" in err
+    assert not (data_dir / "out" / "labeled.jsonl").exists()
+
+
+def test_null_id_in_the_embedding_sidecar_is_a_data_error(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    ids_path = out / "embeddings.ids.jsonl"
+    lines = ids_path.read_text().splitlines(keepends=True)
+    ids_path.write_text("".join(lines[:1] + ['{"id": null}\n'] + lines[2:]))
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    assert capsys.readouterr().err.startswith(
+        f'data error: {ids_path}:2: "id" must be a string or an integer'
+    )
+
+
 def test_exit_code_backend_error(data_dir):
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0

@@ -1,14 +1,21 @@
+import json
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import load_jsonl_objects_per_line, load_pairs_per_line
 from paraprompt.dataio import (
     DataFormatError,
     DatasetSplit,
     ParaphrasePair,
     load_generations,
+    load_ids,
+    load_jsonl_objects,
     load_pairs,
     validate_split_sizes,
     write_generations,
+    write_jsonl,
     write_pairs,
 )
 
@@ -64,6 +71,161 @@ def test_load_jsonl_duplicate_ids(tmp_path):
     )
     with pytest.raises(DataFormatError, match="duplicate id"):
         load_pairs(path)
+
+
+_BAD_ID = '"id" must be a string or an integer'
+_BAD_SOURCE = '"source" must be a string'
+_BAD_TARGET = '"target" must be a string'
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param('{"id": null, "source": "a", "target": "b"}', _BAD_ID, id="null-id"),
+        pytest.param('{"id": true, "source": "a"}', _BAD_ID, id="bool-id"),
+        pytest.param('{"id": 1.5, "source": "a"}', _BAD_ID, id="float-id"),
+        pytest.param('{"id": ["x"], "source": "a"}', _BAD_ID, id="list-id"),
+        pytest.param('{"id": "x", "source": null, "target": null}', _BAD_SOURCE, id="null-source"),
+        pytest.param('{"source": ["a", "b"], "target": {"x": 1}}', _BAD_SOURCE, id="list-source"),
+        pytest.param('{"source": true}', _BAD_SOURCE, id="bool-source"),
+        pytest.param('{"source": 3}', _BAD_SOURCE, id="int-source"),
+        pytest.param('{"source": "a", "target": null}', _BAD_TARGET, id="null-target"),
+        pytest.param('{"source": "a", "target": {"x": 1}}', _BAD_TARGET, id="dict-target"),
+        pytest.param('{"source": "a", "target": false}', _BAD_TARGET, id="bool-target"),
+    ],
+)
+def test_load_jsonl_rejects_non_string_fields(tmp_path, row, message):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('{"id": "ok", "source": "a"}\n' + row + "\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r":2: " + message):
+        load_pairs(path)
+
+
+def test_load_jsonl_integer_ids_and_absent_target(tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text('{"id": 7, "source": "a"}\n{"id": -3, "source": "b", "target": "c"}\n',
+                    encoding="utf-8")
+    assert load_pairs(path).pairs == [ParaphrasePair("7", "a", ""), ParaphrasePair("-3", "b", "c")]
+
+
+def test_id_file_follows_the_pair_id_rule(tmp_path):
+    path = tmp_path / "ids.jsonl"
+    path.write_text('{"id": "a"}\n\n{"id": 12}\n', encoding="utf-8")
+    assert load_ids(path) == ["a", "12"]
+    path.write_text('{"id": "a"}\n\n{"id": null}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=":3: " + _BAD_ID):
+        load_ids(path)
+
+
+# Line bodies for the differential reader test: pair objects (with raw
+# U+2028/U+0085 and NaN/Infinity among their values) and lines json.loads
+# rejects. The spliced pair is one value split across two lines.
+_SPLICED = ['{"id": "a", "source": "s"}, {"id": "b", "source": "t", "x": [{}', "{}]}"]
+_BROKEN = [
+    "not json", '{"source": "a"', '{"source": "a"} x', '{"source": "a"}}', "[1, 2]",
+    '"text"', "3", "null", '{"source": "abc\t', '{"source": "a\x01"}', '{"source" "a"}',
+    '{"source": "a",}', '{"source": "\\q"}', "{'source': 'a'}",
+]
+# (before, after) a line body: JSON whitespace (the first six), other
+# Unicode whitespace, and a byte-order mark in mid-file
+_WRAPS = [
+    ("", ""), ("", ""), ("", ""), (" ", " "), ("\t", ""), ("", " \t"), ("\xa0", ""),
+    ("", "\xa0"), ("\u3000", "\u3000"), ("\x0b", ""), ("", "\x0c"), ("\x1f", ""),
+    ("\ufeff", ""), (" \ufeff", ""), ("\xa0\ufeff", ""), ("\u2028", ""),
+]
+_BLANKS = ["", " ", "\t", "\xa0", "\u2028", " \u3000 ", "\x85"]
+
+
+def _pair_object(rng: random.Random) -> str:
+    fields = []
+    if rng.random() < 0.7:
+        fields.append('"id": ' + rng.choice(['"a"', '"b"', '"\u00e9"', "7", '"7"', '"x\u2028y"', '"q\\"z"']))
+    fields.append('"source": ' + rng.choice(['"s"', '""', '"caf\u00e9"', '"a\u2028b"', '"a\x85b"',
+                                              '"tab\\tbed"', '"\u2029"', '"say \\"hi\\""']))
+    if rng.random() < 0.6:
+        fields.append('"target": ' + rng.choice(['"t"', '""', '"l\u00edne\u0085"']))
+    if rng.random() < 0.3:
+        fields.append(rng.choice(['"score": NaN', '"w": Infinity', '"n": -Infinity', '"x": [1, {"y": null}]']))
+    rng.shuffle(fields)
+    return "{" + ", ".join(fields) + "}"
+
+
+def _jsonl_case(rng: random.Random) -> bytes:
+    bodies: list[str] = []
+    count = rng.randint(1, 6)
+    # a third of the files hold only blank lines and pair objects wrapped
+    # in JSON whitespace, so that duplicate ids and empty sources show
+    clean = rng.random() < 1 / 3
+    while len(bodies) < count:
+        roll = rng.random() * (0.7 if clean else 1.0)
+        if roll < 0.55:
+            before, after = rng.choice(_WRAPS[:6] if clean else _WRAPS)
+            bodies.append(before + _pair_object(rng) + after)
+        elif roll < 0.7:
+            bodies.append(rng.choice(_BLANKS))
+        elif roll < 0.8:
+            bodies.extend(_SPLICED)
+        else:
+            before, after = rng.choice(_WRAPS)
+            bodies.append(before + rng.choice(_BROKEN) + after)
+    text = "".join(body + rng.choice(["\n", "\n", "\r\n", "\r"]) for body in bodies)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    return b"\xef\xbb\xbf" + data if rng.random() < 0.2 else data
+
+
+def _outcome(read, path):
+    try:
+        return "ok", repr(read(path))
+    except DataFormatError as err:
+        return "error", str(err), err.line
+
+
+def test_jsonl_readers_match_per_line_json_loads(tmp_path):
+    """Each reader returns what the former json.loads-per-line reader
+    returned, or raises the same message on the same line."""
+    path = tmp_path / "case.jsonl"
+    readers = [
+        (lambda p: load_pairs(p, "jsonl").pairs, load_pairs_per_line),
+        (lambda p: load_jsonl_objects(p, ("source",)),
+         lambda p: load_jsonl_objects_per_line(p, ("source",))),
+        (load_ids, lambda p: [str(obj["id"]) for obj in load_jsonl_objects_per_line(p, ("id",))]),
+    ]
+    rng = random.Random(20240607)
+    seen = set()
+    for _ in range(300):
+        path.write_bytes(_jsonl_case(rng))
+        for read, oracle in readers:
+            want = _outcome(oracle, path)
+            assert _outcome(read, path) == want, path.read_bytes()
+            seen.add(want[1].split(f"{want[2]}: ", 1)[1] if want[0] == "error" else "ok")
+    # the corpus reaches every kind of outcome
+    for outcome in ["ok", "Extra data", "Expecting value", "Unexpected UTF-8 BOM",
+                    "Invalid control character", "Unterminated string", "expected an object",
+                    "duplicate id", "source must be non-empty"]:
+        assert any(outcome in message for message in seen), outcome
+
+
+def test_load_jsonl_objects_accepts_unicode_space_around_a_value(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('\xa0{"id": "a"}\u3000\n', encoding="utf-8")
+    assert load_jsonl_objects(path, ("id",)) == [{"id": "a"}]
+    with pytest.raises(DataFormatError, match=r":1: invalid JSON: Expecting value"):
+        load_pairs(path)
+
+
+def test_write_jsonl_matches_json_dumps_per_row(tmp_path):
+    rows = [
+        {"id": "0", "source": "caf\u00e9 \u2028 \x85", "target": 'say "hi"\n'},
+        {"nested": [1, 2.5, {"x": None, "y": True}], "nan": float("nan"), "inf": float("-inf")},
+        {"\u00fc": "\U0001f600", "tab": "\t\\"},
+        {},
+    ]
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, iter(rows))
+    want = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def test_load_infers_format_from_suffix(tmp_path):

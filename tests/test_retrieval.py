@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -359,17 +360,57 @@ def test_binary_round_trip(tmp_path):
     for got, (_, want) in zip(matrix, entries):
         assert list(got) == pytest.approx(want, abs=1e-7)
     assert path.read_bytes().startswith(b"RAPTEMB1")
+    assert not matrix.flags.writeable
+    with pytest.raises(ValueError):
+        matrix[0, 0] = 2.0
 
 
-def test_binary_writer_matches_per_row_packing(tmp_path):
+def test_binary_writer_matches_per_row_packing(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     vectors = [rng.normal(scale=10.0 ** rng.integers(-30, 30), size=7) for _ in range(50)]
     vectors += [[0.1, -0.0, 1e-45, 3.4e38, -1.5e-39, 1.0 / 3.0, 2.0**-149]]
+    vectors += [np.float32(v) for v in vectors[:5]] + [[int(v) for v in vectors[-1]]]
     path = tmp_path / "vectors.bin"
-    write_embeddings_binary(path, tmp_path / "ids.jsonl", [(str(i), v) for i, v in enumerate(vectors)])
-    assert path.read_bytes() == pack_embeddings_per_row(EMBEDDING_MAGIC, vectors)
+    for chunk_rows in (4096, 8, 1):
+        monkeypatch.setattr(retrieval, "_WRITE_CHUNK_ROWS", chunk_rows)
+        write_embeddings_binary(path, tmp_path / "ids.jsonl", [(str(i), v) for i, v in enumerate(vectors)])
+        assert path.read_bytes() == pack_embeddings_per_row(EMBEDDING_MAGIC, vectors)
     write_embeddings_binary(path, tmp_path / "ids.jsonl", [])
     assert path.read_bytes() == pack_embeddings_per_row(EMBEDDING_MAGIC, [])
+
+
+def test_binary_sidecar_matches_json_dumps(tmp_path):
+    ids = ["plain", "caf\u00e9", 'say "hi"', "back\\slash", "tab\tnew\nline", "\u2028\x85", "\U0001f600", ""]
+    ids_path = tmp_path / "vectors.ids.jsonl"
+    write_embeddings_binary(tmp_path / "vectors.bin", ids_path, [(i, [1.0]) for i in ids])
+    assert ids_path.read_bytes() == "".join(json.dumps({"id": i}) + "\n" for i in ids).encode("utf-8")
+    assert load_embeddings_binary(tmp_path / "vectors.bin", ids_path)[0] == ids
+
+
+def test_binary_writer_failure_in_a_later_chunk_changes_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "vectors.bin"
+    ids_path = tmp_path / "vectors.ids.jsonl"
+    write_embeddings_binary(path, ids_path, [("a", [1.0, 2.0])])
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    monkeypatch.setattr(retrieval, "_WRITE_CHUNK_ROWS", 2)
+    entries = [(str(i), [float(i), 1.0]) for i in range(7)]
+    entries[5] = ("5", [1.0, "not a number"])
+    with pytest.raises(ValueError):
+        write_embeddings_binary(path, ids_path, entries)
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize(
+    "blob, message",
+    [(b"", "bad magic"), (b"RAPT", "bad magic"), (b"RAPTEMB1\x01\x00", "truncated header")],
+)
+def test_binary_short_file_errors(tmp_path, blob, message):
+    path = tmp_path / "vectors.bin"
+    ids_path = tmp_path / "vectors.ids.jsonl"
+    path.write_bytes(blob)
+    ids_path.write_text("")
+    with pytest.raises(ValueError, match=message):
+        load_embeddings_binary(path, ids_path)
 
 
 def test_build_index_rows_equal_per_row_unit_normalize():
@@ -384,9 +425,11 @@ def test_binary_size_validation(tmp_path):
     path = tmp_path / "vectors.bin"
     ids_path = tmp_path / "vectors.ids.jsonl"
     write_embeddings_binary(path, ids_path, [("a", [1.0, 2.0])])
-    path.write_bytes(path.read_bytes()[:-2])
-    with pytest.raises(ValueError, match="size mismatch"):
-        load_embeddings_binary(path, ids_path)
+    blob = path.read_bytes()
+    for wrong in (blob[:-2], blob + bytes(4)):
+        path.write_bytes(wrong)
+        with pytest.raises(ValueError, match="size mismatch"):
+            load_embeddings_binary(path, ids_path)
 
 
 def test_binary_sidecar_count_validation(tmp_path):
