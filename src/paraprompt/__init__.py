@@ -9,6 +9,13 @@ novelty-conditioned prompt layouts; ``paramcount`` counts trainable
 parameters for adaptation methods; ``backend`` talks to generation and
 embedding services (or a deterministic mock); ``dataio`` loads and
 writes the file formats; ``cli`` wires it all into commands.
+
+Of the names exported here, only the four from ``retrieval``
+(``RetrievalIndex``, ``build_index``, ``query_knn``, ``query_random``)
+need numpy, and only ``index`` and ``generate`` use them. They load
+``retrieval`` on first access and are then cached, so ``import
+paraprompt`` loads neither numpy nor ``requests`` and each CLI stage
+pays start-up only for the modules it runs.
 """
 
 from .dataio import DatasetSplit, ParaphrasePair
@@ -23,10 +30,18 @@ from .promptkit import (
     assemble_rapt,
     render_text,
 )
-from .retrieval import RetrievalIndex, build_index, query_knn, query_random
 from .textcore import NormalizationConfig, TokenSeq, normalize
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in ("RetrievalIndex", "build_index", "query_knn", "query_random"):
+        from . import retrieval
+        globals()[name] = value = getattr(retrieval, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DatasetSplit",

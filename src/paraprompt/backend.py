@@ -19,6 +19,9 @@ URLs with the "mock:" scheme select the in-process deterministic mock,
 e.g. "mock:echo?seed=1" for generation or "mock:hash?dim=16" for
 embeddings. Transport failures are retried up to the configured limit;
 malformed responses never are.
+
+numpy loads on the first ``embed`` and ``requests`` on the first HTTP
+request, so a command that uses neither does not pay to import them.
 """
 
 from __future__ import annotations
@@ -31,15 +34,25 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import parse_qs, urlparse
-
-import numpy as np
-import requests
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
 from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, TextTemplate
 from .novelty import NoveltyClass
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def __getattr__(name: str):
+    # ``paraprompt.backend.requests`` stays reachable, so ``requests.post``
+    # can be patched through this module without an eager import
+    if name == "requests":
+        import requests
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 GENERATION_URL_ENV = "PARAPROMPT_GENERATION_URL"
 EMBEDDING_URL_ENV = "PARAPROMPT_EMBEDDING_URL"
@@ -233,6 +246,7 @@ class MockBackend:
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
             raise ValueError("embed needs at least one text")
+        import numpy as np
         out = []
         for text in texts:
             digest = hashlib.sha256(f"{self.seed}:{text}".encode()).digest()
@@ -258,6 +272,7 @@ class HttpBackend:
         return {}
 
     def _post(self, url: str, payload: dict) -> dict:
+        import requests
         last_error: Exception | None = None
         for _ in range(self.config.retry_limit):
             try:
@@ -313,6 +328,7 @@ class HttpBackend:
         )
         if "vectors" not in body or not isinstance(body["vectors"], list):
             raise MalformedResponseError(f'embedding response missing "vectors": {body}')
+        import numpy as np
         vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
         if len(vectors) != len(texts):
             raise MalformedResponseError(

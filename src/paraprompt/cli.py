@@ -16,12 +16,15 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import backend as backend_mod
-from . import dataio, novelty, paramcount, promptkit, retrieval
+from . import dataio, novelty, paramcount, promptkit
 from .metrics import EvalRecord, evaluate_all, report_csv, report_text
 from .textcore import NormalizationConfig, TokenSeq, normalize, render
+
+if TYPE_CHECKING:
+    from . import retrieval
 
 # Allowed values of the enumerated run settings, read by both the argparse
 # choices and PipelineConfig's validation.
@@ -176,6 +179,8 @@ def cmd_label(config: PipelineConfig) -> int:
 
 def cmd_index(config: PipelineConfig) -> int:
     """Embed training sources and write the binary embedding file + sidecar."""
+    # retrieval (and numpy) load only in the stages that use them
+    from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
     split = _load_split(config, train_path, "train")
@@ -193,6 +198,7 @@ def cmd_index(config: PipelineConfig) -> int:
 
 
 def _load_index(config: PipelineConfig, split: dataio.DatasetSplit) -> retrieval.RetrievalIndex:
+    from . import retrieval
     out_dir = Path(config.out_dir)
     emb_path = out_dir / "embeddings.bin"
     ids_path = out_dir / "embeddings.ids.jsonl"
@@ -211,8 +217,7 @@ def _load_index(config: PipelineConfig, split: dataio.DatasetSplit) -> retrieval
 def _novelty_by_id(config: PipelineConfig, split: dataio.DatasetSplit) -> dict[str, novelty.NoveltyClass]:
     labeled_path = Path(config.out_dir) / "labeled.jsonl"
     if labeled_path.exists():
-        rows = dataio.load_jsonl_objects(labeled_path, ("id", "source", "target", "ter", "class"))
-        labeled = [novelty.labeled_pair_from_dict(row) for row in rows]
+        labeled = novelty.load_labeled(labeled_path)
     else:
         labeled = novelty.label_dataset(split.pairs, config.normalization, config.thresholds).labeled
     return {lp.pair.id: lp.novelty for lp in labeled}
@@ -223,6 +228,7 @@ def _retrieve(
 ) -> list[list[promptkit.PromptExample]]:
     """Each query's examples in ascending similarity; none for a query
     whose source normalizes to nothing."""
+    from . import retrieval
     train_path = _require(config, "train_path", "--train")
     train = _load_split(config, train_path, "train")
     index = _load_index(config, train)
@@ -241,7 +247,9 @@ def _retrieve(
     exclude_self = config.exclude_self == "always" or (
         config.exclude_self == "auto" and os.path.samefile(train_path, config.test_path)
     )
-    excludes = [{pair.id} if exclude_self else set() for pair, _ in queries]
+    # an example without a class cannot enter a conditioned prompt
+    unclassed = set(index.ids) - classes_by_id.keys() if config.mode == "ncrapt" else set()
+    excludes = [({pair.id} if exclude_self else set()) | unclassed for pair, _ in queries]
     looked_up = [i for i, (_, x) in enumerate(queries) if x]
     if config.strategy == "random":
         found = [
@@ -570,7 +578,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (dataio.DataFormatError, retrieval.IndexBuildError, FileNotFoundError) as err:
+    except (dataio.DataFormatError, dataio.IndexBuildError, FileNotFoundError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except backend_mod.BackendError as err:

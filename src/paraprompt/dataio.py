@@ -39,6 +39,11 @@ class DataFormatError(ValueError):
         self.line = line
 
 
+class IndexBuildError(ValueError):
+    """Vectors that cannot form a retrieval index (raised by ``retrieval``,
+    declared here so the CLI can catch it without loading numpy)."""
+
+
 @dataclass(frozen=True)
 class ParaphrasePair:
     """One dataset row: an input text and its (possibly empty) target."""
@@ -100,7 +105,7 @@ def _jsonl_values(path: str | Path, strip: bool) -> Iterator[tuple[int, object]]
                 yield lineno, value
 
 
-def _id_text(path: str | Path, lineno: int, value: object) -> str:
+def id_text(path: str | Path, lineno: int, value: object) -> str:
     """A non-string id read from JSON: an integer (not a boolean) becomes
     its decimal text; anything else is a ``DataFormatError``."""
     if type(value) is not int:
@@ -146,7 +151,7 @@ def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") ->
         if type(target) is not str:
             raise DataFormatError(path, lineno, '"target" must be a string')
         if type(row_id) is not str:
-            row_id = _id_text(path, lineno, row_id)
+            row_id = id_text(path, lineno, row_id)
         try:
             pair = ParaphrasePair(id=row_id, source=source, target=target)
         except ValueError as err:
@@ -251,15 +256,18 @@ def write_generations(path: str | Path, rows: Sequence[dict]) -> None:
     write_jsonl(path, rows)
 
 
-def load_jsonl_objects(path: str | Path, required: Sequence[str]) -> list[dict]:
-    """The objects on the non-blank lines of a JSONL file, each of which
-    must carry the ``required`` keys."""
-    rows = []
+def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, object) for each non-blank line of a JSONL
+    file; each object must carry the ``required`` keys."""
     for lineno, obj in _jsonl_values(path, strip=True):
         if not isinstance(obj, dict) or any(key not in obj for key in required):
             raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
-        rows.append(obj)
-    return rows
+        yield lineno, obj
+
+
+def load_jsonl_objects(path: str | Path, required: Sequence[str]) -> list[dict]:
+    """The objects of ``iter_jsonl_objects``, read in full."""
+    return [obj for _, obj in iter_jsonl_objects(path, required)]
 
 
 def load_ids(path: str | Path) -> list[str]:
@@ -271,7 +279,7 @@ def load_ids(path: str | Path) -> list[str]:
         if not isinstance(obj, dict) or "id" not in obj:
             raise DataFormatError(path, lineno, "expected an object with id")
         row_id = obj["id"]
-        ids.append(row_id if type(row_id) is str else _id_text(path, lineno, row_id))
+        ids.append(row_id if type(row_id) is str else id_text(path, lineno, row_id))
     return ids
 
 

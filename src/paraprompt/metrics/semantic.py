@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SemanticSummary:
@@ -22,6 +20,7 @@ class SemanticSummary:
 
 
 def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    import numpy as np  # on use, so label and the report formats run without numpy
     a = np.asarray(u, dtype=np.float64)
     b = np.asarray(v, dtype=np.float64)
     if a.shape != b.shape:

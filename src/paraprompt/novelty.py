@@ -12,15 +12,19 @@ between is medium.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
-from .dataio import ParaphrasePair
+from .dataio import DataFormatError, ParaphrasePair, id_text, iter_jsonl_objects
 from .metrics.ter import ter
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
 
 TER_DIRECTION = "hypothesis=target, reference=source"
+
+LABELED_FIELDS = ("id", "source", "target", "ter", "class")
 
 
 class NoveltyClass(enum.IntEnum):
@@ -138,3 +142,25 @@ def labeled_pair_from_dict(obj: dict) -> LabeledPair:
         ter_value=float(obj["ter"]),
         novelty=NoveltyClass.from_label(obj["class"]),
     )
+
+
+def load_labeled(path: str | Path) -> list[LabeledPair]:
+    """The pairs of a ``labeled.jsonl`` file; a field of the wrong type or
+    value (the id follows ``load_pairs``' rule) is a ``DataFormatError``."""
+    labels = tuple(c.label for c in NoveltyClass)
+    labeled = []
+    for lineno, obj in iter_jsonl_objects(path, LABELED_FIELDS):
+        if type(obj["id"]) is not str:
+            obj["id"] = id_text(path, lineno, obj["id"])
+        if type(obj["source"]) is not str or type(obj["target"]) is not str:
+            raise DataFormatError(path, lineno, '"source" and "target" must be strings')
+        # bools, NaN, infinities and ints beyond float range all fail
+        if type(obj["ter"]) not in (int, float) or not abs(obj["ter"]) <= sys.float_info.max:
+            raise DataFormatError(path, lineno, '"ter" must be a finite number')
+        if obj["class"] not in labels:
+            raise DataFormatError(path, lineno, f'"class" must be one of {", ".join(labels)}')
+        try:
+            labeled.append(labeled_pair_from_dict(obj))
+        except ValueError as err:  # an empty source
+            raise DataFormatError(path, lineno, str(err)) from err
+    return labeled

@@ -59,7 +59,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DataFormatError, ParaphrasePair, atomic_write_text, load_ids
+from .dataio import DataFormatError, IndexBuildError, ParaphrasePair, atomic_write_text, load_ids
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
 
@@ -72,10 +72,6 @@ _NORM_CHUNK_ROWS = 256
 
 # Rows converted to float32 at a time while an embedding file is written.
 _WRITE_CHUNK_ROWS = 4096
-
-
-class IndexBuildError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -130,6 +126,10 @@ class RetrievalIndex:
 
     def __len__(self) -> int:
         return len(self._ids)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        return tuple(self._ids)
 
     @property
     def dim(self) -> int:

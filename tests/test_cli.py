@@ -460,3 +460,40 @@ def test_eval_with_every_prediction_empty_leaves_bert_blank(data_dir):
     cells = row.split(",")
     assert cells[1] == "" and all(cells[2:]) and len(cells) == 7
     assert f"'bert_excluded': {len(TEST_ROWS)}" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ter", "high", '"ter" must be a finite number'),
+    ("class", 3, '"class" must be one of low, medium, high'),
+    ("id", None, '"id" must be a string or an integer'),
+])
+def test_ncrapt_bad_novelty_label_is_a_data_error(data_dir, capsys, field, value, message):
+    out = data_dir / "out"
+    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    labeled = out / "labeled.jsonl"
+    rows = [json.loads(line) for line in labeled.read_text().splitlines()]
+    rows[2][field] = value
+    write_jsonl(labeled, rows)
+    capsys.readouterr()
+    assert _generate(data_dir, out, "ncrapt") == 2
+    assert capsys.readouterr().err == f"data error: {labeled}:3: {message}\n"
+    assert not (out / "generations.jsonl").exists()
+
+
+def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
+    # label rejects the blank source, index still embeds it
+    train = data_dir / "train_blank.jsonl"
+    write_jsonl(train, TRAIN_ROWS[:4] + [{"id": "blank", "source": "   "}])
+    out = data_dir / "out"
+    for command in ("label", "index"):
+        assert run([command, "--train", train, "--out", out]) == 0
+    assert "rejected: 1" in capsys.readouterr().out
+    assert run([
+        "generate", "--train", train, "--test", data_dir / "test.jsonl", "--out", out,
+        "--mode", "ncrapt", "--k", "5",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
+    for row in rows:
+        assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
