@@ -30,7 +30,6 @@ import dataclasses
 import hashlib
 import os
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -164,8 +163,7 @@ class MockBackend:
       constant always answer ``constant_text``.
 
     Embeddings hash the text to a unit vector, so equal texts always get
-    equal vectors. Instrumentation tracks concurrent in-flight requests
-    and per-request-id completions for the client-behavior tests.
+    equal vectors.
     """
 
     def __init__(
@@ -174,7 +172,6 @@ class MockBackend:
         seed: int = 0,
         dim: int = 16,
         constant_text: str = "ok",
-        fail_first_attempts: int = 0,
     ) -> None:
         if mode not in ("echo", "shuffle", "constant"):
             raise ValueError(f"unknown mock mode {mode!r}")
@@ -184,21 +181,6 @@ class MockBackend:
         self.seed = seed
         self.dim = dim
         self.constant_text = constant_text
-        self.fail_first_attempts = fail_first_attempts
-        self._lock = threading.Lock()
-        self._in_flight = 0
-        self.max_in_flight_observed = 0
-        self.completed_ids: list[str] = []
-        self._attempts: dict[str, int] = {}
-
-    def _enter(self) -> None:
-        with self._lock:
-            self._in_flight += 1
-            self.max_in_flight_observed = max(self.max_in_flight_observed, self._in_flight)
-
-    def _exit(self) -> None:
-        with self._lock:
-            self._in_flight -= 1
 
     def _completion_for(self, prompt: str) -> str:
         marker = "Paraphrase:"
@@ -221,27 +203,13 @@ class MockBackend:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         started = time.monotonic()
-        self._enter()
-        try:
-            with self._lock:
-                attempt = self._attempts.get(request.request_id, 0) + 1
-                self._attempts[request.request_id] = attempt
-            if attempt <= self.fail_first_attempts:
-                raise TransportError(f"simulated transport failure (attempt {attempt})")
-            if self.mode == "constant":
-                text = self.constant_text
-            else:
-                text = self._completion_for(request.prompt)
-            text = _truncate_at_stop(text, request.stop)
-            with self._lock:
-                self.completed_ids.append(request.request_id)
-            return GenerationResponse(
-                text=text,
-                token_count=self.count_tokens(text),
-                latency=time.monotonic() - started,
-            )
-        finally:
-            self._exit()
+        text = self.constant_text if self.mode == "constant" else self._completion_for(request.prompt)
+        text = _truncate_at_stop(text, request.stop)
+        return GenerationResponse(
+            text=text,
+            token_count=self.count_tokens(text),
+            latency=time.monotonic() - started,
+        )
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -282,18 +250,19 @@ class HttpBackend:
             except (requests.ConnectionError, requests.Timeout) as err:
                 last_error = err
                 continue
-            if response.status_code == 413:
-                raise PromptBudgetError(_budget_tokens(response))
+            body = _json_object(response)
+            if response.status_code == 413 or (
+                response.status_code >= 400 and (body or {}).get("error") == "prompt_too_long"
+            ):
+                # a count that is not a JSON integer (true is a bool) is unknown
+                count = (body or {}).get("token_count")
+                raise PromptBudgetError(count if type(count) is int else None)
             if response.status_code >= 400:
-                body = _safe_json(response)
-                if isinstance(body, dict) and body.get("error") == "prompt_too_long":
-                    raise PromptBudgetError(body.get("token_count"))
                 raise MalformedResponseError(
                     f"{url} answered HTTP {response.status_code}: {response.text[:200]}"
                 )
-            body = _safe_json(response)
             if body is None:
-                raise MalformedResponseError(f"{url} returned non-JSON body")
+                raise MalformedResponseError(f"{url} returned a body that is not a JSON object")
             return body
         raise TransportError(
             f"{url} unreachable after {self.config.retry_limit} attempts: {last_error}"
@@ -310,12 +279,14 @@ class HttpBackend:
             payload["layout"] = request.layout_json
         started = time.monotonic()
         body = self._post(self.config.generation_url, payload)
-        if "text" not in body or "token_count" not in body:
-            raise MalformedResponseError(f'generation response missing "text"/"token_count": {body}')
+        if "text" not in body or type(body.get("token_count")) is not int:
+            raise MalformedResponseError(
+                f'generation response needs "text" and an integer "token_count": {body}'
+            )
         text = _truncate_at_stop(str(body["text"]), request.stop)
         return GenerationResponse(
             text=text,
-            token_count=int(body["token_count"]),
+            token_count=body["token_count"],
             latency=time.monotonic() - started,
         )
 
@@ -326,21 +297,24 @@ class HttpBackend:
             self.config.embedding_url,
             {"texts": list(texts), "model": self.config.embedding_model_name},
         )
-        if "vectors" not in body or not isinstance(body["vectors"], list):
+        if "vectors" not in body:
             raise MalformedResponseError(f'embedding response missing "vectors": {body}')
         import numpy as np
-        vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
-        if len(vectors) != len(texts):
+        try:
+            matrix = np.asarray(body["vectors"], dtype=np.float64)
+        except (TypeError, ValueError) as err:
             raise MalformedResponseError(
-                f"{len(vectors)} vectors for {len(texts)} texts"
+                f"embedding vectors hold non-numbers or mixed dimensions: {err}"
+            ) from None
+        if matrix.ndim != 2 or matrix.shape[0] != len(texts) or matrix.shape[1] < 1:
+            raise MalformedResponseError(
+                f"vectors of shape {matrix.shape} for {len(texts)} texts"
             )
-        dims = {v.shape for v in vectors}
-        if len(dims) > 1:
-            raise MalformedResponseError(f"mixed vector dimensions in one batch: {dims}")
-        # Embedding files store float32; NaN fails this comparison too.
-        if not all(np.all(np.abs(v) <= np.finfo(np.float32).max) for v in vectors):
+        # Embedding files store float32; NaN fails these comparisons too.
+        limit = np.finfo(np.float32).max
+        if not -limit <= matrix.min() <= matrix.max() <= limit:
             raise MalformedResponseError("embedding values must be finite and in float32 range")
-        return vectors
+        return list(matrix)
 
     def count_tokens(self, text: str) -> int:
         # The wire protocol has no counting endpoint; whitespace tokens
@@ -348,18 +322,12 @@ class HttpBackend:
         return len(text.split())
 
 
-def _safe_json(response) -> dict | None:
+def _json_object(response) -> dict | None:
     try:
-        return response.json()
+        body = response.json()
     except ValueError:
         return None
-
-
-def _budget_tokens(response) -> int | None:
-    body = _safe_json(response)
-    if isinstance(body, dict) and "token_count" in body:
-        return int(body["token_count"])
-    return None
+    return body if isinstance(body, dict) else None
 
 
 def _parse_mock_url(url: str) -> dict:

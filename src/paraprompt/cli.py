@@ -156,15 +156,11 @@ def _require(config: PipelineConfig, attr: str, flag: str) -> str:
     return value
 
 
-def _load_split(config: PipelineConfig, path: str, name: str) -> dataio.DatasetSplit:
-    return dataio.load_pairs(path, fmt=config.data_format, name=name)
-
-
 def cmd_label(config: PipelineConfig) -> int:
     """Label the training pairs with TER-based novelty classes."""
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
-    split = _load_split(config, train_path, "train")
+    split = dataio.load_pairs(train_path, config.data_format, "train")
     result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
     dataio.write_jsonl(out_dir / "labeled.jsonl", (lp.as_dict() for lp in result.labeled))
     dataio.atomic_write_text(
@@ -183,17 +179,21 @@ def cmd_index(config: PipelineConfig) -> int:
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
-    split = _load_split(config, train_path, "train")
-    if not split.pairs:
+    split = dataio.load_pairs(train_path, config.data_format, "train")
+    # a source that normalizes to nothing, which label rejects, is no example
+    pairs = [p for p in split.pairs if normalize(p.source, config.normalization)]
+    if not pairs:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
-    vectors = embedder.embed([p.source for p in split.pairs])
-    index = retrieval.RetrievalIndex(split.pairs, vectors)
+    vectors = embedder.embed([p.source for p in pairs])
+    index = retrieval.RetrievalIndex(pairs, vectors)
     emb_path = out_dir / "embeddings.bin"
-    entries = [(p.id, vector) for p, vector in zip(split.pairs, vectors)]
+    entries = [(p.id, vector) for p, vector in zip(pairs, vectors)]
     retrieval.write_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl", entries)
     write_config_snapshot(config, out_dir, "index")
-    print(f"indexed {len(index)} vectors of dim {index.dim} -> {emb_path}")
+    skipped = len(split.pairs) - len(pairs)
+    print(f"indexed {len(index)} vectors of dim {index.dim} -> {emb_path}"
+          + (f" (skipped {skipped} blank sources)" if skipped else ""))
     return 0
 
 
@@ -230,7 +230,7 @@ def _retrieve(
     whose source normalizes to nothing."""
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
-    train = _load_split(config, train_path, "train")
+    train = dataio.load_pairs(train_path, config.data_format, "train")
     index = _load_index(config, train)
     if len(index) == 0:
         print("warning: retrieval index is empty; layouts degrade to 0 examples")
@@ -346,7 +346,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     """Assemble prompts for the test inputs and collect completions."""
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
-    pairs = _load_split(config, test_path, "test").pairs
+    pairs = dataio.load_pairs(test_path, config.data_format, "test").pairs
     if config.mode in ("copy", "ground-truth"):
         rows = [
             {"id": pair.id, "prompt_n": 0,
@@ -368,7 +368,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
     cfg_norm = config.normalization
-    split = _load_split(config, test_path, "test")
+    split = dataio.load_pairs(test_path, config.data_format, "test")
     generations = dataio.load_generations(out_dir / "generations.jsonl")
     by_id = {p.id: p for p in split.pairs}
 
@@ -424,16 +424,9 @@ def cmd_eval(config: PipelineConfig) -> int:
 
 def cmd_params(args: argparse.Namespace) -> int:
     """Print the trainable-parameter table for the chosen model shapes."""
-    if args.shape:
-        shapes = []
-        for name in args.shape:
-            if name not in paramcount.PRESETS:
-                raise UsageError(
-                    f"unknown shape {name!r}; presets: {sorted(paramcount.PRESETS)}"
-                )
-            shapes.append(paramcount.PRESETS[name])
-    else:
-        shapes = [paramcount.GPT2_MEDIUM, paramcount.GPT2_LARGE]
+    shapes = [paramcount.GPT2_MEDIUM, paramcount.GPT2_LARGE]
+    if args.shape:  # argparse admits only preset names
+        shapes = [paramcount.PRESETS[name] for name in args.shape]
     if args.layers or args.width:
         if not (args.layers and args.width):
             raise UsageError("--layers and --width must be given together")
@@ -462,7 +455,7 @@ def cmd_validate(config: PipelineConfig) -> int:
         ("test", config.test_path),
     ):
         if path:
-            splits.append(_load_split(config, path, name))
+            splits.append(dataio.load_pairs(path, config.data_format, name))
     if not splits:
         raise UsageError("give at least one of --train/--validation/--test")
     report = dataio.validate_split_sizes(splits, config.dataset_name)
@@ -477,61 +470,38 @@ def cmd_pipeline(config: PipelineConfig) -> int:
     return cmd_eval(config)
 
 
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--train", dest="train_path")
-    parser.add_argument("--validation", dest="validation_path")
-    parser.add_argument("--test", dest="test_path")
-    parser.add_argument("--dataset-name", dest="dataset_name")
-    parser.add_argument("--format", dest="data_format", choices=CHOICES["data_format"])
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config")
-    parser.add_argument("--out", dest="out_dir")
-    parser.add_argument("--seed", type=int)
-    for flag in ("lowercase", "unicode-normalize", "punctuation-split", "collapse-whitespace"):
-        parser.add_argument(
-            f"--normalization-{flag}",
-            dest=flag.replace("-", "_"),
-            action=argparse.BooleanOptionalAction,
-        )
+# A key's flag is "--" + the key with dashes for underscores, after a
+# "normalization-" prefix for the normalization keys; these are named otherwise
+_FLAG_NAMES = {
+    "train_path": "train",
+    "validation_path": "validation",
+    "test_path": "test",
+    "data_format": "format",
+    "out_dir": "out",
+    "embedding_model_name": "embedding-model",
+    "template_path": "template",
+}
+# Keys that, with the slot lengths, have flags on generate and pipeline only
+_PROMPT_KEYS = {"mode", "k", "strategy", "query_class", "exclude_self", "max_prompt_tokens"}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="paraprompt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, needs_generation in (
-        ("label", False),
-        ("index", False),
-        ("generate", True),
-        ("eval", False),
-        ("validate", False),
-        ("pipeline", True),
-    ):
+    keys = config_keys()
+    for name in ("label", "index", "generate", "eval", "validate", "pipeline"):
         p = sub.add_parser(name)
-        _add_common_flags(p)
-        _add_data_flags(p)
-        p.add_argument("--low-max", dest="low_max", type=float)
-        p.add_argument("--high-min", dest="high_min", type=float)
-        p.add_argument("--generation-url", dest="generation_url")
-        p.add_argument("--embedding-url", dest="embedding_url")
-        p.add_argument("--embedding-model", dest="embedding_model_name")
-        p.add_argument("--timeout", type=float)
-        p.add_argument("--max-in-flight", dest="max_in_flight", type=int)
-        p.add_argument("--retry-limit", dest="retry_limit", type=int)
-        p.add_argument("--template", dest="template_path")
-        p.add_argument("--semantic", action=argparse.BooleanOptionalAction)
-        if needs_generation:
-            p.add_argument("--mode", choices=CHOICES["mode"])
-            p.add_argument("--k", type=int)
-            p.add_argument("--strategy", choices=CHOICES["strategy"])
-            p.add_argument("--query-class", dest="query_class", choices=CHOICES["query_class"])
-            p.add_argument("--exclude-self", dest="exclude_self", choices=CHOICES["exclude_self"])
-            p.add_argument("--global-prefix-len", dest="global_prefix_len", type=int)
-            p.add_argument("--class-prefix-len", dest="class_prefix_len", type=int)
-            p.add_argument("--infix-len", dest="infix_len", type=int)
-            p.add_argument("--max-prompt-tokens", dest="max_prompt_tokens", type=int)
+        p.add_argument("--config")
+        for key, (section, ftype) in keys.items():
+            if (key in _PROMPT_KEYS or section == "slots") and name not in ("generate", "pipeline"):
+                continue
+            flag = _FLAG_NAMES.get(key, key.replace("_", "-"))
+            if section == "normalization":
+                flag = f"normalization-{flag}"
+            if ftype == "bool":
+                p.add_argument(f"--{flag}", dest=key, action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(f"--{flag}", dest=key, type=_PARSERS.get(ftype), choices=CHOICES.get(key))
 
     params = sub.add_parser("params")
     params.add_argument("--shape", action="append", choices=sorted(paramcount.PRESETS))

@@ -259,8 +259,9 @@ def write_generations(path: str | Path, rows: Sequence[dict]) -> None:
 def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
     """(1-based line number, object) for each non-blank line of a JSONL
     file; each object must carry the ``required`` keys."""
+    keys = frozenset(required)
     for lineno, obj in _jsonl_values(path, strip=True):
-        if not isinstance(obj, dict) or any(key not in obj for key in required):
+        if not isinstance(obj, dict) or not obj.keys() >= keys:
             raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
         yield lineno, obj
 
@@ -274,13 +275,10 @@ def load_ids(path: str | Path) -> list[str]:
     """The ids of a JSONL id file, one {"id": ...} object per non-blank
     line, as text; an id must be a string or an integer, as in
     ``load_pairs``."""
-    ids = []
-    for lineno, obj in _jsonl_values(path, strip=True):
-        if not isinstance(obj, dict) or "id" not in obj:
-            raise DataFormatError(path, lineno, "expected an object with id")
-        row_id = obj["id"]
-        ids.append(row_id if type(row_id) is str else id_text(path, lineno, row_id))
-    return ids
+    return [
+        obj["id"] if type(obj["id"]) is str else id_text(path, lineno, obj["id"])
+        for lineno, obj in iter_jsonl_objects(path, ("id",))
+    ]
 
 
 def load_generations(path: str | Path) -> list[dict]:

@@ -34,17 +34,12 @@ class ModelShape:
     width: int
     vocab: int = 50_257
     positions: int = 1_024
-    ffn_width: int | None = None
     lm_head_tied: bool = True
 
     def __post_init__(self) -> None:
         for fname in ("layers", "width", "vocab", "positions"):
             if getattr(self, fname) < 1:
                 raise ValueError(f"{fname} must be >= 1")
-
-    @property
-    def ffn(self) -> int:
-        return self.ffn_width if self.ffn_width is not None else 4 * self.width
 
 
 GPT2_MEDIUM = ModelShape(name="gpt2-medium", layers=24, width=1024)
@@ -56,7 +51,7 @@ PRESETS = {shape.name: shape for shape in (GPT2_MEDIUM, GPT2_LARGE)}
 def full_params(shape: ModelShape) -> int:
     """Every weight in the model: embeddings, per-layer blocks, final norm."""
     d = shape.width
-    f = shape.ffn
+    f = 4 * d  # the feed-forward width of every GPT2 shape
     per_layer = (
         (d * 3 * d + 3 * d)   # fused qkv projection
         + (d * d + d)         # attention output projection
@@ -78,7 +73,6 @@ class FineTune:
 @dataclass(frozen=True)
 class Adapter:
     bottleneck: int = 512
-    adapters_per_layer: int = 1
     tune_layernorm: bool = True
     label: str = "Adapter Tuning"
 
@@ -149,7 +143,7 @@ def trainable_params(shape: ModelShape, method: MethodSpec) -> int:
     if isinstance(method, Adapter):
         # Down-projection, up-projection, both with biases.
         per_adapter = 2 * d * method.bottleneck + method.bottleneck + d
-        count = shape.layers * method.adapters_per_layer * per_adapter
+        count = shape.layers * per_adapter
         if method.tune_layernorm:
             count += (2 * shape.layers + 1) * 2 * d
         return count

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -163,25 +162,6 @@ class PromptLayout:
         return ids
 
 
-LAYOUT_GRAMMAR_CHARS = {
-    SegmentKind.GLOBAL_PREFIX: "G",
-    SegmentKind.CLASS_PREFIX: "P",
-    SegmentKind.EXAMPLE_INPUT: "E",
-    SegmentKind.INFIX: "I",
-    SegmentKind.EXAMPLE_OUTPUT: "O",
-    SegmentKind.QUERY_INPUT: "Q",
-}
-
-_LAYOUT_GRAMMAR = re.compile(r"G?(?:PEIO)*P?QI")
-
-
-def validate_structure(layout: PromptLayout) -> None:
-    """Check the segment order against the layout grammar."""
-    word = "".join(LAYOUT_GRAMMAR_CHARS[seg.kind] for seg in layout.segments)
-    if not _LAYOUT_GRAMMAR.fullmatch(word):
-        raise AssemblyError(f"segment order {word!r} violates the layout grammar")
-
-
 def _check_ascending(examples: Sequence[PromptExample]) -> None:
     sims = [e.similarity for e in examples]
     if any(a > b for a, b in zip(sims, sims[1:])):
@@ -209,22 +189,58 @@ def assemble_manual(x: TokenSeq, template: "TextTemplate | None" = None) -> Prom
     return PromptLayout(segments=segments, spec=spec, slot_universe=0)
 
 
-def _soft_body(
+def _assemble_soft(
     x: TokenSeq,
     examples: Sequence[PromptExample],
-    prefix_range: SlotRange,
-    infix_range: SlotRange,
-) -> list[PromptSegment]:
-    segments: list[PromptSegment] = []
+    spec: SlotSpec,
+    body: SlotSpec | None = None,
+    query_class: NoveltyClass | None = None,
+) -> PromptLayout:
+    """The soft layouts' ``[G] [P E I O]* P Q I``.
+
+    P and I cite the first span pair of ``body``. Without a ``body`` they
+    cite ``spec``'s, and G, the global block, leads. With a query class,
+    each example cites the pair of its own class and the query that of
+    ``query_class``, and P and I carry the class they cite.
+    """
+    _check_ascending(examples)
+    segments = []
+    if body is None:
+        body = spec
+        global_block = SlotRange(0, spec.global_prefix_len)
+        segments.append(PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=global_block))
+
+    def spans(cls: NoveltyClass | None) -> tuple[PromptSegment, PromptSegment]:
+        if query_class is None:
+            cls, pair = None, 0
+        elif cls is None:
+            raise AssemblyError("every example needs a novelty class in conditioned mode")
+        elif cls not in body.classes:
+            raise AssemblyError(f"class {cls.label!r} not in slot spec classes")
+        else:
+            pair = body.classes.index(cls)
+        prefix, infix = body.span_ranges(pair)
+        return (
+            PromptSegment(SegmentKind.CLASS_PREFIX, novelty=cls, slots=prefix),
+            PromptSegment(SegmentKind.INFIX, novelty=cls, slots=infix),
+        )
+
     for example in examples:
-        segments.append(PromptSegment(SegmentKind.CLASS_PREFIX, slots=prefix_range))
-        segments.append(PromptSegment(SegmentKind.EXAMPLE_INPUT, tokens=tuple(example.source)))
-        segments.append(PromptSegment(SegmentKind.INFIX, slots=infix_range))
-        segments.append(PromptSegment(SegmentKind.EXAMPLE_OUTPUT, tokens=tuple(example.target)))
-    segments.append(PromptSegment(SegmentKind.CLASS_PREFIX, slots=prefix_range))
-    segments.append(PromptSegment(SegmentKind.QUERY_INPUT, tokens=_query_tokens(x)))
-    segments.append(PromptSegment(SegmentKind.INFIX, slots=infix_range))
-    return segments
+        prefix, infix = spans(example.novelty)
+        segments += [
+            prefix,
+            PromptSegment(SegmentKind.EXAMPLE_INPUT, tokens=tuple(example.source)),
+            infix,
+            PromptSegment(SegmentKind.EXAMPLE_OUTPUT, tokens=tuple(example.target)),
+        ]
+    prefix, infix = spans(query_class)
+    segments += [prefix, PromptSegment(SegmentKind.QUERY_INPUT, tokens=_query_tokens(x)), infix]
+    return PromptLayout(
+        segments=tuple(segments),
+        spec=spec,
+        examples=tuple(examples),
+        slot_universe=body.slot_universe(1 if query_class is None else len(body.classes)),
+    )
 
 
 def assemble_exemplar(
@@ -234,15 +250,7 @@ def assemble_exemplar(
 ) -> PromptLayout:
     """Example-augmented prompt with shared soft prefix/infix, no global block."""
     spec = spec or SlotSpec()
-    _check_ascending(examples)
-    body = dataclasses.replace(spec, global_prefix_len=0)
-    segments = _soft_body(x, examples, *body.span_ranges())
-    return PromptLayout(
-        segments=tuple(segments),
-        spec=spec,
-        examples=tuple(examples),
-        slot_universe=body.slot_universe(),
-    )
+    return _assemble_soft(x, examples, spec, dataclasses.replace(spec, global_prefix_len=0))
 
 
 def assemble_rapt(
@@ -251,16 +259,7 @@ def assemble_rapt(
     spec: SlotSpec | None = None,
 ) -> PromptLayout:
     """Retrieval-augmented layout: a global prefix block, then the exemplar body."""
-    spec = spec or SlotSpec()
-    _check_ascending(examples)
-    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, spec.global_prefix_len))]
-    segments += _soft_body(x, examples, *spec.span_ranges())
-    return PromptLayout(
-        segments=tuple(segments),
-        spec=spec,
-        examples=tuple(examples),
-        slot_universe=spec.slot_universe(),
-    )
+    return _assemble_soft(x, examples, spec or SlotSpec())
 
 
 def assemble_ncrapt(
@@ -278,36 +277,7 @@ def assemble_ncrapt(
     spec = spec or SlotSpec()
     if not spec.classes:
         spec = dataclasses.replace(spec, classes=tuple(NoveltyClass))
-    _check_ascending(examples)
-
-    def class_ranges(cls: NoveltyClass | None) -> tuple[SlotRange, SlotRange]:
-        if cls is None:
-            raise AssemblyError("every example needs a novelty class in conditioned mode")
-        if cls not in spec.classes:
-            raise AssemblyError(f"class {cls.label!r} not in slot spec classes")
-        return spec.span_ranges(spec.classes.index(cls))
-
-    segments = [PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=SlotRange(0, spec.global_prefix_len))]
-    for example in examples:
-        prefix_range, infix_range = class_ranges(example.novelty)
-        segments.append(
-            PromptSegment(SegmentKind.CLASS_PREFIX, novelty=example.novelty, slots=prefix_range)
-        )
-        segments.append(PromptSegment(SegmentKind.EXAMPLE_INPUT, tokens=tuple(example.source)))
-        segments.append(
-            PromptSegment(SegmentKind.INFIX, novelty=example.novelty, slots=infix_range)
-        )
-        segments.append(PromptSegment(SegmentKind.EXAMPLE_OUTPUT, tokens=tuple(example.target)))
-    query_prefix, query_infix = class_ranges(query_class)
-    segments.append(PromptSegment(SegmentKind.CLASS_PREFIX, novelty=query_class, slots=query_prefix))
-    segments.append(PromptSegment(SegmentKind.QUERY_INPUT, tokens=_query_tokens(x)))
-    segments.append(PromptSegment(SegmentKind.INFIX, novelty=query_class, slots=query_infix))
-    return PromptLayout(
-        segments=tuple(segments),
-        spec=spec,
-        examples=tuple(examples),
-        slot_universe=spec.slot_universe(len(spec.classes)),
-    )
+    return _assemble_soft(x, examples, spec, query_class=query_class)
 
 
 @dataclass(frozen=True)
@@ -459,42 +429,6 @@ def layout_to_json(layout: PromptLayout) -> dict:
             for e in layout.examples
         ],
     }
-
-
-def layout_from_json(obj: dict) -> PromptLayout:
-    spec = SlotSpec(
-        global_prefix_len=obj["spec"]["global_prefix_len"],
-        class_prefix_len=obj["spec"]["class_prefix_len"],
-        infix_len=obj["spec"]["infix_len"],
-        classes=tuple(NoveltyClass.from_label(c) for c in obj["spec"]["classes"]),
-    )
-    segments = []
-    for seg in obj["segments"]:
-        segments.append(
-            PromptSegment(
-                kind=SegmentKind(seg["kind"]),
-                novelty=NoveltyClass.from_label(seg["class"]) if "class" in seg else None,
-                slots=SlotRange(*seg["slots"]) if "slots" in seg else None,
-                tokens=tuple(seg["tokens"]) if "tokens" in seg else None,
-                literal=seg.get("literal"),
-            )
-        )
-    examples = tuple(
-        PromptExample(
-            source=tuple(e["source"]),
-            target=tuple(e["target"]),
-            similarity=e["similarity"],
-            novelty=NoveltyClass.from_label(e["class"]) if e.get("class") else None,
-            id=e.get("id"),
-        )
-        for e in obj.get("examples", ())
-    )
-    return PromptLayout(
-        segments=tuple(segments),
-        spec=spec,
-        examples=examples,
-        slot_universe=obj.get("slot_universe", 0),
-    )
 
 
 _TEMPLATE_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\\\": "\\"}

@@ -18,7 +18,7 @@ MAX_NGRAM_ORDER = 4
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Switches for the four normalization rules, applied in field order."""
+    """Normalization switches, applied in the order NFC, lowercase, punctuation, whitespace."""
 
     lowercase: bool = True
     unicode_normalize: bool = True

@@ -7,13 +7,16 @@ the row-by-row edit-distance DP and the greedy shift search built on it
 over block moves for minimum TER, a string-keyed SARI port,
 window-by-window BLEU counting, a no-numpy kNN sort, a shortlist-free
 kNN scan, the library's former per-row packing of embedding files, and
-its former JSONL readers, which call ``json.loads`` once per line.
+its former JSONL readers, which call ``json.loads`` once per line. The
+prompt-layout grammar check and the JSON-to-layout reader serve only the
+tests, so they live here too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
 from collections import Counter
 from functools import lru_cache
@@ -24,6 +27,16 @@ import numpy as np
 
 from paraprompt.dataio import DataFormatError, ParaphrasePair
 from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
+from paraprompt.novelty import NoveltyClass
+from paraprompt.promptkit import (
+    AssemblyError,
+    PromptExample,
+    PromptLayout,
+    PromptSegment,
+    SegmentKind,
+    SlotRange,
+    SlotSpec,
+)
 
 
 def lev_recursive(a: tuple[str, ...], b: tuple[str, ...]) -> int:
@@ -324,3 +337,59 @@ def sari_reference(source: str, prediction: str, references: list[str]) -> float
         add_scores.append(2 * ap * ar / (ap + ar) if ap + ar > 0 else 0)
 
     return (sum(keep_scores) + sum(del_scores) + sum(add_scores)) / 12
+
+
+LAYOUT_GRAMMAR_CHARS = {
+    SegmentKind.GLOBAL_PREFIX: "G",
+    SegmentKind.CLASS_PREFIX: "P",
+    SegmentKind.EXAMPLE_INPUT: "E",
+    SegmentKind.INFIX: "I",
+    SegmentKind.EXAMPLE_OUTPUT: "O",
+    SegmentKind.QUERY_INPUT: "Q",
+}
+
+_LAYOUT_GRAMMAR = re.compile(r"G?(?:PEIO)*P?QI")
+
+
+def validate_structure(layout: PromptLayout) -> None:
+    """Check the segment order against the layout grammar."""
+    word = "".join(LAYOUT_GRAMMAR_CHARS[seg.kind] for seg in layout.segments)
+    if not _LAYOUT_GRAMMAR.fullmatch(word):
+        raise AssemblyError(f"segment order {word!r} violates the layout grammar")
+
+
+def layout_from_json(obj: dict) -> PromptLayout:
+    """The inverse of ``promptkit.layout_to_json``."""
+    spec = SlotSpec(
+        global_prefix_len=obj["spec"]["global_prefix_len"],
+        class_prefix_len=obj["spec"]["class_prefix_len"],
+        infix_len=obj["spec"]["infix_len"],
+        classes=tuple(NoveltyClass.from_label(c) for c in obj["spec"]["classes"]),
+    )
+    segments = []
+    for seg in obj["segments"]:
+        segments.append(
+            PromptSegment(
+                kind=SegmentKind(seg["kind"]),
+                novelty=NoveltyClass.from_label(seg["class"]) if "class" in seg else None,
+                slots=SlotRange(*seg["slots"]) if "slots" in seg else None,
+                tokens=tuple(seg["tokens"]) if "tokens" in seg else None,
+                literal=seg.get("literal"),
+            )
+        )
+    examples = tuple(
+        PromptExample(
+            source=tuple(e["source"]),
+            target=tuple(e["target"]),
+            similarity=e["similarity"],
+            novelty=NoveltyClass.from_label(e["class"]) if e.get("class") else None,
+            id=e.get("id"),
+        )
+        for e in obj.get("examples", ())
+    )
+    return PromptLayout(
+        segments=tuple(segments),
+        spec=spec,
+        examples=examples,
+        slot_universe=obj.get("slot_universe", 0),
+    )

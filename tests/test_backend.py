@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -72,13 +74,24 @@ def test_mock_embed_empty_rejected():
 
 
 def test_generate_batch_preserves_order_and_bounds_concurrency():
+    import threading
     import time
 
     class SlowMock(MockBackend):
-        # sleep inside the instrumented window so in-flight overlap is visible
-        def _completion_for(self, prompt):
+        # counts the calls in flight; the sleep makes their overlap visible
+        lock = threading.Lock()
+        in_flight = max_in_flight = 0
+
+        def generate(self, request):
+            with self.lock:
+                self.in_flight += 1
+                self.max_in_flight = max(self.max_in_flight, self.in_flight)
             time.sleep(0.01)
-            return super()._completion_for(prompt)
+            try:
+                return super().generate(request)
+            finally:
+                with self.lock:
+                    self.in_flight -= 1
 
     mock = SlowMock(mode="echo")
     requests_list = [
@@ -91,17 +104,7 @@ def test_generate_batch_preserves_order_and_bounds_concurrency():
     assert [r.text for r in responses] == [f"text {i}" for i in range(16)]
     # the pool actually runs requests concurrently, but never more than
     # the configured bound at once
-    assert 2 <= mock.max_in_flight_observed <= 3
-
-
-def test_retry_does_not_duplicate_completions():
-    mock = MockBackend(mode="echo", fail_first_attempts=1)
-    request = GenerationRequest(prompt="Input: a b\nParaphrase:", request_id="r1")
-    with pytest.raises(TransportError):
-        mock.generate(request)
-    response = mock.generate(request)
-    assert response.text == "a b"
-    assert mock.completed_ids.count("r1") == 1
+    assert 2 <= mock.max_in_flight <= 3
 
 
 def test_make_backend_selects_mock_by_scheme():
@@ -219,6 +222,43 @@ def test_http_embed_accepts_float32_extremes(monkeypatch):
     )
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
     assert backend.embed(["a"])[0].tolist() == [big, -big, 1e-45]
+
+
+# Replies that parse as JSON but not as the agreed shape; none may escape
+# as anything but a BackendError. An unusable over-budget token count
+# becomes None.
+MALFORMED_REPLIES = [
+    ("generate", 413, {"token_count": None}, PromptBudgetError),
+    ("generate", 413, {"token_count": "many"}, PromptBudgetError),
+    ("generate", 413, json.loads('{"token_count": 1e400}'), PromptBudgetError),
+    ("generate", 413, {"token_count": True}, PromptBudgetError),
+    ("generate", 400, {"error": "prompt_too_long", "token_count": "many"}, PromptBudgetError),
+    ("generate", 200, {"text": "a", "token_count": None}, MalformedResponseError),
+    ("generate", 200, {"text": "a", "token_count": "x"}, MalformedResponseError),
+    ("generate", 200, {"text": "a", "token_count": True}, MalformedResponseError),
+    ("generate", 200, "text token_count", MalformedResponseError),
+    ("embed", 200, "vectors", MalformedResponseError),
+    ("embed", 200, {"vectors": [["a"]]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [[[1.0]]]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [1.0]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [[]]}, MalformedResponseError),
+]
+
+
+@pytest.mark.parametrize("call, status, body, error", MALFORMED_REPLIES)
+def test_http_malformed_reply_is_a_backend_error(monkeypatch, call, status, body, error):
+    monkeypatch.setattr(
+        "paraprompt.backend.requests.post",
+        lambda *args, **kwargs: _FakeResponse(status_code=status, body=body),
+    )
+    backend = HttpBackend(BackendConfig(generation_url="http://x/gen", embedding_url="http://x/emb"))
+    with pytest.raises(error) as err:
+        if call == "generate":
+            backend.generate(GenerationRequest(prompt="p"))
+        else:
+            backend.embed(["a"])
+    if error is PromptBudgetError:
+        assert err.value.prompt_tokens is None
 
 
 def test_parse_completion_extracts_after_final_marker():

@@ -1,9 +1,11 @@
+import argparse
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from paraprompt.cli import main
+from paraprompt.cli import build_parser, main
 
 TRAIN_ROWS = [
     {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
@@ -482,7 +484,7 @@ def test_ncrapt_bad_novelty_label_is_a_data_error(data_dir, capsys, field, value
 
 
 def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
-    # label rejects the blank source, index still embeds it
+    # label rejects the blank source and index leaves it out
     train = data_dir / "train_blank.jsonl"
     write_jsonl(train, TRAIN_ROWS[:4] + [{"id": "blank", "source": "   "}])
     out = data_dir / "out"
@@ -497,3 +499,156 @@ def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
     assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
     for row in rows:
         assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
+
+
+def test_rapt_never_retrieves_a_train_pair_with_a_blank_source(data_dir, capsys):
+    train = data_dir / "train_blank.jsonl"
+    write_jsonl(train, TRAIN_ROWS[:4] + [{"id": "blank", "source": "   "}])
+    out = data_dir / "out"
+    assert run(["index", "--train", train, "--out", out]) == 0
+    summary = capsys.readouterr().out
+    assert "indexed 4 vectors of dim 16" in summary and "skipped 1 blank source" in summary
+    assert run([
+        "generate", "--train", train, "--test", data_dir / "test.jsonl", "--out", out,
+        "--mode", "rapt", "--k", "5",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
+    for row in rows:
+        assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
+
+
+def test_index_with_only_blank_sources_is_a_data_error(data_dir, capsys):
+    train = data_dir / "blank.jsonl"
+    write_jsonl(train, [{"id": "a", "source": " "}, {"id": "b", "source": "\t"}])
+    out = data_dir / "out"
+    assert run(["index", "--train", train, "--out", out]) == 2
+    assert capsys.readouterr().err == f"data error: {train}: no pairs to index\n"
+    assert not (out / "embeddings.bin").exists()
+
+
+# Every subcommand's flags, written out: (option strings, dest, type, choices,
+# action class). A flag that is renamed, retyped or moved between
+# subcommands fails here.
+_STORE, _BOOL = "_StoreAction", "BooleanOptionalAction"
+_SHARED_FLAGS = {
+    (("--config",), "config", None, None, _STORE),
+    (("--train",), "train_path", None, None, _STORE),
+    (("--validation",), "validation_path", None, None, _STORE),
+    (("--test",), "test_path", None, None, _STORE),
+    (("--dataset-name",), "dataset_name", None, None, _STORE),
+    (("--format",), "data_format", None, ("jsonl", "tsv"), _STORE),
+    (("--out",), "out_dir", None, None, _STORE),
+    (("--seed",), "seed", int, None, _STORE),
+    (("--low-max",), "low_max", float, None, _STORE),
+    (("--high-min",), "high_min", float, None, _STORE),
+    (("--normalization-lowercase", "--no-normalization-lowercase"),
+     "lowercase", None, None, _BOOL),
+    (("--normalization-unicode-normalize", "--no-normalization-unicode-normalize"),
+     "unicode_normalize", None, None, _BOOL),
+    (("--normalization-punctuation-split", "--no-normalization-punctuation-split"),
+     "punctuation_split", None, None, _BOOL),
+    (("--normalization-collapse-whitespace", "--no-normalization-collapse-whitespace"),
+     "collapse_whitespace", None, None, _BOOL),
+    (("--generation-url",), "generation_url", None, None, _STORE),
+    (("--embedding-url",), "embedding_url", None, None, _STORE),
+    (("--embedding-model",), "embedding_model_name", None, None, _STORE),
+    (("--timeout",), "timeout", float, None, _STORE),
+    (("--max-in-flight",), "max_in_flight", int, None, _STORE),
+    (("--retry-limit",), "retry_limit", int, None, _STORE),
+    (("--semantic", "--no-semantic"), "semantic", None, None, _BOOL),
+    (("--template",), "template_path", None, None, _STORE),
+}
+_PROMPT_FLAGS = {
+    (("--mode",), "mode", None, ("manual", "rapt", "ncrapt", "copy", "ground-truth"), _STORE),
+    (("--k",), "k", int, None, _STORE),
+    (("--strategy",), "strategy", None, ("knn", "random"), _STORE),
+    (("--query-class",), "query_class", None, ("low", "medium", "high"), _STORE),
+    (("--exclude-self",), "exclude_self", None, ("auto", "always", "never"), _STORE),
+    (("--global-prefix-len",), "global_prefix_len", int, None, _STORE),
+    (("--class-prefix-len",), "class_prefix_len", int, None, _STORE),
+    (("--infix-len",), "infix_len", int, None, _STORE),
+    (("--max-prompt-tokens",), "max_prompt_tokens", int, None, _STORE),
+}
+FLAG_CONTRACT = {
+    "label": _SHARED_FLAGS,
+    "index": _SHARED_FLAGS,
+    "generate": _SHARED_FLAGS | _PROMPT_FLAGS,
+    "eval": _SHARED_FLAGS,
+    "validate": _SHARED_FLAGS,
+    "pipeline": _SHARED_FLAGS | _PROMPT_FLAGS,
+    "params": {
+        (("--shape",), "shape", None, ("gpt2-large", "gpt2-medium"), "_AppendAction"),
+        (("--layers",), "layers", int, None, _STORE),
+        (("--width",), "width", int, None, _STORE),
+        (("--out",), "out", None, None, _STORE),
+    },
+}
+
+
+def test_every_subcommand_keeps_its_flags():
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(FLAG_CONTRACT)
+    for command, parser in subparsers.choices.items():
+        flags = {
+            (tuple(a.option_strings), a.dest, a.type,
+             None if a.choices is None else tuple(a.choices), type(a).__name__)
+            for a in parser._actions if not isinstance(a, argparse._HelpAction)
+        }
+        assert flags == FLAG_CONTRACT[command], command
+
+
+# sha256 of every artifact of `pipeline` on the fixture above; label and
+# index do not depend on the mode
+_SHARED_DIGESTS = {
+    "labeled.jsonl": "e282a90b9da6de513a94847e0d8e026b07368ad3bcfd8eaf4e3941413271b08d",
+    "labeled_meta.json": "2548aae3186c8a5ace01f8f26e0ee353e4292c6734c27da11abd9fe21189dff1",
+    "embeddings.bin": "8dcf0b5e9f18a7cdfd7b6b001e049a798e1b44598fdd67de934ff4c6c98ab472",
+    "embeddings.ids.jsonl": "bebb9da4ada90102838cd50dd3969a0105f7633f616db7b7013783e88cbb1eeb",
+}
+GOLDEN_RUNS = [
+    (["--mode", "rapt"], {
+        "generations.jsonl": "31ed549f0664b191b6cc0d58952733ab0bcde328179855026c35a8912a4afb47",
+        "report.txt": "665e0efe8dfeae1a73d33b2d648e9f6838afeacc9eb0773ab7f9f31f8e30b400",
+        "report.csv": "2f5dd053ce20a0b1b4388524edac171f9b6eb96adfe23e96b428883f06028d3f",
+    }),
+    (["--mode", "ncrapt", "--query-class", "low"], {
+        "generations.jsonl": "6181a1b9579bb060bf9266cfb0dbea9fd8de4e15c8a4e0c9388cd72d4fecfb96",
+        "report.txt": "8575c9a2f03236573faaa4cec55a3382d0df2a392c208c9a726849500dc7ed3f",
+        "report.csv": "b2b531e6ad9aa55c4f56255165ead5c130ac6dca2aae30134a924a7251094f5e",
+    }),
+    (["--mode", "manual"], {
+        "generations.jsonl": "0094ce339a4f240af119e5e1b28a252c3437e2c76f4fd5a627d9866418b04c8e",
+        "report.txt": "e34c5817b1e4dbccd31a4dd0d651e117f9ecf057ac69fe2e198a1966c5592cf8",
+        "report.csv": "6f26e3ccf7fb0012e17f44a50865b1c59a16c3dafc26311dcaba540e22e05612",
+    }),
+    (["--mode", "rapt", "--strategy", "random", "--seed", "5"], {
+        "generations.jsonl": "70e09f593c5a5a87e90173d9c45bf20260969f508897c6b25c5f3fd60923a3cb",
+        "report.txt": "665e0efe8dfeae1a73d33b2d648e9f6838afeacc9eb0773ab7f9f31f8e30b400",
+        "report.csv": "2f5dd053ce20a0b1b4388524edac171f9b6eb96adfe23e96b428883f06028d3f",
+    }),
+    (["--mode", "ncrapt", "--k", "4", "--generation-url", "mock:shuffle?seed=3"], {
+        "generations.jsonl": "29173765a22a4076ea8f850dd1fdfaa72a8c4af9e6cbe380b431bf12554c1064",
+        "report.txt": "61a7378724736ff87571c760076bf35f20b5864e7b0fa820c571e53dd5dd3c40",
+        "report.csv": "7bf245722f0092a361747813f0b204d05d23ee302126771c2181a26aaeda431c",
+    }),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digests", GOLDEN_RUNS, ids=[" ".join(flags) for flags, _ in GOLDEN_RUNS]
+)
+def test_pipeline_outputs_keep_their_bytes(data_dir, capsys, flags, digests):
+    out = data_dir / "out"
+    assert run([
+        "pipeline", "--train", data_dir / "train.jsonl",
+        "--test", data_dir / "test.jsonl", "--out", out, *flags,
+    ]) == 0
+    found = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in {**_SHARED_DIGESTS, **digests}
+    }
+    assert found == {**_SHARED_DIGESTS, **digests}

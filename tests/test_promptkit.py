@@ -15,13 +15,13 @@ from paraprompt.promptkit import (
     assemble_ncrapt,
     assemble_rapt,
     fit_examples_to_budget,
-    layout_from_json,
     layout_length,
     layout_to_json,
     load_template,
     render_text,
-    validate_structure,
 )
+
+from oracles import layout_from_json, validate_structure
 
 X = ("how", "do", "i", "learn")
 
