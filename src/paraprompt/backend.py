@@ -26,9 +26,8 @@ request, so a command that uses neither does not pay to import them.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import os
+import itertools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,10 +50,6 @@ def __getattr__(name: str):
         import requests
         return requests
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-GENERATION_URL_ENV = "PARAPROMPT_GENERATION_URL"
-EMBEDDING_URL_ENV = "PARAPROMPT_EMBEDDING_URL"
 
 
 class BackendError(RuntimeError):
@@ -93,7 +88,6 @@ class BackendConfig:
     timeout: float = 30.0
     max_in_flight: int = 4
     retry_limit: int = 2
-    auth_token: str | None = None
 
     def __post_init__(self) -> None:
         if self.timeout <= 0:
@@ -102,14 +96,13 @@ class BackendConfig:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be >= 1")
-
-    def resolved(self) -> "BackendConfig":
-        """Apply environment URL overrides."""
-        gen = os.environ.get(GENERATION_URL_ENV, self.generation_url)
-        emb = os.environ.get(EMBEDDING_URL_ENV, self.embedding_url)
-        if gen == self.generation_url and emb == self.embedding_url:
-            return self
-        return dataclasses.replace(self, generation_url=gen, embedding_url=emb)
+        # a mock: URL that MockBackend refuses fails here, before any stage runs
+        for make, url in ((make_generation_backend, self.generation_url),
+                          (make_embedding_backend, self.embedding_url)):
+            try:
+                make(self)
+            except ValueError as err:
+                raise ValueError(f"bad mock URL {url!r}: {err}") from None
 
 
 @dataclass(frozen=True)
@@ -153,11 +146,10 @@ class MockBackend:
     """Deterministic in-process stand-in for both services.
 
     Generation modes:
-      echo     complete with the first line after the final "Paraphrase:"
-               marker; when that marker sits on the prompt's final line
-               (the usual case for generation prompts, with or without a
-               class tag), fall back to repeating the final "Input:"
-               line, so pipelines behave like a copy model.
+      echo     repeat what follows the prompt's final ``DEFAULT_TEMPLATE``
+               prefix ("Input:") on its line: the query of any prompt
+               rendered with the default template, so pipelines behave like
+               a copy model. A prompt without that prefix gets "".
       shuffle  like echo, but deterministically shuffles the tokens using
                the seed and the prompt digest.
       constant always answer ``constant_text``.
@@ -183,17 +175,9 @@ class MockBackend:
         self.constant_text = constant_text
 
     def _completion_for(self, prompt: str) -> str:
-        marker = "Paraphrase:"
-        tail = prompt[prompt.rfind(marker) + len(marker):] if marker in prompt else ""
-        line = tail.split("\n", 1)[0].strip() if "\n" in tail else ""
-        if not line:
-            # The final marker sits on the prompt's last line (possibly
-            # with a class tag after it), so there is nothing to echo
-            # yet: act as a copy model on the query.
-            input_marker = "Input:"
-            idx = prompt.rfind(input_marker)
-            if idx >= 0:
-                line = prompt[idx + len(input_marker):].split("\n", 1)[0].strip()
+        marker = DEFAULT_TEMPLATE.prefix
+        idx = prompt.rfind(marker)
+        line = prompt[idx + len(marker):].split("\n", 1)[0].strip() if idx >= 0 else ""
         if self.mode == "shuffle" and line:
             tokens = line.split()
             digest = hashlib.sha256(f"{self.seed}:{prompt}".encode()).hexdigest()
@@ -234,19 +218,12 @@ class HttpBackend:
     def __init__(self, config: BackendConfig) -> None:
         self.config = config
 
-    def _headers(self) -> dict[str, str]:
-        if self.config.auth_token:
-            return {"Authorization": f"Bearer {self.config.auth_token}"}
-        return {}
-
     def _post(self, url: str, payload: dict) -> dict:
         import requests
         last_error: Exception | None = None
         for _ in range(self.config.retry_limit):
             try:
-                response = requests.post(
-                    url, json=payload, timeout=self.config.timeout, headers=self._headers()
-                )
+                response = requests.post(url, json=payload, timeout=self.config.timeout)
             except (requests.ConnectionError, requests.Timeout) as err:
                 last_error = err
                 continue
@@ -301,8 +278,11 @@ class HttpBackend:
             raise MalformedResponseError(f'embedding response missing "vectors": {body}')
         import numpy as np
         try:
+            # numpy would take "1.5" or true as numbers; JSON numbers only
+            if not set(map(type, itertools.chain.from_iterable(body["vectors"]))) <= {int, float}:
+                raise TypeError("a component is not a JSON number")
             matrix = np.asarray(body["vectors"], dtype=np.float64)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise MalformedResponseError(
                 f"embedding vectors hold non-numbers or mixed dimensions: {err}"
             ) from None
@@ -338,11 +318,10 @@ def _parse_mock_url(url: str) -> dict:
 
 
 def make_generation_backend(config: BackendConfig) -> GenerationBackend:
-    config = config.resolved()
     if config.generation_url.startswith("mock:"):
         opts = _parse_mock_url(config.generation_url)
         return MockBackend(
-            mode=opts.get("mode", "echo"),
+            mode=opts["mode"],
             seed=int(opts.get("seed", 0)),
             constant_text=opts.get("text", "ok"),
         )
@@ -350,7 +329,6 @@ def make_generation_backend(config: BackendConfig) -> GenerationBackend:
 
 
 def make_embedding_backend(config: BackendConfig) -> EmbeddingBackend:
-    config = config.resolved()
     if config.embedding_url.startswith("mock:"):
         opts = _parse_mock_url(config.embedding_url)
         return MockBackend(mode="echo", seed=int(opts.get("seed", 0)), dim=int(opts.get("dim", 16)))

@@ -39,9 +39,8 @@ CHOICES = {
 # GPT2 context is 1024; keep n + decode margin inside it by default.
 DEFAULT_MAX_PROMPT_TOKENS = 1024 - promptkit.DECODE_MARGIN
 
-# Sub-config fields that are not config keys: credentials never reach a
-# config file or snapshot, and the slot classes follow from the mode.
-_NOT_KEYS = {"auth_token", "classes"}
+# The slot classes, which follow from the mode, are the one sub-config field that is no key
+_NOT_KEYS = {"classes"}
 
 
 class UsageError(ValueError):
@@ -88,6 +87,7 @@ class PipelineConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_prompt_tokens < 1:
             raise ValueError(f"max_prompt_tokens must be >= 1, got {self.max_prompt_tokens}")
+        self.template()  # a template file that does not parse fails before any stage runs
 
     def template(self) -> promptkit.TextTemplate:
         if self.template_path:
@@ -163,11 +163,9 @@ def cmd_label(config: PipelineConfig) -> int:
     split = dataio.load_pairs(train_path, config.data_format, "train")
     result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
     dataio.write_jsonl(out_dir / "labeled.jsonl", (lp.as_dict() for lp in result.labeled))
-    dataio.atomic_write_text(
-        out_dir / "labeled_meta.json", json.dumps(result.metadata(), indent=2) + "\n"
-    )
-    write_config_snapshot(config, out_dir, "label")
     meta = result.metadata()
+    dataio.atomic_write_text(out_dir / "labeled_meta.json", json.dumps(meta, indent=2) + "\n")
+    write_config_snapshot(config, out_dir, "label")
     print(f"labeled {len(result.labeled)} pairs -> {out_dir / 'labeled.jsonl'}")
     print(f"histogram: {meta['histogram']} (rejected: {meta['rejected']})")
     return 0
@@ -214,13 +212,11 @@ def _load_index(config: PipelineConfig, split: dataio.DatasetSplit) -> retrieval
     return retrieval.RetrievalIndex([by_id[rid] for rid in ids], matrix)
 
 
-def _novelty_by_id(config: PipelineConfig, split: dataio.DatasetSplit) -> dict[str, novelty.NoveltyClass]:
+def _novelty_by_id(config: PipelineConfig) -> dict[str, novelty.NoveltyClass]:
     labeled_path = Path(config.out_dir) / "labeled.jsonl"
-    if labeled_path.exists():
-        labeled = novelty.load_labeled(labeled_path)
-    else:
-        labeled = novelty.label_dataset(split.pairs, config.normalization, config.thresholds).labeled
-    return {lp.pair.id: lp.novelty for lp in labeled}
+    if not labeled_path.exists():
+        raise dataio.DataFormatError(labeled_path, None, "novelty labels missing; run the label command first")
+    return {lp.pair.id: lp.novelty for lp in novelty.load_labeled(labeled_path)}
 
 
 def _retrieve(
@@ -234,7 +230,7 @@ def _retrieve(
     index = _load_index(config, train)
     if len(index) == 0:
         print("warning: retrieval index is empty; layouts degrade to 0 examples")
-    classes_by_id = _novelty_by_id(config, train) if config.mode == "ncrapt" else {}
+    classes_by_id = _novelty_by_id(config) if config.mode == "ncrapt" else {}
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([pair.source for pair, _ in queries]) if queries else []
     if len(index) and vectors and len(vectors[0]) != index.dim:
@@ -253,12 +249,7 @@ def _retrieve(
     looked_up = [i for i, (_, x) in enumerate(queries) if x]
     if config.strategy == "random":
         found = [
-            sorted(
-                retrieval.query_random(
-                    index, vectors[i], config.k, excludes[i], seed=config.seed + i
-                ),
-                key=lambda hit: hit[1], reverse=True,
-            )
+            retrieval.query_random(index, vectors[i], config.k, excludes[i], seed=config.seed + i)
             for i in looked_up
         ]
     else:

@@ -61,7 +61,6 @@ class ParaphrasePair:
 class DatasetSplit:
     name: str
     pairs: list[ParaphrasePair]
-    expected_size: int | None = None
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -206,9 +205,7 @@ def validate_split_sizes(
     expected_table = KNOWN_SPLIT_SIZES.get(key)
     report = SplitSizeReport(dataset=dataset_name, known=expected_table is not None)
     for split in splits:
-        expected = split.expected_size
-        if expected is None and expected_table is not None:
-            expected = expected_table.get(split.name)
+        expected = (expected_table or {}).get(split.name)
         ok = expected is None or expected == len(split)
         report.entries.append((split.name, expected, len(split), ok))
     return report

@@ -452,28 +452,27 @@ def load_template(path: str | Path) -> TextTemplate:
     """Template file: key=value lines with \\n, \\t, \\\\ escapes.
 
     Keys: prefix, infix, global_prefix, example_separator, tag_low,
-    tag_medium, tag_high. Missing keys keep defaults.
+    tag_medium, tag_high. Missing keys keep defaults; a line without "="
+    or with another key raises ``TemplateError`` naming the file and line.
     """
+    defaults = TextTemplate()
+    tag_keys = {f"tag_{cls.label}": cls for cls in NoveltyClass}
+    text_keys = {f.name for f in dataclasses.fields(TextTemplate)} - {"class_tags"}
     values: dict[str, str] = {}
+    tags = dict(defaults.class_tags)
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
-            if "=" not in line:
-                raise TemplateError(f"template line without '=': {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = _unescape(value)
-    defaults = TextTemplate()
-    tags = dict(defaults.class_tags)
-    for cls in NoveltyClass:
-        key = f"tag_{cls.label}"
-        if key in values:
-            tags[cls] = values[key]
-    return TextTemplate(
-        prefix=values.get("prefix", defaults.prefix),
-        infix=values.get("infix", defaults.infix),
-        global_prefix=values.get("global_prefix", defaults.global_prefix),
-        example_separator=values.get("example_separator", defaults.example_separator),
-        class_tags=tags,
-    )
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise TemplateError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            if key in tag_keys:
+                tags[tag_keys[key]] = _unescape(value)
+            elif key in text_keys:
+                values[key] = _unescape(value)
+            else:
+                raise TemplateError(f"{path}:{lineno}: unknown template key {key!r}")
+    return dataclasses.replace(defaults, class_tags=tags, **values)

@@ -178,23 +178,16 @@ def unit_normalize(vector: Sequence[float]) -> np.ndarray:
 def build_index(
     entries: Iterable[tuple[ParaphrasePair, Sequence[float]]]
 ) -> RetrievalIndex:
-    """Build an index from (pair, vector) entries, keyed by pair id.
-
-    All vectors must share one dimension, have a finite non-zero norm, and
-    carry unique ids; violations raise ``IndexBuildError`` naming the
-    offender. Float32 vectors stay float32.
-    """
+    """``RetrievalIndex`` of the stacked vectors, which must be 1-dimensional
+    and of one length; float32 vectors stay float32."""
     entries = list(entries)
     vectors = [np.asarray(vector) for _, vector in entries]
     for (pair, _), arr in zip(entries, vectors):
-        if arr.ndim != 1:
-            raise IndexBuildError(f"id {pair.id!r}: vector must be 1-dimensional")
-        if arr.shape != vectors[0].shape:
-            raise IndexBuildError(
-                f"id {pair.id!r}: dimension {arr.shape[0]} != index dimension {vectors[0].shape[0]}"
-            )
-    matrix = np.stack(vectors) if vectors else np.empty((0, 0))
-    return RetrievalIndex([pair for pair, _ in entries], matrix)
+        if arr.ndim != 1 or arr.shape != vectors[0].shape:
+            raise IndexBuildError(f"id {pair.id!r}: " + (
+                f"dimension {arr.shape[0]} != index dimension {vectors[0].shape[0]}"
+                if arr.ndim == 1 else "vector must be 1-dimensional"))
+    return RetrievalIndex([pair for pair, _ in entries], np.stack(vectors) if vectors else np.empty((0, 0)))
 
 
 def _unit_query(index: RetrievalIndex, query: Sequence[float], k: int) -> np.ndarray | None:
@@ -263,14 +256,26 @@ def _top_k(
         shortlist = scores >= threshold - delta
         shortlist[index._guarded] = True
         candidates = np.flatnonzero(shortlist)
-    units = index._unit_rows(candidates)
+    # candidates ascend, so ties keep insertion order
+    return _ranked(index, unit, candidates, k, exclude)
+
+
+def _ranked(
+    index: RetrievalIndex,
+    unit: np.ndarray,
+    rows: np.ndarray,
+    k: int,
+    exclude: frozenset[str] | set[str],
+) -> list[tuple[ExampleRecord, float]]:
+    """The first k of ``rows`` not excluded, by similarity descending; a
+    stable sort keeps the order of ``rows`` among ties."""
+    units = index._unit_rows(rows)
     # Not units @ unit: BLAS rounds each row by its position.
     sims = np.multiply(units, unit).sum(axis=1)
-    # candidates ascend, so a stable sort keeps insertion order among ties
     order = np.argsort(-sims, kind="stable")
     out: list[tuple[ExampleRecord, float]] = []
     for i in order:
-        row = int(candidates[i])
+        row = int(rows[i])
         if index._ids[row] in exclude:
             continue
         out.append((index._record(row, units[i]), float(sims[i])))
@@ -286,21 +291,16 @@ def query_random(
     exclude: frozenset[str] | set[str] = frozenset(),
     seed: int = 0,
 ) -> list[tuple[ExampleRecord, float]]:
-    """Uniform sample without replacement; the ablation counterpart of kNN.
-
-    Cosine similarities are still computed so downstream prompt ordering
-    (ascending similarity) stays well-defined.
-    """
+    """Uniform sample without replacement, the ablation counterpart of kNN,
+    ranked as ``query_knn`` ranks its hits; ties keep the sample's order."""
     unit = _unit_query(index, query, k)
     if unit is None:
         return []
     rows: Sequence[int] = range(len(index))
     if exclude:
         rows = [row for row, rid in enumerate(index._ids) if rid not in exclude]
-    rng = random.Random(seed)
-    chosen = rng.sample(rows, min(k, len(rows)))
-    units = index._unit_rows(np.array(chosen, dtype=np.intp))
-    return [(index._record(row, u), float(np.dot(u, unit))) for row, u in zip(chosen, units)]
+    chosen = random.Random(seed).sample(rows, min(k, len(rows)))
+    return _ranked(index, unit, np.array(chosen, dtype=np.intp), k, exclude)
 
 
 def write_embeddings_binary(

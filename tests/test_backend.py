@@ -22,14 +22,6 @@ from paraprompt.novelty import NoveltyClass
 from paraprompt.promptkit import DEFAULT_TEMPLATE
 
 
-def test_mock_echo_returns_first_line_after_final_marker():
-    mock = MockBackend(mode="echo")
-    response = mock.generate(
-        GenerationRequest(prompt="Input: a\nParaphrase: b c d\nInput: next")
-    )
-    assert response.text == "b c d"
-
-
 def test_mock_echo_falls_back_to_query_for_open_prompts():
     mock = MockBackend(mode="echo")
     response = mock.generate(
@@ -113,13 +105,6 @@ def test_make_backend_selects_mock_by_scheme():
     emb = make_embedding_backend(config)
     assert isinstance(gen, MockBackend) and gen.mode == "shuffle" and gen.seed == 5
     assert isinstance(emb, MockBackend) and emb.dim == 12
-
-
-def test_env_overrides_urls(monkeypatch):
-    monkeypatch.setenv("PARAPROMPT_GENERATION_URL", "mock:constant?text=hi")
-    config = BackendConfig(generation_url="http://example.invalid/generate")
-    backend = make_generation_backend(config)
-    assert isinstance(backend, MockBackend)
 
 
 def test_empty_prompt_rejected():
@@ -242,6 +227,12 @@ MALFORMED_REPLIES = [
     ("embed", 200, {"vectors": [[[1.0]]]}, MalformedResponseError),
     ("embed", 200, {"vectors": [1.0]}, MalformedResponseError),
     ("embed", 200, {"vectors": [[]]}, MalformedResponseError),
+    # numpy alone would read these as [1.5, 1.0], [1.0, 2.0] and [1.5, 0.0]
+    ("embed", 200, {"vectors": [["1.5", True]]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [[True, 2]]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [[1.5, False]]}, MalformedResponseError),
+    # a JSON integer too large for a float
+    ("embed", 200, json.loads('{"vectors": [[1%s]]}' % ("0" * 400)), MalformedResponseError),
 ]
 
 

@@ -418,7 +418,8 @@ def test_query_index_dimension_mismatch_is_data_error(data_dir, capsys):
 @pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
 def test_generate_retrieval_mode_on_empty_test_file(data_dir, capsys, mode):
     out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
     empty = data_dir / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     assert run([
@@ -427,6 +428,61 @@ def test_generate_retrieval_mode_on_empty_test_file(data_dir, capsys, mode):
     ]) == 0
     assert (out / "generations.jsonl").read_text() == ""
     assert "wrote 0 generations" in capsys.readouterr().out
+
+
+def test_ncrapt_without_labels_is_a_data_error(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    capsys.readouterr()
+    assert _generate(data_dir, out, "ncrapt") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'labeled.jsonl'}: novelty labels missing; run the label command first\n"
+    )
+    assert not (out / "generations.jsonl").exists()
+
+
+def test_url_flags_are_the_urls_that_run(data_dir, monkeypatch):
+    # no environment variable outranks a flag or leaves the snapshot wrong
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    monkeypatch.setenv("PARAPROMPT_GENERATION_URL", "mock:constant?text=hi")
+    monkeypatch.setenv("PARAPROMPT_EMBEDDING_URL", "mock:hash?dim=8")
+    assert _generate(data_dir, out, "rapt", ["--generation-url", "mock:echo"]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [row["output"] for row in rows] == [r["source"] for r in TEST_ROWS]
+    snapshot = (out / "resolved_config_generate.txt").read_text().splitlines()
+    assert {"generation_url=mock:echo", "embedding_url=mock:hash"} <= set(snapshot)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("prefix Input:", "expected key=value, got 'prefix Input:'"),
+    ("infx=Rewrite:", "unknown template key 'infx'"),
+])
+def test_bad_template_line_is_a_usage_error(data_dir, capsys, line, message):
+    template = data_dir / "bad.template"
+    template.write_text(f"# comment\n{line}\n", encoding="utf-8")
+    out = data_dir / "out"
+    assert run([
+        "pipeline", "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
+        "--out", out, "--mode", "manual", "--template", template,
+    ]) == 1
+    assert capsys.readouterr().err == f"usage error: {template}:2: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, url", [
+    ("--generation-url", "mock:bogus"),
+    ("--generation-url", "mock:echo?seed=x"),
+    ("--embedding-url", "mock:hash?dim=0"),
+])
+def test_bad_mock_url_is_a_usage_error_before_any_stage_writes(data_dir, capsys, flag, url):
+    out = data_dir / "out"
+    assert run([
+        "pipeline", "--train", data_dir / "train.jsonl",
+        "--test", data_dir / "test.jsonl", "--out", out, flag, url,
+    ]) == 1
+    assert capsys.readouterr().err.startswith(f"usage error: bad mock URL {url!r}: ")
+    assert not out.exists()
 
 
 def test_prompt_over_budget_without_examples_is_an_error_row(data_dir, monkeypatch):

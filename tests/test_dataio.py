@@ -288,8 +288,8 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
 
 def test_split_sizes_known_dataset_match():
     splits = [
-        DatasetSplit("train", [_mk(i) for i in range(5)], expected_size=5),
-        DatasetSplit("test", [_mk(i) for i in range(2)], expected_size=2),
+        DatasetSplit("train", [_mk(i) for i in range(5)]),
+        DatasetSplit("test", [_mk(i) for i in range(2)]),
     ]
     report = validate_split_sizes(splits, "custom")
     assert report.all_match

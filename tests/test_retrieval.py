@@ -342,6 +342,22 @@ def test_random_reports_similarities():
     assert hits[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_random_hits_rank_as_a_full_scan_ranks_them():
+    # descending similarity, ties (rows 30-39 repeat rows 0-9) in sample
+    # order, and the similarities of knn_full_scan bit for bit
+    rng = np.random.default_rng(12)
+    rows = rng.normal(size=(40, 24))
+    rows[30:] = rows[:10]
+    index = build_index(entries_from(rows))
+    units = np.stack([r.vector for r in index.records])
+    query = rng.normal(size=24)
+    for seed in range(20):
+        hits = query_random(index, query, k=25, seed=seed)
+        chosen = random.Random(seed).sample(range(40), 25)
+        expected = knn_full_scan(units[chosen], unit_normalize(query), 25)
+        assert [(h[0].id, h[1]) for h in hits] == [(str(chosen[i]), sim) for i, sim in expected]
+
+
 def test_empty_index_returns_no_hits():
     index = build_index([])
     assert len(index) == 0
