@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import parse_qs, urlparse
 
-from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
-from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, TextTemplate
+from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
+from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate
 from .novelty import NoveltyClass
 
 if TYPE_CHECKING:
@@ -146,10 +146,11 @@ class MockBackend:
     """Deterministic in-process stand-in for both services.
 
     Generation modes:
-      echo     repeat what follows the prompt's final ``DEFAULT_TEMPLATE``
-               prefix ("Input:") on its line: the query of any prompt
-               rendered with the default template, so pipelines behave like
-               a copy model. A prompt without that prefix gets "".
+      echo     repeat the query, so pipelines behave like a copy model: the
+               tokens of the request layout's ``query_input`` segment,
+               rendered, under any template; for a request without a
+               layout, what follows the prompt's final ``DEFAULT_TEMPLATE``
+               prefix ("Input:") on its line, or "" when it has none.
       shuffle  like echo, but deterministically shuffles the tokens using
                the seed and the prompt digest.
       constant always answer ``constant_text``.
@@ -174,10 +175,16 @@ class MockBackend:
         self.dim = dim
         self.constant_text = constant_text
 
-    def _completion_for(self, prompt: str) -> str:
-        marker = DEFAULT_TEMPLATE.prefix
-        idx = prompt.rfind(marker)
-        line = prompt[idx + len(marker):].split("\n", 1)[0].strip() if idx >= 0 else ""
+    def _completion_for(self, request: GenerationRequest) -> str:
+        prompt = request.prompt
+        if request.layout_json is not None:
+            segments = reversed(request.layout_json["segments"])
+            line = next((render(segment["tokens"]) for segment in segments
+                         if segment["kind"] == SegmentKind.QUERY_INPUT.value), "")
+        else:
+            marker = DEFAULT_TEMPLATE.prefix
+            idx = prompt.rfind(marker)
+            line = prompt[idx + len(marker):].split("\n", 1)[0].strip() if idx >= 0 else ""
         if self.mode == "shuffle" and line:
             tokens = line.split()
             digest = hashlib.sha256(f"{self.seed}:{prompt}".encode()).hexdigest()
@@ -187,7 +194,7 @@ class MockBackend:
 
     def generate(self, request: GenerationRequest) -> GenerationResponse:
         started = time.monotonic()
-        text = self.constant_text if self.mode == "constant" else self._completion_for(request.prompt)
+        text = self.constant_text if self.mode == "constant" else self._completion_for(request)
         text = _truncate_at_stop(text, request.stop)
         return GenerationResponse(
             text=text,

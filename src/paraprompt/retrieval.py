@@ -55,7 +55,7 @@ import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -82,23 +82,35 @@ class ExampleRecord:
 
 
 class RetrievalIndex:
-    """Immutable exact-kNN store: the pairs, their (n, dim) rows as given
-    and one float64 norm per row.
+    """Immutable exact-kNN store: the row ids, their (n, dim) rows as given,
+    one float64 norm per row and a row -> pair lookup.
 
-    ``matrix`` is kept, not copied, when it is a C-contiguous float32 or
-    float64 array; the caller must not write to it afterwards. A duplicate
-    id, or a row of dimension 0, zero norm or a non-finite value, raises
+    ``pairs`` are the rows' pairs or, with ``pair_of``, their ids; then
+    ``pair_of(row)`` makes a row's pair when the row is returned. ``matrix``
+    is kept, not copied, when it is a C-contiguous float32 or float64
+    array; the caller must not write to it afterwards. A duplicate id, or
+    a row of dimension 0, zero norm or a non-finite value, raises
     ``IndexBuildError`` naming the first such id.
     """
 
-    def __init__(self, pairs: Sequence[ParaphrasePair], matrix: np.ndarray) -> None:
+    def __init__(
+        self,
+        pairs: Sequence[ParaphrasePair] | Sequence[str],
+        matrix: np.ndarray,
+        pair_of: Callable[[int], ParaphrasePair] | None = None,
+    ) -> None:
         matrix = np.asarray(matrix)
         if matrix.dtype not in (np.float32, np.float64):
             matrix = matrix.astype(np.float64)
         matrix = np.ascontiguousarray(matrix).view()
         matrix.setflags(write=False)
-        self._pairs = list(pairs)
-        self._ids = [pair.id for pair in self._pairs]
+        if pair_of is None:
+            pairs = list(pairs)
+            self._ids = [pair.id for pair in pairs]
+            pair_of = pairs.__getitem__
+        else:
+            self._ids = list(pairs)
+        self._pair_of = pair_of
         if matrix.ndim != 2 or matrix.shape[0] != len(self._ids):
             raise IndexBuildError(
                 f"{len(self._ids)} pairs need an ({len(self._ids)}, dim) matrix, "
@@ -142,7 +154,8 @@ class RetrievalIndex:
         units = self._unit_rows(slice(None))
         units.setflags(write=False)
         return tuple(
-            ExampleRecord(id=pair.id, pair=pair, vector=row) for pair, row in zip(self._pairs, units)
+            ExampleRecord(id=rid, pair=self._pair_of(row), vector=unit)
+            for row, (rid, unit) in enumerate(zip(self._ids, units))
         )
 
     def _unit_rows(self, rows: np.ndarray | slice) -> np.ndarray:
@@ -153,7 +166,7 @@ class RetrievalIndex:
     def _record(self, row: int, unit: np.ndarray) -> ExampleRecord:
         vector = unit.copy()
         vector.setflags(write=False)
-        return ExampleRecord(id=self._ids[row], pair=self._pairs[row], vector=vector)
+        return ExampleRecord(id=self._ids[row], pair=self._pair_of(row), vector=vector)
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:

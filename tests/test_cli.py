@@ -337,6 +337,19 @@ def test_non_string_dataset_fields_are_a_data_error(data_dir, capsys, row):
     assert not (data_dir / "out" / "labeled.jsonl").exists()
 
 
+def test_embeddings_of_an_unknown_train_id_are_a_data_error(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    ids_path = out / "embeddings.ids.jsonl"
+    ids_path.write_text(ids_path.read_text().replace('"t3"', '"zz"'))
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'embeddings.bin'}: embeddings reference unknown train ids (first: 'zz')\n"
+    )
+    assert not (out / "generations.jsonl").exists()
+
+
 def test_null_id_in_the_embedding_sidecar_is_a_data_error(data_dir, capsys):
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
@@ -468,6 +481,15 @@ def test_bad_template_line_is_a_usage_error(data_dir, capsys, line, message):
     ]) == 1
     assert capsys.readouterr().err == f"usage error: {template}:2: {message}\n"
     assert not out.exists()
+
+
+def test_mock_echo_repeats_the_query_under_any_template(data_dir):
+    template = data_dir / "q.template"
+    template.write_text("prefix=Q:\n", encoding="utf-8")
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "manual", ["--template", template]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [(row["output"], row.get("error")) for row in rows] == [(r["source"], None) for r in TEST_ROWS]
 
 
 @pytest.mark.parametrize("flag, url", [
@@ -658,7 +680,7 @@ def test_every_subcommand_keeps_its_flags():
 
 
 # sha256 of every artifact of `pipeline` on the fixture above; label and
-# index do not depend on the mode
+# index do not depend on the mode, and run only in rapt and ncrapt
 _SHARED_DIGESTS = {
     "labeled.jsonl": "e282a90b9da6de513a94847e0d8e026b07368ad3bcfd8eaf4e3941413271b08d",
     "labeled_meta.json": "2548aae3186c8a5ace01f8f26e0ee353e4292c6734c27da11abd9fe21189dff1",
@@ -703,8 +725,11 @@ def test_pipeline_outputs_keep_their_bytes(data_dir, capsys, flags, digests):
         "pipeline", "--train", data_dir / "train.jsonl",
         "--test", data_dir / "test.jsonl", "--out", out, *flags,
     ]) == 0
+    retrieval = flags[flags.index("--mode") + 1] in ("rapt", "ncrapt")
+    shared = _SHARED_DIGESTS if retrieval else {}
     found = {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in {**_SHARED_DIGESTS, **digests}
+        for name in {**shared, **digests}
     }
-    assert found == {**_SHARED_DIGESTS, **digests}
+    assert found == {**shared, **digests}
+    assert [name for name in _SHARED_DIGESTS if (out / name).exists()] == list(shared)
