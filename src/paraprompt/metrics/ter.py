@@ -23,6 +23,22 @@ no length limit. The reference is fixed for the whole greedy search, so
 prefix ``cur[:min(start, dest)]`` with the current hypothesis, so each
 round records the column state after every prefix of ``cur`` and resumes
 each candidate from it, stepping only through the moved suffix.
+
+Each round scores only the shifts that can still win, and picks the
+same shift as scoring them all, since every cut below is exact:
+
+- Blocks start only at the ``(i, j)`` with ``cur[i] == ref[j]``, found
+  through a map from each token to its reference positions.
+- Moving a block of ``L`` tokens past ``D`` others (``D`` taken to the
+  clamped destination) is at most ``2 * min(L, D)`` edits from ``cur``:
+  re-insert the block or the tokens it passes. By the triangle
+  inequality no shift lowers the distance by more. No sequence of
+  ``cur``'s length is closer to ``ref`` than the length gap ``|n - m|``,
+  which caps the reduction at ``dist - |n - m|`` too. Candidates are
+  scored by falling bound, and a round ends at the first bound that can
+  neither beat the best reduction found nor tie it and out-rank it.
+- Shifts keep the length, so the search stops once ``dist`` reaches the
+  length gap.
 """
 
 from __future__ import annotations
@@ -91,40 +107,6 @@ def levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     return _advance(_match_table(b), len(b), a, _first_column(len(b)))[2]
 
 
-def _matching_blocks(
-    hyp: list[str], ref: Sequence[str], max_block: int
-) -> list[tuple[int, int, int]]:
-    """All (hyp_start, ref_start, length) with hyp[i:i+l] == ref[j:j+l].
-
-    Only maximal runs are extended token by token; every prefix length of a
-    run is a candidate block, since a shorter shift is sometimes the better
-    one.
-    """
-    out = []
-    for i in range(len(hyp)):
-        for j in range(len(ref)):
-            if i == j and hyp[i] == ref[j]:
-                # Already aligned at this offset; moving it there is a no-op.
-                continue
-            length = 0
-            while (
-                i + length < len(hyp)
-                and j + length < len(ref)
-                and length < max_block
-                and hyp[i + length] == ref[j + length]
-            ):
-                length += 1
-                out.append((i, j, length))
-    return out
-
-
-def _apply_shift(hyp: list[str], start: int, length: int, dest: int) -> list[str]:
-    block = hyp[start : start + length]
-    rest = hyp[:start] + hyp[start + length :]
-    dest = min(dest, len(rest))
-    return rest[:dest] + block + rest[dest:]
-
-
 @dataclass(frozen=True)
 class TerResult:
     edits: int
@@ -148,34 +130,69 @@ def ter_detail(
     ref = list(reference)
     dist = levenshtein(cur, ref)
     table = _match_table(ref)
+    n = len(cur)
     ref_len = len(ref)
+    positions: dict[str, list[int]] = {}
+    for pos, tok in enumerate(ref):
+        positions.setdefault(tok, []).append(pos)
+    floor = abs(n - ref_len)
     shifts = 0
-    while dist > 0:
+    while dist > floor:
+        # (-bound, start, -length, dest): falling bound, then tie-break order.
+        candidates = []
+        for start, tok in enumerate(cur):
+            for dest in positions.get(tok, ()):
+                if dest == start:
+                    # Already aligned at this offset; moving it there is a no-op.
+                    continue
+                length = 0
+                while (
+                    start + length < n
+                    and dest + length < ref_len
+                    and length < max_block
+                    and cur[start + length] == ref[dest + length]
+                ):
+                    length += 1
+                    passed = abs(min(dest, n - length) - start)
+                    bound = min(2 * min(length, passed), dist - floor)
+                    if bound > 0:
+                        candidates.append((-bound, start, -length, dest))
+        if not candidates:
+            break
+        candidates.sort()
         # prefix[p] is the column after cur[:p].
         prefix = [_first_column(ref_len)]
         _advance(table, ref_len, cur, prefix[0], prefix)
         # (reduction, -start, length, -dest): max picks the largest
         # reduction, then leftmost start, longest block, leftmost dest.
         best_key = None
-        best_seq = None
-        best_dist = None
-        for start, dest, length in _matching_blocks(cur, ref, max_block):
-            cand = _apply_shift(cur, start, length, dest)
-            # cand[:shared] == cur[:shared]; dest is clamped to
-            # len(cur) - length >= start, which leaves the min unchanged.
-            shared = min(start, dest)
-            cand_dist = _advance(table, ref_len, cand[shared:], prefix[shared])[2]
+        for neg_bound, start, neg_length, dest in candidates:
+            if best_key is not None and (-neg_bound, -start, -neg_length, -dest) < best_key:
+                # Every later candidate has a lower bound, or the same
+                # bound and a worse tie-break, so none can overtake.
+                break
+            length = -neg_length
+            # dest is clamped to len(cur) - length; the shifted sequence
+            # shares cur[:min(start, at)] with cur.
+            at = min(dest, n - length)
+            block = cur[start : start + length]
+            if at > start:
+                shared = start
+                suffix = cur[start + length : at + length] + block + cur[at + length :]
+            else:
+                shared = at
+                suffix = block + cur[at:start] + cur[start + length :]
+            cand_dist = _advance(table, ref_len, suffix, prefix[shared])[2]
             if cand_dist >= dist:
                 continue
             key = (dist - cand_dist, -start, length, -dest)
             if best_key is None or key > best_key:
                 best_key = key
-                best_seq = cand
-                best_dist = cand_dist
-        if best_seq is None:
+                best_seq = cur[:shared] + suffix
+        if best_key is None:
             break
         cur = best_seq
-        dist = best_dist
+        dist -= best_key[0]
         shifts += 1
     return TerResult(edits=shifts + dist, shifts=shifts, reference_length=len(ref))
 

@@ -1,10 +1,20 @@
+import importlib
 import random
 
 import pytest
 
-from paraprompt.metrics import levenshtein, self_ter, ter, ter_detail
+from paraprompt.metrics import MAX_SHIFT_BLOCK, levenshtein, self_ter, ter, ter_detail
 
-from oracles import exhaustive_min_ter, greedy_ter_dp, lev_recursive, levenshtein_dp
+from oracles import (
+    _matching_blocks,
+    exhaustive_min_ter,
+    greedy_ter_dp,
+    lev_recursive,
+    levenshtein_dp,
+)
+
+# ``paraprompt.metrics.ter`` as an attribute is the function, not the module.
+ter_module = importlib.import_module("paraprompt.metrics.ter")
 
 ALPHABET = ["a", "b", "c", "d", "e"]
 
@@ -107,6 +117,65 @@ def test_greedy_matches_dp_engine_on_long_pairs():
     assert wide >= 50
 
 
+def test_pruned_search_scores_fewer_candidates_than_it_enumerates(monkeypatch):
+    # Each round opens with one _advance call over the whole hypothesis
+    # that records the prefix columns; every other call scores one
+    # candidate, except the opening levenshtein of each pair.
+    advance = ter_module._advance
+    rounds = []
+    plain_calls = 0
+
+    def counting(table, ref_len, tokens, column, trail=None):
+        nonlocal plain_calls
+        if trail is None:
+            plain_calls += 1
+        else:
+            rounds.append(list(tokens))
+        return advance(table, ref_len, tokens, column, trail)
+
+    monkeypatch.setattr(ter_module, "_advance", counting)
+    rng = random.Random(29)
+    scored = enumerated = 0
+    for _ in range(300):
+        hyp, ref = _long_pair(rng)
+        rounds.clear()
+        plain_calls = 0
+        ter_detail(hyp, ref)
+        scored += plain_calls - 1
+        enumerated += sum(len(_matching_blocks(cur, ref, MAX_SHIFT_BLOCK)) for cur in rounds)
+    # The unpruned search scores every enumerated block; the bound-ordered
+    # search scored 57% of them here.
+    assert enumerated > 5000
+    assert scored < 0.75 * enumerated
+
+
+# Hand-built pairs for the cuts of the pruned shift search. A candidate's
+# bound is 2 * min(block length, distance to its clamped destination),
+# capped at the distance minus the length gap.
+@pytest.mark.parametrize("hyp, ref, expected", [
+    # Round one: "c d" at 0 moved to 3 (bound 4) and "c d c" moved to 1
+    # (bound 2) both save 2; the longer block wins and a second shift
+    # follows.
+    pytest.param("c d c c a b d", "c c d c d e e", (4, 2), id="tie-longer-block-sorted-later"),
+    # Round one: the 2-token block at 0 saves 2 moved to 3 (bound 4) and
+    # moved to 1 (bound 2); the leftmost destination wins and a second
+    # shift follows.
+    pytest.param("a b c c c b", "c a b a b a", (4, 2), id="tie-nearer-dest-sorted-later"),
+    pytest.param("c d a b d d", "a c d c d b", (3, 2), id="tie-nearer-dest-sorted-later-2"),
+    # One deletion away, so no length-keeping shift helps; "the" and
+    # "dog" still match reference spans elsewhere.
+    pytest.param("the cat saw the dog", "the cat saw dog", (1, 0), id="distance-at-length-gap"),
+    # "a b" at 1 matches the reference at 3, past len(hyp) - 2, so it lands
+    # at 2: one position moved, a bound of 2, met exactly.
+    pytest.param("a a b b", "c b c a b", (3, 1), id="clamped-destination"),
+])
+def test_pruning_edge_cases_match_dp_engine(hyp, ref, expected):
+    hyp, ref = hyp.split(), ref.split()
+    detail = ter_detail(hyp, ref)
+    assert detail == greedy_ter_dp(hyp, ref)
+    assert (detail.edits, detail.shifts) == expected
+
+
 FUNCTION_WORDS = ("the", "a", "to", "of", "in", "for", "is", "my")
 # (rotate a block to the front, deleted, inserted, substituted word shares)
 EDIT_KINDS = {
@@ -205,3 +274,4 @@ def test_self_ter_skips_empty_sources():
 def test_self_ter_empty_corpus_rejected():
     with pytest.raises(ValueError):
         self_ter([])
+
