@@ -197,18 +197,16 @@ def cmd_index(config: PipelineConfig) -> int:
 
 def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
     """The index over ``embeddings.bin``, its pairs read from the train file
-    through ``train_rows.bin`` (see ``dataio.TrainFile``)."""
+    through ``train_rows.jsonl`` (see ``dataio.index_pairs``)."""
     from . import retrieval
+    train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
     emb_path = out_dir / "embeddings.bin"
-    ids_path = out_dir / "embeddings.ids.jsonl"
-    train = dataio.TrainFile(
-        _require(config, "train_path", "--train"), config.data_format, out_dir / "train_rows.bin", ids_path
-    )
     if not emb_path.exists():
         raise dataio.DataFormatError(emb_path, None, "embedding file missing; run the index command first")
-    ids, matrix = retrieval.load_embeddings_binary(emb_path, ids_path)
-    return retrieval.RetrievalIndex(ids, matrix, train.pair_lookup(ids, emb_path))
+    ids, matrix = retrieval.load_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl")
+    pair_of = dataio.index_pairs(train_path, config.data_format, ids, out_dir / "train_rows.jsonl", emb_path)
+    return retrieval.RetrievalIndex(ids, matrix, pair_of)
 
 
 def _novelty_by_id(config: PipelineConfig) -> dict[str, novelty.NoveltyClass]:

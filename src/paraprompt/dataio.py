@@ -7,10 +7,11 @@ UTF-8; a BOM is tolerated on read and never written.
 Every JSONL reader goes through ``_jsonl_values``, which accepts exactly
 what ``json.loads`` accepts on each line and raises its messages.
 
-``generate`` reads the train file through ``TrainFile``: a full, validated
-``load_pairs`` that records in a ``RowTable`` where each index row's pair
-sits, and, while the table's digests match the train file and the id
-sidecar, a parse of only the lines of the rows that retrieval returns.
+Text that is not UTF-8, or a ``\\u`` escape of a lone surrogate, is a
+``DataFormatError``, so every text read can be written back.
+
+``generate`` reads the index rows' pairs through ``index_pairs``, which
+keeps them, validated, under a seal over the digests of their inputs.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ import hashlib
 import io
 import json
 import os
-import struct
-import sys
 import tempfile
-from array import array
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -70,8 +69,6 @@ class ParaphrasePair:
 class DatasetSplit:
     name: str
     pairs: list[ParaphrasePair]
-    # the 1-based file line of each pair, as ``load_pairs`` read it
-    lines: list[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -82,6 +79,15 @@ _ENCODING = "utf-8-sig"  # transparently strips a BOM if present
 
 def _open_text(path: str | Path):
     return open(path, "r", encoding=_ENCODING)
+
+
+def _numbered_lines(path: str | Path, fh) -> Iterator[tuple[int, str]]:
+    """(1-based line number, line) for each line of ``path``, open as
+    ``fh``; bytes that are not UTF-8 are a ``DataFormatError``."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as err:
+        raise DataFormatError(path, None, f"not UTF-8 text ({err.reason})") from None
 
 
 # The whitespace json.loads skips around a value.
@@ -102,7 +108,8 @@ def _jsonl_values(
     message. A value with only JSON whitespace around it is scanned in
     place; any other line is handed to ``json.loads`` itself, so the BOM
     message and the error for, say, an unterminated string before a
-    trailing tab stay json's own.
+    trailing tab stay json's own. A ``\\u`` escape of a lone surrogate,
+    which no UTF-8 file can hold, is a ``DataFormatError`` too.
     """
     for lineno, line in numbered_lines:
         text = line.strip(_JSON_SPACE)
@@ -110,14 +117,21 @@ def _jsonl_values(
             value, end = _scan_once(text, 0)
         except (StopIteration, json.JSONDecodeError):
             end = -1
-        if end == len(text):
-            yield lineno, value
-        elif line and not line.isspace():
+        if end != len(text):
+            if not line or line.isspace():
+                continue
             try:
                 value = json.loads(line.strip() if strip else line.rstrip("\n"))
             except json.JSONDecodeError as err:
                 raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-            yield lineno, value
+        # only a \u escape can decode to a surrogate
+        if "\\u" in line:
+            try:
+                _encode_row(value).encode("utf-8")
+            except UnicodeEncodeError:
+                raise DataFormatError(path, lineno, "a \\u escape names a lone surrogate, "
+                                      "which is not text") from None
+        yield lineno, value
 
 
 def id_text(path: str | Path, lineno: int, value: object) -> str:
@@ -148,35 +162,24 @@ def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") ->
     """
     fmt = data_format(path, fmt)
     pairs: list[ParaphrasePair] = []
-    lines: list[int] = []
     seen: set[str] = set()
     with _open_text(path) as fh:
-        for lineno, pair in _pairs(path, enumerate(fh, start=1), fmt):
+        for lineno, pair in _pairs(path, _numbered_lines(path, fh), fmt):
             if pair.id in seen:
                 raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
             seen.add(pair.id)
             pairs.append(pair)
-            lines.append(lineno)
-    return DatasetSplit(name=name, pairs=pairs, lines=lines)
-
-
-def pair_from_line(
-    path: str | Path, lineno: int, line: str, fmt: str, position: int
-) -> ParaphrasePair | None:
-    """The pair on one line of a dataset file, read as ``load_pairs`` reads
-    it, or None for a blank line; ``position`` is the number of pairs above
-    the line."""
-    return next((pair for _, pair in _pairs(path, [(lineno, line)], fmt, position)), None)
+    return DatasetSplit(name=name, pairs=pairs)
 
 
 def _pairs(
-    path: str | Path, numbered_lines: Iterable[tuple[int, str]], fmt: str, position: int = 0
+    path: str | Path, numbered_lines: Iterable[tuple[int, str]], fmt: str
 ) -> Iterator[tuple[int, ParaphrasePair]]:
     """(1-based line number, pair) for each non-blank line of a dataset
-    file, given as (line number, line) with each line's newline kept or
-    not. ``position`` is the first pair's position among the file's pairs,
-    which names a pair that has no id. A malformed line is a
-    ``DataFormatError``."""
+    file, given as (line number, line) with each line's newline kept. A
+    pair with no id is named by its position among the file's pairs. A
+    malformed line is a ``DataFormatError``."""
+    position = 0
     if fmt == "tsv":
         for lineno, raw in numbered_lines:
             line = raw.rstrip("\n").rstrip("\r")
@@ -304,7 +307,7 @@ def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tu
     file; each object must carry the ``required`` keys."""
     keys = frozenset(required)
     with _open_text(path) as fh:
-        for lineno, obj in _jsonl_values(path, enumerate(fh, start=1), strip=True):
+        for lineno, obj in _jsonl_values(path, _numbered_lines(path, fh), strip=True):
             if not isinstance(obj, dict) or not obj.keys() >= keys:
                 raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
             yield lineno, obj
@@ -344,144 +347,52 @@ def file_sha256(path: str | Path) -> bytes | None:
     return digest.digest()
 
 
-def _lines_if_sha256(path: str | Path, want: bytes) -> tuple[bytes | None, list[str] | None]:
-    """The sha256 of a file (None when it cannot be read) and, when that is
-    ``want``, the file's lines without their newlines, decoded from the same
-    bytes as ``load_pairs`` decodes the file (utf-8-sig, universal
-    newlines); else None for the lines."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError:
-        return None, None
-    digest = hashlib.sha256(data).digest()
-    if digest != want:
-        return digest, None
-    try:
-        text = io.TextIOWrapper(io.BytesIO(data), encoding=_ENCODING).read()
-    except UnicodeDecodeError:
-        return digest, None
-    del data
-    return digest, text.split("\n")
+# The layout of ``train_rows.jsonl``, hashed into its seal
+_TRAIN_ROWS_VERSION = b"paraprompt train_rows 1"
 
 
-_ROW_TABLE_MAGIC = b"PPROWTAB"
-_ROW_TABLE_VERSION = 1
-# magic, version, row count, data format, then the sha256 of the train
-# file, of the id sidecar and of the table's own body
-_ROW_TABLE_HEADER = struct.Struct("<8sII8s32s32s32s")
+def index_pairs(
+    train_path: str | Path, fmt: str | None, ids: Sequence[str], cache_path: str | Path, emb_path: Path
+) -> Callable[[int], ParaphrasePair]:
+    """Row -> pair for an index whose rows, those of ``emb_path``, have the
+    train ids ``ids``, read through the cache file ``cache_path``.
 
-
-@dataclass(frozen=True)
-class RowTable:
-    """Where each index row's pair sits in the train file: its 1-based line
-    and its position among the file's pairs, which names a pair that has
-    no id. It holds for the data format and the two files whose sha256 it
-    records. Stored little-endian: the header, then every line, then every
-    position, as u32."""
-
-    data_format: str
-    train_sha256: bytes
-    ids_sha256: bytes
-    lines: Sequence[int]
-    positions: Sequence[int]
-
-    @classmethod
-    def read(cls, path: str | Path) -> RowTable | None:
-        """The table in ``path``; None when there is none or it is not a
-        whole, intact table of this version."""
-        try:
-            data = Path(path).read_bytes()
-        except OSError:
-            return None
-        if len(data) < _ROW_TABLE_HEADER.size:
-            return None
-        magic, version, count, fmt, train, ids, body_sha256 = _ROW_TABLE_HEADER.unpack_from(data)
-        fmt = fmt.rstrip(b"\0").decode("ascii", "replace")
-        body = data[_ROW_TABLE_HEADER.size :]
-        if (magic, version) != (_ROW_TABLE_MAGIC, _ROW_TABLE_VERSION) or fmt not in DATA_FORMATS \
-                or len(body) != 8 * count or hashlib.sha256(body).digest() != body_sha256:
-            return None
-        numbers = array("I", body)
-        if sys.byteorder == "big":
-            numbers.byteswap()
-        return cls(fmt, train, ids, numbers[:count], numbers[count:])
-
-    def write(self, path: str | Path) -> None:
-        numbers = array("I", self.lines)
-        numbers.extend(self.positions)
-        if sys.byteorder == "big":
-            numbers.byteswap()
-        body = numbers.tobytes()
-        header = _ROW_TABLE_HEADER.pack(
-            _ROW_TABLE_MAGIC, _ROW_TABLE_VERSION, len(self.lines), self.data_format.encode(),
-            self.train_sha256, self.ids_sha256, hashlib.sha256(body).digest(),
-        )
-        _atomic_write(path, header + body, "wb")
-
-    def fits(self, count: int, line_count: int) -> bool:
-        """Whether the table has ``count`` rows, each on one of ``line_count`` lines."""
-        return len(self.lines) == count and (count == 0 or (
-            min(self.lines) >= 1 and max(self.lines) <= line_count and max(self.positions) < line_count))
-
-
-class TrainFile:
-    """The train file as ``generate`` reads it, with a ``RowTable`` as its
-    cache: one writer, after the full validation, and one reader.
-
-    A table whose format and digests equal those of this run's train file
-    and id sidecar stands for bytes that ``load_pairs`` and the unknown-id
-    check have already accepted, so nothing is parsed up front; a row's
-    pair is parsed from its line when the row is returned, and its id
-    checked against the sidecar's. Any other table is a miss: ``load_pairs``
-    runs here, with its messages, and the table is rewritten once the
-    index's ids are checked. A check that fails after a hit is a miss too.
+    The cache's first line is its seal: the hex sha256 over the layout
+    version, the data format, the sha256 of the train file and of the
+    parsed ids, and the body, which holds one ASCII-escaped ``[source,
+    target]`` array per index row. While the seal holds, only the rows
+    asked for are parsed; otherwise ``load_pairs`` reads the train file,
+    every id is looked up in it, and the cache is rewritten.
     """
-
-    def __init__(self, path: str | Path, fmt: str | None, table_path: Path, ids_path: Path) -> None:
-        self.path = path
-        self.fmt = data_format(path, fmt)
-        self._table_path = table_path
-        self._table = table = RowTable.read(table_path)
-        self._ids_sha256 = file_sha256(ids_path)
-        if table is not None and (table.data_format, table.ids_sha256) == (self.fmt, self._ids_sha256):
-            self._sha256, self._lines = _lines_if_sha256(path, table.train_sha256)
-        else:
-            # hashed before it is parsed, so a file changed in between has another digest
-            self._sha256, self._lines = file_sha256(path), None
-        self._split = None if self._lines is not None else load_pairs(path, self.fmt, "train")
-
-    def pair_lookup(self, ids: Sequence[str], emb_path: Path) -> Callable[[int], ParaphrasePair]:
-        """Row -> pair for an index over ``ids``, the rows of ``emb_path``."""
-        table, lines = self._table, self._lines
-        if lines is None or not table.fits(len(ids), len(lines)):
-            return self._validated(ids, emb_path).__getitem__
-        validated: list[ParaphrasePair] = []
-
+    fmt = data_format(train_path, fmt)
+    # hashed before it is parsed, so a file changed in between has another digest
+    train_sha256 = file_sha256(train_path)
+    key = hashlib.sha256(b"%s\0%s\0" % (_TRAIN_ROWS_VERSION, fmt.encode()))
+    key.update(train_sha256 or b"")
+    key.update(hashlib.sha256(json.dumps(ids).encode()).digest())
+    try:
+        data = Path(cache_path).read_bytes()
+    except OSError:
+        data = b""
+    # the seal, one line per row, and the empty text after the last newline
+    lines = data.split(b"\n")
+    sealed = key.copy()
+    sealed.update(memoryview(data)[len(lines[0]) + 1 :])
+    if train_sha256 is not None and len(lines) == len(ids) + 2 and lines[0] == sealed.hexdigest().encode():
         def pair_of(row: int) -> ParaphrasePair:
-            if not validated:
-                lineno = table.lines[row]
-                try:
-                    pair = pair_from_line(self.path, lineno, lines[lineno - 1], self.fmt, table.positions[row])
-                except DataFormatError:
-                    pair = None
-                if pair is not None and pair.id == ids[row]:
-                    return pair
-                validated.extend(self._validated(ids, emb_path))
-            return validated[row]
+            source, target = json.loads(lines[row + 1])
+            return ParaphrasePair(ids[row], source, target)
 
         return pair_of
-
-    def _validated(self, ids: Sequence[str], emb_path: Path) -> list[ParaphrasePair]:
-        """The pairs of ``ids`` from the full load, which writes the table."""
-        if self._split is None:
-            self._split = load_pairs(self.path, self.fmt, "train")
-        split = self._split
-        position = dict(zip([pair.id for pair in split.pairs], range(len(split))))
-        rows = list(map(position.get, ids))
-        if None in rows:
-            raise DataFormatError(emb_path, None, "embeddings reference unknown train ids "
-                                  f"(first: {ids[rows.index(None)]!r})")
-        if self._sha256 is not None and self._ids_sha256 is not None:
-            RowTable(self.fmt, self._sha256, self._ids_sha256,
-                     list(map(split.lines.__getitem__, rows)), rows).write(self._table_path)
-        return list(map(split.pairs.__getitem__, rows))
+    by_id = {pair.id: pair for pair in load_pairs(train_path, fmt, "train").pairs}
+    pairs = list(map(by_id.get, ids))
+    if None in pairs:
+        raise DataFormatError(emb_path, None, "embeddings reference unknown train ids "
+                              f"(first: {ids[pairs.index(None)]!r})")
+    if train_sha256 is not None:
+        body = "".join(
+            f"[{encode_basestring_ascii(p.source)}, {encode_basestring_ascii(p.target)}]\n" for p in pairs
+        ).encode("ascii")
+        key.update(body)
+        _atomic_write(cache_path, key.hexdigest().encode() + b"\n" + body, "wb")
+    return pairs.__getitem__

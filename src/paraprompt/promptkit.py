@@ -351,12 +351,6 @@ class LayoutLength:
     decode_budget: int
 
 
-class LayoutLengthError(RuntimeError):
-    def __init__(self, segment_index: int, cause: Exception) -> None:
-        super().__init__(f"token counter failed on segment {segment_index}: {cause}")
-        self.segment_index = segment_index
-
-
 def layout_length(
     layout: PromptLayout, token_counter: Callable[[str], int]
 ) -> LayoutLength:
@@ -366,15 +360,12 @@ def layout_length(
     tokens beyond the prompt.
     """
     n = 0
-    for i, segment in enumerate(layout.segments):
+    for segment in layout.segments:
         if segment.slots is not None:
             n += len(segment.slots)
             continue
         text = segment.literal if segment.literal is not None else render(segment.tokens or ())
-        try:
-            n += int(token_counter(text))
-        except Exception as err:
-            raise LayoutLengthError(i, err) from err
+        n += int(token_counter(text))
     return LayoutLength(prompt_tokens=n, decode_budget=n + DECODE_MARGIN)
 
 

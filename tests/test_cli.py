@@ -337,6 +337,33 @@ def test_non_string_dataset_fields_are_a_data_error(data_dir, capsys, row):
     assert not (data_dir / "out" / "labeled.jsonl").exists()
 
 
+def test_text_that_is_not_utf8_is_a_data_error(data_dir, capsys):
+    train = data_dir / "latin1.jsonl"
+    train.write_bytes(b'{"id": "a", "source": "caf\xe9", "target": "cafe"}\n')
+    tsv = data_dir / "latin1.tsv"
+    tsv.write_bytes(b"caf\xe9\tcafe\n")
+    for path, args in ((train, ["label", "--out", data_dir / "out"]), (tsv, ["validate"])):
+        capsys.readouterr()
+        assert run([*args, "--train", path]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
+    assert not (data_dir / "out" / "labeled.jsonl").exists()
+
+
+def test_a_lone_surrogate_escape_is_a_data_error(data_dir, capsys):
+    bad = data_dir / "surrogate.jsonl"
+    bad.write_text('{"id": "a", "source": "how do i learn python"}\n'
+                   '{"id": "b", "source": "caf\\ud800", "target": "cafe"}\n', encoding="utf-8")
+    out = data_dir / "out"
+    for args in (["label", "--train", bad], ["index", "--train", bad],
+                 ["generate", "--mode", "copy", "--test", bad]):
+        capsys.readouterr()
+        assert run([*args, "--out", out]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {bad}:2: a \\u escape names a lone surrogate, which is not text\n"
+        )
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_embeddings_of_an_unknown_train_id_are_a_data_error(data_dir, capsys):
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from paraprompt.dataio import (
     write_jsonl,
     write_pairs,
 )
+from paraprompt.novelty import load_labeled
 
 
 def test_pair_requires_source():
@@ -185,7 +187,6 @@ def _outcome(read, path):
 def test_jsonl_readers_match_per_line_json_loads(tmp_path):
     """Each reader returns what the former json.loads-per-line reader
     returned, or raises the same message on the same line."""
-    path = tmp_path / "case.jsonl"
     readers = [
         (lambda p: load_pairs(p, "jsonl").pairs, load_pairs_per_line),
         (lambda p: load_jsonl_objects(p, ("source",)),
@@ -194,7 +195,9 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
     ]
     rng = random.Random(20240607)
     seen = set()
-    for _ in range(300):
+    for i in range(300):
+        # a fresh name each time: rewriting one file stalls on some file systems
+        path = tmp_path / f"case{i}.jsonl"
         path.write_bytes(_jsonl_case(rng))
         for read, oracle in readers:
             want = _outcome(oracle, path)
@@ -213,6 +216,33 @@ def test_load_jsonl_objects_accepts_unicode_space_around_a_value(tmp_path):
     assert load_jsonl_objects(path, ("id",)) == [{"id": "a"}]
     with pytest.raises(DataFormatError, match=r":1: invalid JSON: Expecting value"):
         load_pairs(path)
+
+
+READERS = {
+    "pairs": lambda path: load_pairs(path, "jsonl"),
+    "tsv pairs": lambda path: load_pairs(path, "tsv"),
+    "ids": load_ids,
+    "generations": load_generations,
+    "labels": load_labeled,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, reader):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"id": "a", "source": "s", "output": "o"}\n{"id": "caf\xe9"}\n')
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        READERS[reader](path)
+
+
+@pytest.mark.parametrize("reader", sorted(set(READERS) - {"tsv pairs"}))
+def test_readers_refuse_a_lone_surrogate_escape(tmp_path, reader):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"id": "\\ud83d\\ude00", "source": "s", "target": "t", "output": "o", '
+                    '"ter": 0.5, "class": "medium"}\n'
+                    '{"id": "b", "source": "s", "output": "\\\\ud800 x\\udfff"}\n', encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r":2: a \\u escape names a lone surrogate"):
+        READERS[reader](path)
 
 
 def test_write_jsonl_matches_json_dumps_per_row(tmp_path):

@@ -220,16 +220,6 @@ def test_layout_length_manual():
     assert length.decode_budget == 103
 
 
-def test_layout_length_propagates_counter_failure():
-    layout = assemble_manual(("hello",))
-
-    def broken(text):
-        raise RuntimeError("boom")
-
-    with pytest.raises(Exception, match="segment 0"):
-        layout_length(layout, broken)
-
-
 def test_budget_drops_least_similar_first():
     exs = examples(3, (None, None, None))
     assemble = lambda kept: assemble_exemplar(X, kept, SlotSpec(class_prefix_len=1, infix_len=1))

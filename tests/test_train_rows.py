@@ -1,8 +1,8 @@
-"""``generate`` reads the train file through ``train_rows.bin``: a cold run
-(no table) does the full validation and writes the table, a warm run
-parses only the lines of the rows it retrieves. Outputs must not depend
-on which of the two ran, and a table that does not fit its inputs is
-rebuilt, never trusted and never an error."""
+"""``generate`` reads the index rows' pairs through ``train_rows.jsonl``: a
+cold run (no cache) does the full validation and writes the cache, a warm
+run parses only the cached rows it retrieves. Outputs must not depend on
+which of the two ran, and a cache whose seal does not hold is rebuilt,
+never trusted and never an error."""
 
 import hashlib
 import json
@@ -28,11 +28,24 @@ QUERIES = [
 ]
 K = 2
 BLANK_SOURCE = {"id": "blank", "source": "   ", "target": "nothing"}
+EMOJI = "\U0001f600"
+# non-ASCII text, U+2028, a tab, a quote, a backslash and an emoji
+UNICODE_ROWS = [
+    dict(row, source=row["source"] + " caf\u00e9", target=row["target"] + f' \u2028 \t "q" \\ {EMOJI}')
+    for row in ROWS
+]
 
 
 def _jsonl(rows, ids=True, newline="\n"):
     return "".join(
         json.dumps(row if ids else {k: v for k, v in row.items() if k != "id"}) + newline for row in rows
+    ).encode("utf-8")
+
+
+def _jsonl_unicode(rows):
+    """Rows with their non-ASCII text raw and the emoji as a surrogate-pair escape."""
+    return "".join(
+        json.dumps(row, ensure_ascii=False).replace(EMOJI, "\\ud83d\\ude00") + "\n" for row in rows
     ).encode("utf-8")
 
 
@@ -58,11 +71,11 @@ CASES = {
     "crlf": ("train.jsonl", lambda rows: _jsonl(rows, ids=False, newline="\r\n"), ROWS),
     "lone-cr": ("train.jsonl", lambda rows: _jsonl(rows, newline="\r"), ROWS),
     "bom": ("train.jsonl", lambda rows: b"\xef\xbb\xbf" + _jsonl(rows, ids=False), ROWS),
+    "unicode": ("train.jsonl", _jsonl_unicode, UNICODE_ROWS),
 }
 
 # sha256 of generations.jsonl from `index` then `generate --mode rapt --k 2`
-# on each case, as written by the full load of the train file that every
-# run made before the row table existed
+# on each case, as written by a full load of the train file
 GENERATIONS_SHA256 = {
     "jsonl-ids": "b9fdef432c29ac2fa642de375ed57c180ed7bf44a139e1aa363c1f52f8761df4",
     "jsonl-no-ids": "41031e751e1ab2a059d0aaf8e6f31813642f3d306f3b0747995d565d1702b4a7",
@@ -73,6 +86,7 @@ GENERATIONS_SHA256 = {
     "crlf": "41031e751e1ab2a059d0aaf8e6f31813642f3d306f3b0747995d565d1702b4a7",
     "lone-cr": "b9fdef432c29ac2fa642de375ed57c180ed7bf44a139e1aa363c1f52f8761df4",
     "bom": "41031e751e1ab2a059d0aaf8e6f31813642f3d306f3b0747995d565d1702b4a7",
+    "unicode": "650f329651cb5e4779bee8d6b1d10275481f1123e43297856e1c5da248a590ae",
 }
 
 
@@ -85,7 +99,7 @@ class Run:
         self.train = tmp_path / name
         self.test = tmp_path / "test.jsonl"
         self.out = tmp_path / "out"
-        self.table = self.out / "train_rows.bin"
+        self.cache = self.out / "train_rows.jsonl"
         self.capsys = capsys
         self.train.write_bytes(self.write(self.rows))
         self.test.write_bytes(_jsonl(QUERIES))
@@ -100,8 +114,8 @@ class Run:
         return code, self.capsys.readouterr().err, generations.read_bytes() if generations.exists() else None
 
     def cold(self, *extra):
-        """A run with no table, the full load's outcome."""
-        self.table.unlink(missing_ok=True)
+        """A run with no cache, the full load's outcome."""
+        self.cache.unlink(missing_ok=True)
         return self.generate(*extra)
 
 
@@ -114,30 +128,49 @@ def case(request, tmp_path, capsys):
     return Run(tmp_path, request.param, capsys), request.param
 
 
-def test_cold_and_warm_runs_write_the_same_bytes(case, monkeypatch):
-    run, name = case
-    code, err, cold = run.cold()
-    assert (code, err, _sha256(cold)) == (0, "", GENERATIONS_SHA256[name])
-    table = run.table.read_bytes()
-
-    loaded, parsed = [], []
-    load_pairs, pair_from_line = dataio.load_pairs, dataio.pair_from_line
+def _record_reads(monkeypatch):
+    """The paths ``load_pairs`` reads and the ids of the pairs built, as lists
+    that fill while the patch holds."""
+    loaded, built = [], []
+    load_pairs = dataio.load_pairs
 
     def recording_load(path, *args):
         loaded.append(str(path))
         return load_pairs(path, *args)
 
-    def recording_parse(path, *args):
-        if str(path) == str(run.train):
-            parsed.append(args[0])
-        return pair_from_line(path, *args)
+    class RecordingPair(dataio.ParaphrasePair):
+        def __post_init__(self):
+            built.append(self.id)
+            super().__post_init__()
 
     monkeypatch.setattr(dataio, "load_pairs", recording_load)
-    monkeypatch.setattr(dataio, "pair_from_line", recording_parse)
+    monkeypatch.setattr(dataio, "ParaphrasePair", RecordingPair)
+    return loaded, built
+
+
+def test_cold_and_warm_runs_write_the_same_bytes(case, monkeypatch):
+    run, name = case
+    code, err, cold = run.cold()
+    assert (code, err, _sha256(cold)) == (0, "", GENERATIONS_SHA256[name])
+    cache = run.cache.read_bytes()
+
+    loaded, built = _record_reads(monkeypatch)
     assert run.generate() == (0, "", cold)
     assert loaded == [str(run.test)]
-    assert 0 < len(parsed) <= K * len(QUERIES)
-    assert run.table.read_bytes() == table
+    train_built = [pair_id for pair_id in built if pair_id not in {q["id"] for q in QUERIES}]
+    assert 0 < len(train_built) <= K * len(QUERIES)
+    assert run.cache.read_bytes() == cache
+
+
+def test_a_warm_read_returns_the_pairs_of_a_full_load(case, monkeypatch):
+    run, _ = case
+    assert run.cold()[0] == 0
+    ids = dataio.load_ids(run.out / "embeddings.ids.jsonl")
+    by_id = {pair.id: pair for pair in dataio.load_pairs(run.train).pairs}
+    # a warm read parses nothing but the cache
+    monkeypatch.setattr(dataio, "load_pairs", None)
+    pair_of = dataio.index_pairs(run.train, None, ids, run.cache, run.out / "embeddings.bin")
+    assert [pair_of(row) for row in range(len(ids))] == [by_id[pair_id] for pair_id in ids]
 
 
 def _changed_text(rows):
@@ -165,21 +198,37 @@ def test_an_edited_train_file_is_read_in_full(case, edit):
         assert stale[0] == 2 and stale[1].startswith("data error:") and stale[2] is None
 
 
-def _lines_reversed(data, count):
-    """The table with the rows' line numbers in reverse order: each in
-    range, but no longer the body its header's digest names."""
-    start = len(data) - 8 * count
-    lines = [data[i : i + 4] for i in range(start, start + 4 * count, 4)]
-    return data[:start] + b"".join(reversed(lines)) + data[start + 4 * count :]
+def _lines_reversed(run, data):
+    """The body's rows in reverse order, each still a valid row."""
+    seal, body = data.split(b"\n", 1)
+    return seal + b"\n" + b"".join(reversed(body.splitlines(keepends=True)))
+
+
+def _text_edited(run, data):
+    """The first row's source with its first letter's case flipped: valid
+    JSON, another text."""
+    seal, body = data.split(b"\n", 1)
+    assert body.startswith(b'["')
+    return seal + b"\n" + body[:2] + body[2:3].swapcase() + body[3:]
+
+
+def _foreign_version(run, data):
+    """The cache as a run under another layout version writes it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_TRAIN_ROWS_VERSION", b"paraprompt train_rows 0")
+        assert run.cold()[0] == 0
+    return run.cache.read_bytes()
 
 
 CORRUPTIONS = {
-    "truncated": lambda data, count: data[: len(data) // 2],
+    "truncated": lambda run, data: data[: len(data) // 2],
     "lines reversed": _lines_reversed,
-    "garbled header": lambda data, count: data[:20] + bytes(8) + data[28:],
-    "garbled body": lambda data, count: data[:-8] + b"\xff" * 8,
-    "foreign version": lambda data, count: data[:8] + (2).to_bytes(4, "little") + data[12:],
-    "empty": lambda data, count: b"",
+    # the header is the seal line
+    "garbled header": lambda run, data: data[:20] + b"zzzzzzzz" + data[28:],
+    "garbled body": lambda run, data: data[:-8] + b"\xff" * 8,
+    "foreign version": _foreign_version,
+    "empty": lambda run, data: b"",
+    "text edited in place": _text_edited,
 }
 
 
@@ -187,56 +236,44 @@ CORRUPTIONS = {
 def test_a_damaged_table_is_rebuilt(case, corruption):
     run, _ = case
     cold = run.cold()
-    table = run.table.read_bytes()
-    count = len(dataio.RowTable.read(run.table).lines)
-    run.table.write_bytes(CORRUPTIONS[corruption](table, count))
+    cache = run.cache.read_bytes()
+    damaged = CORRUPTIONS[corruption](run, cache)
+    assert damaged != cache
+    run.cache.write_bytes(damaged)
     assert run.generate() == cold
-    assert run.table.read_bytes() == table
+    assert run.cache.read_bytes() == cache
 
 
-# intact tables, written with a valid body digest, whose rows are wrong
-WRONG_ROWS = {
-    # each row pointed at the next row's pair: in range, so the per-row id check must catch it
-    "next row's line": lambda lines, positions: (lines[1:] + lines[:1], positions[1:] + positions[:1]),
-    "past the last line": lambda lines, positions: ([10**6] * len(lines), positions),
-    "position past the last line": lambda lines, positions: (lines, [10**6] * len(positions)),
-}
-
-
-@pytest.mark.parametrize("wrong", sorted(WRONG_ROWS))
-def test_a_table_whose_rows_name_other_lines_is_rebuilt(case, wrong):
+def test_a_changed_sidecar_rebuilds_the_table(case, monkeypatch):
     run, _ = case
-    cold = run.cold()
-    good = dataio.RowTable.read(run.table)
-    lines, positions = WRONG_ROWS[wrong](list(good.lines), list(good.positions))
-    dataio.RowTable(good.data_format, good.train_sha256, good.ids_sha256, lines, positions).write(run.table)
-    assert run.generate() == cold
-    assert dataio.RowTable.read(run.table) == good
-
-
-def test_a_changed_sidecar_rebuilds_the_table(case):
-    run, _ = case
-    cold = run.cold()
+    run.cold()
+    cache = run.cache.read_bytes()
     ids_path = run.out / "embeddings.ids.jsonl"
+    # the same ids on other rows: the vectors now stand for other pairs
+    ids_path.write_text("".join(reversed(ids_path.read_text().splitlines(keepends=True))))
+    reordered = run.generate()
+    assert run.cache.read_bytes() != cache
+    assert reordered[0] == 0 and reordered == run.cold()
+    # a sidecar that spells the same ids otherwise keeps the cache
+    cache = run.cache.read_bytes()
     ids_path.write_text(ids_path.read_text().replace('{"id": ', '{"id":'))
-    old = dataio.RowTable.read(run.table)
-    assert run.generate() == cold
-    new = dataio.RowTable.read(run.table)
-    assert new.ids_sha256 != old.ids_sha256
-    assert (new.lines, new.positions) == (old.lines, old.positions)
+    loaded, _ = _record_reads(monkeypatch)
+    assert run.generate() == reordered
+    assert loaded == [str(run.test)]
+    assert run.cache.read_bytes() == cache
 
 
 def test_a_changed_format_reads_the_file_in_full(case):
     run, _ = case
     assert run.cold()[0] == 0
-    table = run.table.read_bytes()
+    cache = run.cache.read_bytes()
     other = "jsonl" if run.train.suffix == ".tsv" else "tsv"
     # --format names the format of both files; the queries must still read
     run.test.write_bytes(_jsonl(QUERIES) if other == "jsonl" else _tsv(QUERIES, ids=True))
     stale = run.generate("--format", other)
     assert stale[0] == 2 and stale[1].startswith(f"data error: {run.train}:")
-    # the failed full load leaves the table as it was, and it still fits its own format
-    assert run.table.read_bytes() == table
+    # the failed full load leaves the cache as it was
+    assert run.cache.read_bytes() == cache
     assert run.generate("--format", other) == stale
-    run.table.unlink()
+    run.cache.unlink()
     assert run.generate("--format", other) == stale
