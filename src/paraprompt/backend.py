@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
-from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate
+from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate, count_tokens
 from .novelty import NoveltyClass
 
 if TYPE_CHECKING:
@@ -135,7 +135,6 @@ def _truncate_at_stop(text: str, stop: Sequence[str]) -> str:
 
 class GenerationBackend(Protocol):
     def generate(self, request: GenerationRequest) -> GenerationResponse: ...
-    def count_tokens(self, text: str) -> int: ...
 
 
 class EmbeddingBackend(Protocol):
@@ -198,7 +197,7 @@ class MockBackend:
         text = _truncate_at_stop(text, request.stop)
         return GenerationResponse(
             text=text,
-            token_count=self.count_tokens(text),
+            token_count=count_tokens(text),
             latency=time.monotonic() - started,
         )
 
@@ -214,9 +213,6 @@ class MockBackend:
             norm = float(np.linalg.norm(vec))
             out.append(vec / norm if norm else vec + 1.0 / self.dim**0.5)
         return out
-
-    def count_tokens(self, text: str) -> int:
-        return len(text.split())
 
 
 class HttpBackend:
@@ -302,11 +298,6 @@ class HttpBackend:
         if not -limit <= matrix.min() <= matrix.max() <= limit:
             raise MalformedResponseError("embedding values must be finite and in float32 range")
         return list(matrix)
-
-    def count_tokens(self, text: str) -> int:
-        # The wire protocol has no counting endpoint; whitespace tokens
-        # are the documented approximation for HTTP backends.
-        return len(text.split())
 
 
 def _json_object(response) -> dict | None:

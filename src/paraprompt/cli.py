@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -87,8 +88,9 @@ class PipelineConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.max_prompt_tokens < 1:
             raise ValueError(f"max_prompt_tokens must be >= 1, got {self.max_prompt_tokens}")
-        self.template()  # a template file that does not parse fails before any stage runs
+        self.template  # a template file that does not parse fails before any stage runs
 
+    @functools.cached_property
     def template(self) -> promptkit.TextTemplate:
         if self.template_path:
             return promptkit.load_template(self.template_path)
@@ -115,16 +117,7 @@ _PARSERS = {"bool": lambda value: _BOOL_VALUES[value.lower()], "int": int, "floa
 
 def load_config_file(path: str | Path) -> dict:
     """key=value config lines; # starts a comment, values are typed by field."""
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+    values = {key: value.strip() for _, key, value in dataio.key_values(path, UsageError)}
     keys = config_keys()
     typed: dict = {}
     for key, value in values.items():
@@ -184,7 +177,7 @@ def cmd_index(config: PipelineConfig) -> int:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([p.source for p in pairs])
-    index = retrieval.RetrievalIndex(pairs, vectors)
+    index = retrieval.RetrievalIndex([p.id for p in pairs], vectors, pairs.__getitem__)
     emb_path = out_dir / "embeddings.bin"
     entries = [(p.id, vector) for p, vector in zip(pairs, vectors)]
     retrieval.write_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl", entries)
@@ -209,11 +202,18 @@ def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
     return retrieval.RetrievalIndex(ids, matrix, pair_of)
 
 
-def _novelty_by_id(config: PipelineConfig) -> dict[str, novelty.NoveltyClass]:
+def _novelty_by_id(config: PipelineConfig, ids: Sequence[str]) -> dict[str, novelty.NoveltyClass]:
+    """The novelty class of each train id; every index row ``ids`` needs
+    one, since an example without a class cannot enter a conditioned prompt."""
     labeled_path = Path(config.out_dir) / "labeled.jsonl"
     if not labeled_path.exists():
         raise dataio.DataFormatError(labeled_path, None, "novelty labels missing; run the label command first")
-    return {lp.pair.id: lp.novelty for lp in novelty.load_labeled(labeled_path)}
+    classes = {lp.pair.id: lp.novelty for lp in novelty.load_labeled(labeled_path)}
+    missing = next((rid for rid in ids if rid not in classes), None)
+    if missing is not None:
+        raise dataio.DataFormatError(labeled_path, None, f"no novelty class for index id {missing!r}; "
+                                     "re-run the label command on the train file that index read")
+    return classes
 
 
 def _retrieve(
@@ -225,7 +225,7 @@ def _retrieve(
     index = _load_index(config)
     if len(index) == 0:
         print("warning: retrieval index is empty; layouts degrade to 0 examples")
-    classes_by_id = _novelty_by_id(config) if config.mode == "ncrapt" else {}
+    classes_by_id = _novelty_by_id(config, index.ids) if config.mode == "ncrapt" else {}
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([pair.source for pair, _ in queries]) if queries else []
     if len(index) and vectors and len(vectors[0]) != index.dim:
@@ -238,9 +238,7 @@ def _retrieve(
     exclude_self = config.exclude_self == "always" or (
         config.exclude_self == "auto" and os.path.samefile(config.train_path, config.test_path)
     )
-    # an example without a class cannot enter a conditioned prompt
-    unclassed = set(index.ids) - classes_by_id.keys() if config.mode == "ncrapt" else set()
-    excludes = [({pair.id} if exclude_self else set()) | unclassed for pair, _ in queries]
+    excludes = [{pair.id} if exclude_self else set() for pair, _ in queries]
     looked_up = [i for i, (_, x) in enumerate(queries) if x]
     if config.strategy == "random":
         found = [
@@ -269,7 +267,7 @@ def _retrieve(
 
 def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:
     """Plan one prompt per query, send those within budget, parse the replies."""
-    template = config.template()
+    template = config.template
     gen_backend = backend_mod.make_generation_backend(config.backend)
     query_class = novelty.NoveltyClass.from_label(config.query_class)
     assemble = {
@@ -290,7 +288,7 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
             row.update(output="", error="empty source after normalization")
             continue
         layout, row["prompt_n"], dropped = promptkit.fit_examples_to_budget(
-            lambda kept: assemble(x, kept), examples, gen_backend.count_tokens,
+            lambda kept: assemble(x, kept), examples, promptkit.count_tokens,
             config.max_prompt_tokens,
         )
         if row["prompt_n"] > config.max_prompt_tokens:

@@ -17,10 +17,8 @@ keeps them, validated, under a seal over the digests of their inputs.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import tempfile
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -88,6 +86,26 @@ def _numbered_lines(path: str | Path, fh) -> Iterator[tuple[int, str]]:
         yield from enumerate(fh, start=1)
     except UnicodeDecodeError as err:
         raise DataFormatError(path, None, f"not UTF-8 text ({err.reason})") from None
+
+
+def key_values(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str, str]]:
+    """(1-based line number, stripped key, value as written) for each
+    ``key=value`` line of a text file, skipping blank lines and lines whose
+    first non-blank character is "#". A line without "=", or bytes that are
+    not UTF-8, raise ``error`` naming the file."""
+    with _open_text(path) as fh:
+        try:
+            lines = list(_numbered_lines(path, fh))
+        except DataFormatError as err:
+            raise error(str(err)) from None
+    for lineno, raw in lines:
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
+        yield lineno, key.strip(), value
 
 
 # The whitespace json.loads skips around a value.
@@ -256,23 +274,26 @@ def validate_split_sizes(
     return report
 
 
-def atomic_write_text(path: str | Path, content: str) -> None:
-    """Write UTF-8 via a temp file in the same directory, then rename into place."""
-    _atomic_write(path, content, "w", encoding="utf-8", newline="")
-
-
-def _atomic_write(path: str | Path, content: str | bytes, mode: str, **options) -> None:
+def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Stream ``chunks`` into a new file beside ``path``, made as ``open()``
+    makes one (under the process umask), then rename it over ``path``. On
+    any error the new file is removed and ``path`` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")  # outside the try: a name clash must not unlink the other file
     try:
-        with os.fdopen(fd, mode, **options) as fh:
-            fh.write(content)
+        with fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path: str | Path, content: str) -> None:
+    """``atomic_write`` of ``content`` as UTF-8."""
+    atomic_write(path, [content.encode("utf-8")])
 
 
 # json.dumps(row, ensure_ascii=False) without building an encoder per call
@@ -280,11 +301,7 @@ _encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    buf = io.StringIO()
-    for row in rows:
-        buf.write(_encode_row(row))
-        buf.write("\n")
-    atomic_write_text(path, buf.getvalue())
+    atomic_write(path, (f"{_encode_row(row)}\n".encode("utf-8") for row in rows))
 
 
 def write_pairs(path: str | Path, pairs: Sequence[ParaphrasePair]) -> None:
@@ -394,5 +411,5 @@ def index_pairs(
             f"[{encode_basestring_ascii(p.source)}, {encode_basestring_ascii(p.target)}]\n" for p in pairs
         ).encode("ascii")
         key.update(body)
-        _atomic_write(cache_path, key.hexdigest().encode() + b"\n" + body, "wb")
+        atomic_write(cache_path, [key.hexdigest().encode(), b"\n", body])
     return pairs.__getitem__

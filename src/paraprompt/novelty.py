@@ -136,14 +136,6 @@ def label_dataset(
     return result
 
 
-def labeled_pair_from_dict(obj: dict) -> LabeledPair:
-    return LabeledPair(
-        pair=ParaphrasePair(id=str(obj["id"]), source=obj["source"], target=obj["target"]),
-        ter_value=float(obj["ter"]),
-        novelty=NoveltyClass.from_label(obj["class"]),
-    )
-
-
 def load_labeled(path: str | Path) -> list[LabeledPair]:
     """The pairs of a ``labeled.jsonl`` file; a field of the wrong type or
     value (the id follows ``load_pairs``' rule) is a ``DataFormatError``."""
@@ -160,7 +152,8 @@ def load_labeled(path: str | Path) -> list[LabeledPair]:
         if obj["class"] not in labels:
             raise DataFormatError(path, lineno, f'"class" must be one of {", ".join(labels)}')
         try:
-            labeled.append(labeled_pair_from_dict(obj))
+            pair = ParaphrasePair(obj["id"], obj["source"], obj["target"])
         except ValueError as err:  # an empty source
             raise DataFormatError(path, lineno, str(err)) from err
+        labeled.append(LabeledPair(pair, float(obj["ter"]), NoveltyClass.from_label(obj["class"])))
     return labeled

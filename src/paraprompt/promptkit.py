@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .dataio import key_values
 from .novelty import NoveltyClass
 from .textcore import TokenSeq, render
 
@@ -345,6 +346,12 @@ def render_text(layout: PromptLayout, template: TextTemplate | None = None) -> s
     return "".join(pieces)
 
 
+def count_tokens(text: str) -> int:
+    """A text's prompt size: its whitespace tokens. The wire protocol has no
+    counting endpoint, so every backend is measured this way."""
+    return len(text.split())
+
+
 @dataclass(frozen=True)
 class LayoutLength:
     prompt_tokens: int
@@ -443,27 +450,20 @@ def load_template(path: str | Path) -> TextTemplate:
     """Template file: key=value lines with \\n, \\t, \\\\ escapes.
 
     Keys: prefix, infix, global_prefix, example_separator, tag_low,
-    tag_medium, tag_high. Missing keys keep defaults; a line without "="
-    or with another key raises ``TemplateError`` naming the file and line.
+    tag_medium, tag_high. Missing keys keep defaults; a line without "=",
+    a line with another key, or bytes that are not UTF-8 raise
+    ``TemplateError`` naming the file (and line).
     """
     defaults = TextTemplate()
     tag_keys = {f"tag_{cls.label}": cls for cls in NoveltyClass}
     text_keys = {f.name for f in dataclasses.fields(TextTemplate)} - {"class_tags"}
     values: dict[str, str] = {}
     tags = dict(defaults.class_tags)
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            key = key.strip()
-            if not eq:
-                raise TemplateError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            if key in tag_keys:
-                tags[tag_keys[key]] = _unescape(value)
-            elif key in text_keys:
-                values[key] = _unescape(value)
-            else:
-                raise TemplateError(f"{path}:{lineno}: unknown template key {key!r}")
+    for lineno, key, value in key_values(path, TemplateError):
+        if key in tag_keys:
+            tags[tag_keys[key]] = _unescape(value)
+        elif key in text_keys:
+            values[key] = _unescape(value)
+        else:
+            raise TemplateError(f"{path}:{lineno}: unknown template key {key!r}")
     return dataclasses.replace(defaults, class_tags=tags, **values)

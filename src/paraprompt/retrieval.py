@@ -48,6 +48,7 @@ place, or the mapped rows change under the index.
 from __future__ import annotations
 
 import functools
+import itertools
 import mmap
 import os
 import random
@@ -59,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DataFormatError, IndexBuildError, ParaphrasePair, atomic_write_text, load_ids
+from .dataio import DataFormatError, IndexBuildError, ParaphrasePair, atomic_write, atomic_write_text, load_ids
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
 
@@ -85,7 +86,6 @@ class RetrievalIndex:
     """Immutable exact-kNN store: the row ids, their (n, dim) rows as given,
     one float64 norm per row and a row -> pair lookup.
 
-    ``pairs`` are the rows' pairs or, with ``pair_of``, their ids; then
     ``pair_of(row)`` makes a row's pair when the row is returned. ``matrix``
     is kept, not copied, when it is a C-contiguous float32 or float64
     array; the caller must not write to it afterwards. A duplicate id, or
@@ -94,22 +94,14 @@ class RetrievalIndex:
     """
 
     def __init__(
-        self,
-        pairs: Sequence[ParaphrasePair] | Sequence[str],
-        matrix: np.ndarray,
-        pair_of: Callable[[int], ParaphrasePair] | None = None,
+        self, ids: Sequence[str], matrix: np.ndarray, pair_of: Callable[[int], ParaphrasePair]
     ) -> None:
         matrix = np.asarray(matrix)
         if matrix.dtype not in (np.float32, np.float64):
             matrix = matrix.astype(np.float64)
         matrix = np.ascontiguousarray(matrix).view()
         matrix.setflags(write=False)
-        if pair_of is None:
-            pairs = list(pairs)
-            self._ids = [pair.id for pair in pairs]
-            pair_of = pairs.__getitem__
-        else:
-            self._ids = list(pairs)
+        self._ids = list(ids)
         self._pair_of = pair_of
         if matrix.ndim != 2 or matrix.shape[0] != len(self._ids):
             raise IndexBuildError(
@@ -200,7 +192,9 @@ def build_index(
             raise IndexBuildError(f"id {pair.id!r}: " + (
                 f"dimension {arr.shape[0]} != index dimension {vectors[0].shape[0]}"
                 if arr.ndim == 1 else "vector must be 1-dimensional"))
-    return RetrievalIndex([pair for pair, _ in entries], np.stack(vectors) if vectors else np.empty((0, 0)))
+    pairs = [pair for pair, _ in entries]
+    matrix = np.stack(vectors) if vectors else np.empty((0, 0))
+    return RetrievalIndex([pair.id for pair in pairs], matrix, pairs.__getitem__)
 
 
 def _unit_query(index: RetrievalIndex, query: Sequence[float], k: int) -> np.ndarray | None:
@@ -322,28 +316,19 @@ def write_embeddings_binary(
     entries: Sequence[tuple[str, Sequence[float]]],
 ) -> None:
     """Binary matrix plus a JSONL id sidecar, row-aligned; ids are strings.
-
-    The matrix goes to a temporary file renamed into place, removed if a
-    vector fails to convert."""
+    Each file is written by ``atomic_write``, so a vector that fails to
+    convert leaves the old matrix in place."""
     dims = {len(vector) for _, vector in entries}
     if len(dims) > 1:
         raise ValueError(f"mixed vector dimensions: {sorted(dims)}")
     # json.dumps({"id": record_id}) for a str id
     sidecar = "".join('{"id": %s}\n' % encode_basestring_ascii(record_id) for record_id, _ in entries)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = EMBEDDING_MAGIC + struct.pack("<II", len(entries), dims.pop() if dims else 0)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as out:
-            out.write(header)
-            for lo in range(0, len(entries), _WRITE_CHUNK_ROWS):
-                chunk = entries[lo : lo + _WRITE_CHUNK_ROWS]
-                out.write(np.asarray([vector for _, vector in chunk], dtype="<f4").data)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    rows = (
+        np.asarray([vector for _, vector in entries[lo : lo + _WRITE_CHUNK_ROWS]], dtype="<f4").data
+        for lo in range(0, len(entries), _WRITE_CHUNK_ROWS)
+    )
+    atomic_write(path, itertools.chain([header], rows))
     atomic_write_text(ids_path, sidecar)
 
 

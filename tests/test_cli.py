@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -510,6 +512,29 @@ def test_bad_template_line_is_a_usage_error(data_dir, capsys, line, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("label", "--config"), ("generate", "--template")])
+def test_key_value_file_that_is_not_utf8_is_a_usage_error(data_dir, capsys, command, flag):
+    path = data_dir / "latin1.txt"
+    path.write_bytes(b"seed=caf\xe9\n")
+    out = data_dir / "out"
+    assert run([command, "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
+                "--out", out, flag, path]) == 1
+    assert capsys.readouterr().err == f"usage error: {path}: not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
+
+
+def test_template_file_is_parsed_once_per_run(data_dir, monkeypatch):
+    from paraprompt import promptkit
+
+    calls = []
+    load = promptkit.load_template
+    monkeypatch.setattr(promptkit, "load_template", lambda path: calls.append(path) or load(path))
+    template = data_dir / "q.template"
+    template.write_text("prefix=Q:\n", encoding="utf-8")
+    assert _generate(data_dir, data_dir / "out", "manual", ["--template", template]) == 0
+    assert calls == [str(template)]
+
+
 def test_mock_echo_repeats_the_query_under_any_template(data_dir):
     template = data_dir / "q.template"
     template.write_text("prefix=Q:\n", encoding="utf-8")
@@ -604,6 +629,47 @@ def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
     assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
     for row in rows:
         assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
+
+
+def test_ncrapt_refuses_labels_that_miss_an_index_row(data_dir, capsys):
+    # labels of another train file: t4 is indexed but has no class
+    subset = data_dir / "train_subset.jsonl"
+    write_jsonl(subset, TRAIN_ROWS[:4])
+    out = data_dir / "out"
+    assert run(["label", "--train", subset, "--out", out]) == 0
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    capsys.readouterr()
+    assert _generate(data_dir, out, "ncrapt") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'labeled.jsonl'}: no novelty class for index id 't4'; "
+        "re-run the label command on the train file that index read\n"
+    )
+    assert not (out / "generations.jsonl").exists()
+    # labels with ids the index lacks are accepted
+    assert run(["index", "--train", subset, "--out", out]) == 0
+    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert run([
+        "generate", "--train", subset, "--test", data_dir / "test.jsonl", "--out", out,
+        "--mode", "ncrapt", "--k", "5",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    for row in rows:
+        assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
+
+
+def test_pipeline_artifacts_get_the_umask_mode(data_dir):
+    out = data_dir / "out"
+    old = os.umask(0o027)
+    try:
+        assert run([
+            "pipeline", "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
+            "--out", out, "--mode", "ncrapt",
+        ]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert len(modes) == 12
+    assert modes == dict.fromkeys(modes, 0o640)
 
 
 def test_rapt_never_retrieves_a_train_pair_with_a_blank_source(data_dir, capsys):

@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import stat
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,8 @@ from paraprompt.dataio import (
     DataFormatError,
     DatasetSplit,
     ParaphrasePair,
+    atomic_write,
+    key_values,
     load_generations,
     load_ids,
     load_jsonl_objects,
@@ -314,6 +318,50 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.jsonl"
     write_pairs(path, [ParaphrasePair("0", "a", "b")])
     assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+
+class _CallersError(ValueError):
+    pass
+
+
+def test_key_values_strip_keys_and_keep_values_as_written(tmp_path):
+    path = tmp_path / "kv.txt"
+    path.write_bytes(b"\xef\xbb\xbf# comment\n\n  key = a=b  \n   # indented comment\nx=\n")
+    assert list(key_values(path, _CallersError)) == [(3, "key", " a=b  "), (5, "x", "")]
+    path.write_text("ok=1\n  no equals sign\n", encoding="utf-8")
+    with pytest.raises(_CallersError, match=re.escape(f"{path}:2: expected key=value, got '  no equals sign'")):
+        list(key_values(path, _CallersError))
+    path.write_bytes(b"k=caf\xe9\n")
+    with pytest.raises(_CallersError, match=re.escape(f"{path}: not UTF-8 text (invalid continuation byte)")):
+        list(key_values(path, _CallersError))
+
+
+def test_write_jsonl_failure_mid_stream_keeps_the_old_file(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [{"id": "old"}])
+
+    def rows():
+        yield {"id": "0"}
+        assert [p.name for p in tmp_path.iterdir()] != ["rows.jsonl"]  # streaming into a temp file
+        yield {"id": object()}
+
+    with pytest.raises(TypeError):
+        write_jsonl(path, rows())
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.jsonl"]
+    assert path.read_bytes() == b'{"id": "old"}\n'
+
+
+def test_atomic_write_makes_files_under_the_umask(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old")
+    path.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        atomic_write(path, [b"a", b"b"])
+    finally:
+        os.umask(old)
+    assert path.read_bytes() == b"ab"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 def test_split_sizes_known_dataset_match():

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from paraprompt.dataio import ParaphrasePair
+from paraprompt.dataio import ParaphrasePair, write_jsonl
 from paraprompt.novelty import (
     NoveltyClass,
     NoveltyThresholds,
     classify,
     label_dataset,
-    labeled_pair_from_dict,
+    load_labeled,
 )
 
 
@@ -104,13 +104,13 @@ def test_relabeling_is_fixed_point():
     ]
 
 
-def test_labeled_pair_round_trip():
+def test_labeled_pair_round_trip(tmp_path):
     result = label_dataset(_pairs([("a b c d", "a b x d")]))
     row = result.labeled[0].as_dict()
     assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
                    "ter": 0.25, "class": "medium"}
-    restored = labeled_pair_from_dict(row)
-    assert restored == result.labeled[0]
+    write_jsonl(tmp_path / "labeled.jsonl", [row])
+    assert load_labeled(tmp_path / "labeled.jsonl") == [result.labeled[0]]
 
 
 def test_class_order():

@@ -75,21 +75,21 @@ def test_non_finite_vector_rejected(dtype, bad):
     with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
         build_index(entries_from(rows))
     with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
-        RetrievalIndex([pair(i) for i in range(5)], rows)
+        RetrievalIndex([str(i) for i in range(5)], rows, pair)
 
 
 def test_index_from_a_matrix_names_faulty_ids():
     rows = np.ones((4, 2))
     rows[3] = 0.0
     with pytest.raises(IndexBuildError, match="id '3': zero-norm"):
-        RetrievalIndex([pair(0), pair(1), pair(2), pair(3)], rows)
+        RetrievalIndex(["0", "1", "2", "3"], rows, pair)
     with pytest.raises(IndexBuildError, match="duplicate id '1'"):
-        RetrievalIndex([pair(0), pair(1), pair(1), pair(3)], rows)
+        RetrievalIndex(["0", "1", "1", "3"], rows, pair)
 
 
 def test_index_keeps_the_rows_as_given():
     rows = np.random.default_rng(4).normal(size=(6, 5)).astype(np.float32)
-    index = RetrievalIndex([pair(i) for i in range(6)], rows)
+    index = RetrievalIndex([str(i) for i in range(6)], rows, pair)
     assert index._matrix.dtype == np.float32
     assert np.shares_memory(index._matrix, rows)
     assert build_index(entries_from(rows))._matrix.dtype == np.float32
