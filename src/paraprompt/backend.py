@@ -7,6 +7,7 @@ a minimal self-owned pair of JSON-over-HTTP endpoints:
                              "stop": [str], "request_id": str,
                              "layout": {...}?}
                          -> {"text": str, "token_count": int}
+                            (the count is checked, not used)
     POST <embedding_url>    {"texts": [str], "model": str}
                          -> {"vectors": [[float]]}  finite, float32 range
 
@@ -18,7 +19,8 @@ body) and surface as ``PromptBudgetError`` carrying the token count.
 URLs with the "mock:" scheme select the in-process deterministic mock,
 e.g. "mock:echo?seed=1" for generation or "mock:hash?dim=16" for
 embeddings. Transport failures are retried up to the configured limit;
-malformed responses never are.
+malformed responses never are. A completion is the text the service
+returned, cut at the first stop string.
 
 numpy loads on the first ``embed`` and ``requests`` on the first HTTP
 request, so a command that uses neither does not pay to import them.
@@ -29,14 +31,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
-from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate, count_tokens
+from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate
 from .novelty import NoveltyClass
 
 if TYPE_CHECKING:
@@ -71,9 +72,7 @@ class PromptBudgetError(BackendError):
 
 
 class CompletionParseError(BackendError):
-    def __init__(self, message: str, raw: str) -> None:
-        super().__init__(message)
-        self.raw = raw
+    pass
 
 
 class EmptyParaphraseError(CompletionParseError):
@@ -118,13 +117,6 @@ class GenerationRequest:
             raise ValueError("prompt must be non-empty")
 
 
-@dataclass(frozen=True)
-class GenerationResponse:
-    text: str
-    token_count: int
-    latency: float = 0.0
-
-
 def _truncate_at_stop(text: str, stop: Sequence[str]) -> str:
     for marker in stop:
         idx = text.find(marker)
@@ -134,7 +126,7 @@ def _truncate_at_stop(text: str, stop: Sequence[str]) -> str:
 
 
 class GenerationBackend(Protocol):
-    def generate(self, request: GenerationRequest) -> GenerationResponse: ...
+    def generate(self, request: GenerationRequest) -> str: ...
 
 
 class EmbeddingBackend(Protocol):
@@ -191,15 +183,9 @@ class MockBackend:
             line = " ".join(tokens)
         return line
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
-        started = time.monotonic()
+    def generate(self, request: GenerationRequest) -> str:
         text = self.constant_text if self.mode == "constant" else self._completion_for(request)
-        text = _truncate_at_stop(text, request.stop)
-        return GenerationResponse(
-            text=text,
-            token_count=count_tokens(text),
-            latency=time.monotonic() - started,
-        )
+        return _truncate_at_stop(text, request.stop)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -230,6 +216,10 @@ class HttpBackend:
             except (requests.ConnectionError, requests.Timeout) as err:
                 last_error = err
                 continue
+            except requests.RequestException as err:
+                # an unusable URL and the like; main would read requests'
+                # errors, which are OSErrors, as data errors
+                raise BackendError(f"request to {url!r} failed: {err}") from None
             body = _json_object(response)
             if response.status_code == 413 or (
                 response.status_code >= 400 and (body or {}).get("error") == "prompt_too_long"
@@ -248,7 +238,7 @@ class HttpBackend:
             f"{url} unreachable after {self.config.retry_limit} attempts: {last_error}"
         )
 
-    def generate(self, request: GenerationRequest) -> GenerationResponse:
+    def generate(self, request: GenerationRequest) -> str:
         payload = {
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
@@ -257,18 +247,12 @@ class HttpBackend:
         }
         if request.layout_json is not None:
             payload["layout"] = request.layout_json
-        started = time.monotonic()
         body = self._post(self.config.generation_url, payload)
         if "text" not in body or type(body.get("token_count")) is not int:
             raise MalformedResponseError(
                 f'generation response needs "text" and an integer "token_count": {body}'
             )
-        text = _truncate_at_stop(str(body["text"]), request.stop)
-        return GenerationResponse(
-            text=text,
-            token_count=body["token_count"],
-            latency=time.monotonic() - started,
-        )
+        return _truncate_at_stop(str(body["text"]), request.stop)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -337,8 +321,8 @@ def generate_batch(
     backend: GenerationBackend,
     requests_list: Sequence[GenerationRequest],
     max_in_flight: int,
-) -> list[GenerationResponse]:
-    """Run requests concurrently (bounded), returning responses in order."""
+) -> list[str]:
+    """Run requests concurrently (bounded), returning completions in order."""
     if not requests_list:
         return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
@@ -360,9 +344,9 @@ def parse_completion(
     marker = template.infix_realization(query_class)
     idx = raw.rfind(marker)
     if idx < 0:
-        raise CompletionParseError(f"completion lacks the {marker!r} marker", raw)
+        raise CompletionParseError(f"completion lacks the {marker!r} marker")
     tail = raw[idx + len(marker):].split("\n", 1)[0]
     tokens = normalize(tail, cfg)
     if not tokens:
-        raise EmptyParaphraseError("completion is empty after the infix marker", raw)
+        raise EmptyParaphraseError("completion is empty after the infix marker")
     return tokens

@@ -40,9 +40,6 @@ CHOICES = {
 # GPT2 context is 1024; keep n + decode margin inside it by default.
 DEFAULT_MAX_PROMPT_TOKENS = 1024 - promptkit.DECODE_MARGIN
 
-# The slot classes, which follow from the mode, are the one sub-config field that is no key
-_NOT_KEYS = {"classes"}
-
 
 class UsageError(ValueError):
     pass
@@ -104,8 +101,7 @@ def config_keys() -> dict[str, tuple[str | None, str]]:
     for f in dataclasses.fields(PipelineConfig):
         if dataclasses.is_dataclass(f.default_factory):
             for sub in dataclasses.fields(f.default_factory):
-                if sub.name not in _NOT_KEYS:
-                    keys[sub.name] = (f.name, sub.type)
+                keys[sub.name] = (f.name, sub.type)
         else:
             keys[f.name] = (None, f.type)
     return keys
@@ -308,15 +304,15 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
         )
         pending.append((row, request, dropped))
 
-    responses = backend_mod.generate_batch(
+    completions = backend_mod.generate_batch(
         gen_backend, [request for _, request, _ in pending],
         max_in_flight=config.backend.max_in_flight,
     )
     infix_class = query_class if config.mode == "ncrapt" else None
-    for (row, request, dropped), response in zip(pending, responses):
+    for (row, request, dropped), completion in zip(pending, completions):
         try:
             tokens = backend_mod.parse_completion(
-                request.prompt + response.text, template, infix_class, config.normalization
+                request.prompt + completion, template, infix_class, config.normalization
             )
             row["output"] = render(tokens)
         except backend_mod.CompletionParseError as err:
@@ -411,16 +407,13 @@ def cmd_params(args: argparse.Namespace) -> int:
     shapes = [paramcount.GPT2_MEDIUM, paramcount.GPT2_LARGE]
     if args.shape:  # argparse admits only preset names
         shapes = [paramcount.PRESETS[name] for name in args.shape]
-    if args.layers or args.width:
-        if not (args.layers and args.width):
+    if args.layers is not None or args.width is not None:
+        if args.layers is None or args.width is None:
             raise UsageError("--layers and --width must be given together")
-        shapes = [
-            paramcount.ModelShape(
-                name=f"custom-L{args.layers}-d{args.width}",
-                layers=args.layers,
-                width=args.width,
-            )
-        ]
+        try:
+            shapes = [paramcount.ModelShape(f"custom-L{args.layers}-d{args.width}", args.layers, args.width)]
+        except ValueError as err:
+            raise UsageError(str(err)) from None
     table = paramcount.report_table(shapes)
     print(table.render_text(), end="")
     if args.out:
@@ -537,7 +530,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (dataio.DataFormatError, dataio.IndexBuildError, FileNotFoundError) as err:
+    except (dataio.DataFormatError, dataio.IndexBuildError, OSError) as err:
+        # an OSError names its path: a missing file, a directory given
+        # for a file, an output under a regular file
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except backend_mod.BackendError as err:

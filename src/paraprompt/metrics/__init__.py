@@ -2,8 +2,8 @@
 
 from .bleu import BLEU_ORDER, BleuStats, bleu_corpus, bleu_corpus_stats, closest_reference_length, self_bleu
 from .report import (
-    DEFAULT_IBLEU_ALPHA,
     EvalRecord,
+    IBLEU_ALPHA,
     MetricReport,
     REPORT_COLUMNS,
     evaluate_all,
@@ -19,8 +19,8 @@ from .ter import MAX_SHIFT_BLOCK, SelfTerSummary, TerResult, levenshtein, self_t
 __all__ = [
     "BLEU_ORDER",
     "BleuStats",
-    "DEFAULT_IBLEU_ALPHA",
     "EvalRecord",
+    "IBLEU_ALPHA",
     "MAX_SHIFT_BLOCK",
     "MetricReport",
     "REPORT_COLUMNS",

@@ -21,7 +21,7 @@ from .ter import self_ter
 
 REPORT_COLUMNS = ("BERT", "Self-TER", "Self-BLEU", "BLEU", "iBLEU", "SARI")
 
-DEFAULT_IBLEU_ALPHA = 0.7
+IBLEU_ALPHA = 0.7
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,12 @@ class EvalRecord:
             raise ValueError("EvalRecord needs at least one reference")
 
 
-def ibleu(bleu: float, self_bleu_value: float, alpha: float = DEFAULT_IBLEU_ALPHA) -> float:
-    """alpha * BLEU - (1 - alpha) * self-BLEU, balancing fidelity and novelty."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+def ibleu(bleu: float, self_bleu_value: float) -> float:
+    """IBLEU_ALPHA * BLEU - (1 - IBLEU_ALPHA) * self-BLEU, balancing fidelity and novelty."""
     for name, value in (("bleu", bleu), ("self_bleu", self_bleu_value)):
         if not 0.0 <= value <= 100.0:
             raise ValueError(f"{name} must be in [0, 100], got {value}")
-    return alpha * bleu - (1.0 - alpha) * self_bleu_value
+    return IBLEU_ALPHA * bleu - (1.0 - IBLEU_ALPHA) * self_bleu_value
 
 
 @dataclass
@@ -67,7 +65,6 @@ def evaluate_all(
     records: Sequence[EvalRecord],
     vector_pairs: Sequence[tuple[Sequence[float], Sequence[float]]] | None = None,
     normalization: NormalizationConfig = DEFAULT_NORMALIZATION,
-    alpha: float = DEFAULT_IBLEU_ALPHA,
 ) -> MetricReport:
     """Compute every metric over ``records``; iBLEU is derived, not stored twice.
 
@@ -109,7 +106,7 @@ def evaluate_all(
         self_ter=ter_summary.percent,
         self_bleu=self_bleu_value,
         bleu=bleu_value,
-        ibleu=ibleu(bleu_value, self_bleu_value, alpha),
+        ibleu=ibleu(bleu_value, self_bleu_value),
         sari=sari_value,
         normalization=normalization,
         corpus_size=len(records),

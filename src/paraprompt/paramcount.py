@@ -18,11 +18,18 @@ the GPT2 presets exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 from .novelty import NoveltyClass
 from .promptkit import SlotSpec
+
+VOCAB = 50_257  # GPT2's token vocabulary; the tied head reuses its embedding
+POSITIONS = 1_024
+ADAPTER_BOTTLENECK = 512
+LORA_RANK = 8
+LORA_TARGETS = 2  # the query and value projections
+PROMPT_LEN = 256 + 8  # prompt tuning's prefix plus infix
 
 
 @dataclass(frozen=True)
@@ -32,12 +39,9 @@ class ModelShape:
     name: str
     layers: int
     width: int
-    vocab: int = 50_257
-    positions: int = 1_024
-    lm_head_tied: bool = True
 
     def __post_init__(self) -> None:
-        for fname in ("layers", "width", "vocab", "positions"):
+        for fname in ("layers", "width"):
             if getattr(self, fname) < 1:
                 raise ValueError(f"{fname} must be >= 1")
 
@@ -59,113 +63,50 @@ def full_params(shape: ModelShape) -> int:
         + (f * d + d)         # ffn down
         + 2 * 2 * d           # two layer norms
     )
-    total = shape.vocab * d + shape.positions * d + shape.layers * per_layer + 2 * d
-    if not shape.lm_head_tied:
-        total += shape.vocab * d
-    return total
+    return VOCAB * d + POSITIONS * d + shape.layers * per_layer + 2 * d
 
 
-@dataclass(frozen=True)
-class FineTune:
-    label: str = "Fine Tuning"
+def adapter_params(shape: ModelShape) -> int:
+    """Down- and up-projection with biases per layer, plus every layer norm."""
+    d, b = shape.width, ADAPTER_BOTTLENECK
+    return shape.layers * (2 * d * b + b + d) + (2 * shape.layers + 1) * 2 * d
 
 
-@dataclass(frozen=True)
-class Adapter:
-    bottleneck: int = 512
-    tune_layernorm: bool = True
-    label: str = "Adapter Tuning"
+def lora_params(shape: ModelShape) -> int:
+    """Adapted matrices are square (d x d), so each costs rank * (d + d)."""
+    return shape.layers * LORA_TARGETS * LORA_RANK * 2 * shape.width
 
 
-@dataclass(frozen=True)
-class LoRA:
-    rank: int = 8
-    targets: tuple[str, ...] = ("query", "value")
-    label: str = "LoRA Tuning"
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("LoRA rank must be >= 1")
-        unknown = set(self.targets) - {"query", "key", "value", "output"}
-        if unknown:
-            raise ValueError(f"unknown LoRA targets: {sorted(unknown)}")
+def prompt_params(shape: ModelShape) -> int:
+    return PROMPT_LEN * shape.width
 
 
-@dataclass(frozen=True)
-class PromptTune:
-    prefix_len: int = 256
-    infix_len: int = 8
-    label: str = "Prompt Tuning"
+def _slots_plus_lora(pairs: int) -> Callable[[ModelShape], int]:
+    """The layout's distinct slots over ``pairs`` span pairs, plus LoRA."""
+    return lambda shape: SlotSpec().slot_universe(pairs) * shape.width + lora_params(shape)
 
 
-@dataclass(frozen=True)
-class LPT:
-    lora: LoRA = field(default_factory=LoRA)
-    prompt: PromptTune = field(default_factory=PromptTune)
-    label: str = "LPT"
+class Method(NamedTuple):
+    label: str
+    count: Callable[[ModelShape], int]
 
 
-@dataclass(frozen=True)
-class RAPT:
-    lora: LoRA = field(default_factory=LoRA)
-    slots: SlotSpec = field(default_factory=SlotSpec)
-    label: str = "RAPT"
-
-
-@dataclass(frozen=True)
-class NCRAPT:
-    """One prefix/infix span pair per class in ``slots.classes``, or per
-    novelty class when it lists none, as in the conditioned layout."""
-
-    lora: LoRA = field(default_factory=LoRA)
-    slots: SlotSpec = field(default_factory=SlotSpec)
-    label: str = "NC-RAPT"
-
-
-MethodSpec = FineTune | Adapter | LoRA | PromptTune | LPT | RAPT | NCRAPT
-
-DEFAULT_METHODS: tuple[MethodSpec, ...] = (
-    FineTune(),
-    Adapter(),
-    LoRA(),
-    PromptTune(),
-    LPT(),
-    RAPT(),
-    NCRAPT(),
+METHODS = (
+    Method("Fine Tuning", full_params),
+    Method("Adapter Tuning", adapter_params),
+    Method("LoRA Tuning", lora_params),
+    Method("Prompt Tuning", prompt_params),
+    Method("LPT", lambda shape: lora_params(shape) + prompt_params(shape)),
+    Method("RAPT", _slots_plus_lora(1)),
+    # one prefix/infix span pair per novelty class, as in the conditioned layout
+    Method("NC-RAPT", _slots_plus_lora(len(NoveltyClass))),
 )
-
-
-def trainable_params(shape: ModelShape, method: MethodSpec) -> int:
-    """Exact count of parameters the given method trains on the given model."""
-    d = shape.width
-    if isinstance(method, FineTune):
-        return full_params(shape)
-    if isinstance(method, Adapter):
-        # Down-projection, up-projection, both with biases.
-        per_adapter = 2 * d * method.bottleneck + method.bottleneck + d
-        count = shape.layers * per_adapter
-        if method.tune_layernorm:
-            count += (2 * shape.layers + 1) * 2 * d
-        return count
-    if isinstance(method, LoRA):
-        # Adapted matrices are square (d x d), so each costs rank * (d + d).
-        return shape.layers * len(method.targets) * method.rank * 2 * d
-    if isinstance(method, PromptTune):
-        return (method.prefix_len + method.infix_len) * d
-    if isinstance(method, LPT):
-        return trainable_params(shape, method.lora) + trainable_params(shape, method.prompt)
-    if isinstance(method, RAPT):
-        return method.slots.slot_universe() * d + trainable_params(shape, method.lora)
-    if isinstance(method, NCRAPT):
-        pairs = len(method.slots.classes) or len(NoveltyClass)
-        return method.slots.slot_universe(pairs) * d + trainable_params(shape, method.lora)
-    raise ValueError(f"unknown adaptation method: {method!r}")
 
 
 @dataclass
 class ParamTable:
     shapes: tuple[ModelShape, ...]
-    methods: tuple[MethodSpec, ...]
+    methods: tuple[Method, ...]
     counts: list[list[int]]
 
     def render_text(self) -> str:
@@ -191,13 +132,9 @@ class ParamTable:
         return "\n".join(lines) + "\n"
 
 
-def report_table(
-    shapes: Sequence[ModelShape], methods: Sequence[MethodSpec] = DEFAULT_METHODS
-) -> ParamTable:
+def report_table(shapes: Sequence[ModelShape]) -> ParamTable:
     """Methods as rows, shapes as columns."""
-    if not shapes or not methods:
-        raise ValueError("need at least one shape and one method")
-    counts = [
-        [trainable_params(shape, method) for shape in shapes] for method in methods
-    ]
-    return ParamTable(shapes=tuple(shapes), methods=tuple(methods), counts=counts)
+    if not shapes:
+        raise ValueError("need at least one shape")
+    counts = [[method.count(shape) for shape in shapes] for method in METHODS]
+    return ParamTable(shapes=tuple(shapes), methods=METHODS, counts=counts)

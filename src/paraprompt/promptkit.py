@@ -104,23 +104,20 @@ class PromptSegment:
 class SlotSpec:
     """Slot-span lengths: m for the global prefix, s per prefix, t per infix.
 
-    ``classes`` is empty for layouts that do not condition on novelty;
-    conditioned layouts allocate one prefix/infix range per class listed.
-    Slot ids run global block first, then the prefix/infix span pairs.
+    Unconditioned layouts use one prefix/infix span pair; conditioned
+    layouts use one per novelty class, in class order. Slot ids run global
+    block first, then the prefix/infix span pairs.
     """
 
     global_prefix_len: int = 248
     class_prefix_len: int = 8
     infix_len: int = 8
-    classes: tuple[NoveltyClass, ...] = ()
 
     def __post_init__(self) -> None:
         if self.global_prefix_len < 0:
             raise ValueError("global prefix length must be >= 0")
         if self.class_prefix_len < 1 or self.infix_len < 1:
             raise ValueError("prefix and infix lengths must be >= 1")
-        if len(set(self.classes)) != len(self.classes):
-            raise ValueError("duplicate classes in slot spec")
 
     def span_ranges(self, pair: int = 0) -> tuple[SlotRange, SlotRange]:
         """Prefix and infix ranges of the ``pair``-th span pair."""
@@ -202,7 +199,8 @@ def _assemble_soft(
     P and I cite the first span pair of ``body``. Without a ``body`` they
     cite ``spec``'s, and G, the global block, leads. With a query class,
     each example cites the pair of its own class and the query that of
-    ``query_class``, and P and I carry the class they cite.
+    ``query_class``, and P and I carry the class they cite: class c cites
+    span pair ``c.value``.
     """
     _check_ascending(examples)
     segments = []
@@ -216,10 +214,8 @@ def _assemble_soft(
             cls, pair = None, 0
         elif cls is None:
             raise AssemblyError("every example needs a novelty class in conditioned mode")
-        elif cls not in body.classes:
-            raise AssemblyError(f"class {cls.label!r} not in slot spec classes")
         else:
-            pair = body.classes.index(cls)
+            pair = cls.value
         prefix, infix = body.span_ranges(pair)
         return (
             PromptSegment(SegmentKind.CLASS_PREFIX, novelty=cls, slots=prefix),
@@ -240,7 +236,7 @@ def _assemble_soft(
         segments=tuple(segments),
         spec=spec,
         examples=tuple(examples),
-        slot_universe=body.slot_universe(1 if query_class is None else len(body.classes)),
+        slot_universe=body.slot_universe(1 if query_class is None else len(NoveltyClass)),
     )
 
 
@@ -275,10 +271,7 @@ def assemble_ncrapt(
     query cites the ranges of the class the caller wants generated. The
     global prefix block is shared across classes.
     """
-    spec = spec or SlotSpec()
-    if not spec.classes:
-        spec = dataclasses.replace(spec, classes=tuple(NoveltyClass))
-    return _assemble_soft(x, examples, spec, query_class=query_class)
+    return _assemble_soft(x, examples, spec or SlotSpec(), query_class=query_class)
 
 
 @dataclass(frozen=True)
@@ -407,12 +400,13 @@ def _segment_to_json(segment: PromptSegment) -> dict:
 
 
 def layout_to_json(layout: PromptLayout) -> dict:
+    conditioned = any(seg.novelty is not None for seg in layout.segments)
     return {
         "spec": {
             "global_prefix_len": layout.spec.global_prefix_len,
             "class_prefix_len": layout.spec.class_prefix_len,
             "infix_len": layout.spec.infix_len,
-            "classes": [c.label for c in layout.spec.classes],
+            "classes": [c.label for c in NoveltyClass] if conditioned else [],
         },
         "slot_universe": layout.slot_universe,
         "segments": [_segment_to_json(seg) for seg in layout.segments],

@@ -364,7 +364,6 @@ def layout_from_json(obj: dict) -> PromptLayout:
         global_prefix_len=obj["spec"]["global_prefix_len"],
         class_prefix_len=obj["spec"]["class_prefix_len"],
         infix_len=obj["spec"]["infix_len"],
-        classes=tuple(NoveltyClass.from_label(c) for c in obj["spec"]["classes"]),
     )
     segments = []
     for seg in obj["segments"]:

@@ -24,25 +24,24 @@ from paraprompt.promptkit import DEFAULT_TEMPLATE
 
 def test_mock_echo_falls_back_to_query_for_open_prompts():
     mock = MockBackend(mode="echo")
-    response = mock.generate(
+    completion = mock.generate(
         GenerationRequest(prompt="Input: how do i learn\nParaphrase:")
     )
-    assert response.text == "how do i learn"
+    assert completion == "how do i learn"
 
 
 def test_mock_stop_truncation():
     mock = MockBackend(mode="constant", constant_text="one\ntwo")
-    response = mock.generate(GenerationRequest(prompt="p", stop=("\n",)))
-    assert response.text == "one"
+    assert mock.generate(GenerationRequest(prompt="p", stop=("\n",))) == "one"
 
 
 def test_mock_generation_deterministic():
     a = MockBackend(mode="shuffle", seed=3)
     b = MockBackend(mode="shuffle", seed=3)
     prompt = "Input: w x y z\nParaphrase:"
-    assert a.generate(GenerationRequest(prompt=prompt)).text == b.generate(
+    assert a.generate(GenerationRequest(prompt=prompt)) == b.generate(
         GenerationRequest(prompt=prompt)
-    ).text
+    )
 
 
 def test_mock_embed_deterministic_and_unit():
@@ -92,8 +91,8 @@ def test_generate_batch_preserves_order_and_bounds_concurrency():
         )
         for i in range(16)
     ]
-    responses = generate_batch(mock, requests_list, max_in_flight=3)
-    assert [r.text for r in responses] == [f"text {i}" for i in range(16)]
+    completions = generate_batch(mock, requests_list, max_in_flight=3)
+    assert completions == [f"text {i}" for i in range(16)]
     # the pool actually runs requests concurrently, but never more than
     # the configured bound at once
     assert 2 <= mock.max_in_flight <= 3
@@ -161,9 +160,7 @@ def test_http_success_and_stop_truncation(monkeypatch):
 
     monkeypatch.setattr("paraprompt.backend.requests.post", ok_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
-    response = backend.generate(GenerationRequest(prompt="p", stop=("\n",)))
-    assert response.text == "abc"
-    assert response.token_count == 2
+    assert backend.generate(GenerationRequest(prompt="p", stop=("\n",))) == "abc"
 
 
 def test_http_budget_rejection_surfaces_n(monkeypatch):

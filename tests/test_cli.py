@@ -287,6 +287,16 @@ def test_params_custom_shape(capsys):
     assert "custom-L6-d512" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--layers", "-1", "--width", "8"], "layers must be >= 1"),
+    (["--layers", "0", "--width", "8"], "layers must be >= 1"),
+    (["--layers", "2"], "--layers and --width must be given together"),
+])
+def test_params_bad_custom_shape_is_a_usage_error(capsys, flags, message):
+    assert run(["params"] + flags) == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
 def test_validate_reports_sizes(data_dir, capsys):
     assert run([
         "validate", "--train", data_dir / "train.jsonl",
@@ -400,6 +410,32 @@ def test_exit_code_backend_error(data_dir):
         ["--generation-url", "http://127.0.0.1:9/gen", "--timeout", "0.1", "--retry-limit", "1"],
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("args, code, named", [
+    (["label", "--train", "{dir}"], 2, "{dir}"),
+    (["label", "--config", "{dir}", "--train", "{train}"], 2, "{dir}"),
+    (["generate", "--mode", "manual", "--template", "{dir}", "--test", "{train}"], 2, "{dir}"),
+    (["label", "--train", "{train}", "--out", "{file}"], 2, "{file}"),
+    (["label", "--train", "{train}", "--out", "{file}/sub"], 2, "{file}/sub"),
+    (["index", "--train", "{train}", "--embedding-url", "localhost:1/embed"], 3, "localhost:1/embed"),
+    (["index", "--train", "{train}", "--embedding-url", "http://"], 3, "'http://'"),
+    (["index", "--train", "{train}", "--embedding-url", "ftp://x/embed"], 3, "ftp://x/embed"),
+], ids=["label-train-dir", "label-config-dir", "generate-template-dir", "label-out-file",
+        "label-out-under-file", "index-url-no-scheme", "index-url-no-host", "index-url-ftp"])
+def test_bad_path_or_unusable_url_exits_without_a_traceback(data_dir, capsys, args, code, named):
+    # a directory given for a file, an output under a regular file: data
+    # errors; a URL that the HTTP client cannot use: a backend error
+    (data_dir / "adir").mkdir()
+    (data_dir / "afile").write_text("", encoding="utf-8")
+    paths = {"dir": data_dir / "adir", "file": data_dir / "afile", "train": data_dir / "train.jsonl"}
+    argv = [a.format(**paths) for a in args]
+    if "--out" not in argv:
+        argv += ["--out", str(data_dir / "out")]
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " if code == 2 else "backend error: ")
+    assert named.format(**paths) in err
 
 
 def test_unknown_config_key_is_usage_error(tmp_path):

@@ -159,12 +159,6 @@ def test_ncrapt_example_without_class_rejected():
         assemble_ncrapt(X, examples(1), NoveltyClass.HIGH)
 
 
-def test_ncrapt_class_outside_spec_rejected():
-    spec = SlotSpec(classes=(NoveltyClass.LOW, NoveltyClass.HIGH))
-    with pytest.raises(AssemblyError, match="medium"):
-        assemble_ncrapt(X, [], NoveltyClass.MEDIUM, spec)
-
-
 def test_render_orders_examples_before_query():
     layout = assemble_rapt(X, examples(2))
     text = render_text(layout)
@@ -251,6 +245,13 @@ def test_layout_json_round_trip():
     assert restored.segments == layout.segments
     assert restored.spec == layout.spec
     assert restored.slot_universe == layout.slot_universe
+
+
+def test_layout_json_lists_the_classes_of_conditioned_layouts_only():
+    conditioned = assemble_ncrapt(X, examples(1, (NoveltyClass.LOW,)), NoveltyClass.HIGH)
+    assert layout_to_json(conditioned)["spec"]["classes"] == ["low", "medium", "high"]
+    for layout in (assemble_manual(X), assemble_exemplar(X, examples(2)), assemble_rapt(X, examples(2))):
+        assert layout_to_json(layout)["spec"]["classes"] == []
 
 
 def test_grammar_rejects_bad_order():

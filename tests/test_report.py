@@ -29,9 +29,7 @@ def test_ibleu_linearity():
     assert ibleu(50.0, 50.0) - base == pytest.approx(-0.3 * 10)
 
 
-def test_ibleu_alpha_validation():
-    with pytest.raises(ValueError):
-        ibleu(10.0, 10.0, alpha=1.5)
+def test_ibleu_range_validation():
     with pytest.raises(ValueError):
         ibleu(150.0, 10.0)
 
