@@ -57,14 +57,6 @@ class BackendError(RuntimeError):
     pass
 
 
-class TransportError(BackendError):
-    """Network-level failure; retryable."""
-
-
-class MalformedResponseError(BackendError):
-    """The service answered, but not in the agreed shape; never retried."""
-
-
 class PromptBudgetError(BackendError):
     def __init__(self, prompt_tokens: int | None) -> None:
         super().__init__(f"backend rejected over-budget prompt (n={prompt_tokens})")
@@ -72,10 +64,6 @@ class PromptBudgetError(BackendError):
 
 
 class CompletionParseError(BackendError):
-    pass
-
-
-class EmptyParaphraseError(CompletionParseError):
     pass
 
 
@@ -89,8 +77,8 @@ class BackendConfig:
     retry_limit: int = 2
 
     def __post_init__(self) -> None:
-        if self.timeout <= 0:
-            raise ValueError("timeout must be > 0")
+        if not 0 < self.timeout < float("inf"):  # NaN fails too
+            raise ValueError("timeout must be > 0 and finite")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 1:
@@ -228,15 +216,13 @@ class HttpBackend:
                 count = (body or {}).get("token_count")
                 raise PromptBudgetError(count if type(count) is int else None)
             if response.status_code >= 400:
-                raise MalformedResponseError(
+                raise BackendError(
                     f"{url} answered HTTP {response.status_code}: {response.text[:200]}"
                 )
             if body is None:
-                raise MalformedResponseError(f"{url} returned a body that is not a JSON object")
+                raise BackendError(f"{url} returned a body that is not a JSON object")
             return body
-        raise TransportError(
-            f"{url} unreachable after {self.config.retry_limit} attempts: {last_error}"
-        )
+        raise BackendError(f"{url} unreachable after {self.config.retry_limit} attempts: {last_error}")
 
     def generate(self, request: GenerationRequest) -> str:
         payload = {
@@ -249,7 +235,7 @@ class HttpBackend:
             payload["layout"] = request.layout_json
         body = self._post(self.config.generation_url, payload)
         if "text" not in body or type(body.get("token_count")) is not int:
-            raise MalformedResponseError(
+            raise BackendError(
                 f'generation response needs "text" and an integer "token_count": {body}'
             )
         return _truncate_at_stop(str(body["text"]), request.stop)
@@ -262,7 +248,7 @@ class HttpBackend:
             {"texts": list(texts), "model": self.config.embedding_model_name},
         )
         if "vectors" not in body:
-            raise MalformedResponseError(f'embedding response missing "vectors": {body}')
+            raise BackendError(f'embedding response missing "vectors": {body}')
         import numpy as np
         try:
             # numpy would take "1.5" or true as numbers; JSON numbers only
@@ -270,17 +256,17 @@ class HttpBackend:
                 raise TypeError("a component is not a JSON number")
             matrix = np.asarray(body["vectors"], dtype=np.float64)
         except (TypeError, ValueError, OverflowError) as err:
-            raise MalformedResponseError(
+            raise BackendError(
                 f"embedding vectors hold non-numbers or mixed dimensions: {err}"
             ) from None
         if matrix.ndim != 2 or matrix.shape[0] != len(texts) or matrix.shape[1] < 1:
-            raise MalformedResponseError(
+            raise BackendError(
                 f"vectors of shape {matrix.shape} for {len(texts)} texts"
             )
         # Embedding files store float32; NaN fails these comparisons too.
         limit = np.finfo(np.float32).max
         if not -limit <= matrix.min() <= matrix.max() <= limit:
-            raise MalformedResponseError("embedding values must be finite and in float32 range")
+            raise BackendError("embedding values must be finite and in float32 range")
         return list(matrix)
 
 
@@ -339,7 +325,7 @@ def parse_completion(
 
     Looks for the final query-infix marker, keeps the first line after
     it, and normalizes. Raises ``CompletionParseError`` when the marker
-    is missing and ``EmptyParaphraseError`` when nothing follows it.
+    is missing or nothing follows it.
     """
     marker = template.infix_realization(query_class)
     idx = raw.rfind(marker)
@@ -348,5 +334,5 @@ def parse_completion(
     tail = raw[idx + len(marker):].split("\n", 1)[0]
     tokens = normalize(tail, cfg)
     if not tokens:
-        raise EmptyParaphraseError("completion is empty after the infix marker")
+        raise CompletionParseError("completion is empty after the infix marker")
     return tokens

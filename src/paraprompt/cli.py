@@ -204,7 +204,7 @@ def _novelty_by_id(config: PipelineConfig, ids: Sequence[str]) -> dict[str, nove
     labeled_path = Path(config.out_dir) / "labeled.jsonl"
     if not labeled_path.exists():
         raise dataio.DataFormatError(labeled_path, None, "novelty labels missing; run the label command first")
-    classes = {lp.pair.id: lp.novelty for lp in novelty.load_labeled(labeled_path)}
+    classes = novelty.load_labeled(labeled_path)
     missing = next((rid for rid in ids if rid not in classes), None)
     if missing is not None:
         raise dataio.DataFormatError(labeled_path, None, f"no novelty class for index id {missing!r}; "
@@ -278,7 +278,7 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
     rows: list[dict] = []
     pending: list[tuple[dict, backend_mod.GenerationRequest, int]] = []
     for (pair, x), examples in zip(queries, retrieved):
-        row = {"id": pair.id, "prompt_n": 0}
+        row = {"id": pair.id, "prompt_n": 0, "mode": config.mode}
         rows.append(row)
         if not x:
             row.update(output="", error="empty source after normalization")
@@ -291,7 +291,6 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
             row.update(output="", error=f"prompt of {row['prompt_n']} tokens exceeds "
                        f"max_prompt_tokens {config.max_prompt_tokens}")
             continue
-        row["mode"] = config.mode
         if config.mode != "manual":
             # soft slot spans have no canonical text; the prompt crossed
             # the wire through the template's stand-in strings
@@ -368,11 +367,11 @@ def cmd_eval(config: PipelineConfig) -> int:
         records.append(
             EvalRecord(
                 source=normalize(pair.source, cfg_norm),
-                prediction=normalize(str(row["output"]), cfg_norm),
+                prediction=normalize(row["output"], cfg_norm),
                 references=(normalize(pair.target, cfg_norm),),
             )
         )
-        texts.append((pair.source, str(row["output"])))
+        texts.append((pair.source, row["output"]))
     if not records:
         raise dataio.DataFormatError(
             out_dir / "generations.jsonl", None, "nothing to evaluate"
@@ -410,6 +409,8 @@ def cmd_params(args: argparse.Namespace) -> int:
     if args.layers is not None or args.width is not None:
         if args.layers is None or args.width is None:
             raise UsageError("--layers and --width must be given together")
+        if args.shape:
+            raise UsageError("--shape cannot be combined with --layers and --width")
         try:
             shapes = [paramcount.ModelShape(f"custom-L{args.layers}-d{args.width}", args.layers, args.width)]
         except ValueError as err:
@@ -435,8 +436,7 @@ def cmd_validate(config: PipelineConfig) -> int:
             splits.append(dataio.load_pairs(path, config.data_format, name))
     if not splits:
         raise UsageError("give at least one of --train/--validation/--test")
-    report = dataio.validate_split_sizes(splits, config.dataset_name)
-    print(report.render(), end="")
+    print(dataio.validate_split_sizes(splits, config.dataset_name), end="")
     return 0
 
 

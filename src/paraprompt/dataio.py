@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -241,37 +241,17 @@ def _parse_tsv_line(path, lineno: int, line: str, default_id: str) -> Paraphrase
         raise DataFormatError(path, lineno, str(err)) from err
 
 
-@dataclass
-class SplitSizeReport:
-    dataset: str
-    known: bool
-    entries: list[tuple[str, int | None, int, bool]] = field(default_factory=list)
-
-    @property
-    def all_match(self) -> bool:
-        return all(ok for _, _, _, ok in self.entries)
-
-    def render(self) -> str:
-        lines = [f"dataset: {self.dataset}" + ("" if self.known else " (custom, informational)")]
-        for split, expected, actual, ok in self.entries:
-            expect_s = "-" if expected is None else str(expected)
-            flag = "ok" if ok else "MISMATCH"
-            lines.append(f"  {split}: expected {expect_s}, got {actual} [{flag}]")
-        return "\n".join(lines) + "\n"
-
-
-def validate_split_sizes(
-    splits: Iterable[DatasetSplit], dataset_name: str
-) -> SplitSizeReport:
-    """Compare split sizes against the published table; report, never raise."""
+def validate_split_sizes(splits: Iterable[DatasetSplit], dataset_name: str) -> str:
+    """A report of each split's size against the published table, one line
+    per split; a size that differs is flagged, never raised."""
     key = dataset_name.lower().replace(" ", "-").replace("_", "-")
     expected_table = KNOWN_SPLIT_SIZES.get(key)
-    report = SplitSizeReport(dataset=dataset_name, known=expected_table is not None)
+    lines = [f"dataset: {dataset_name}" + ("" if expected_table else " (custom, informational)")]
     for split in splits:
-        expected = (expected_table or {}).get(split.name)
-        ok = expected is None or expected == len(split)
-        report.entries.append((split.name, expected, len(split), ok))
-    return report
+        expected = (expected_table or {}).get(split.name, "-")
+        flag = "ok" if expected in ("-", len(split)) else "MISMATCH"
+        lines.append(f"  {split.name}: expected {expected}, got {len(split)} [{flag}]")
+    return "\n".join(lines) + "\n"
 
 
 def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -330,11 +310,6 @@ def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tu
             yield lineno, obj
 
 
-def load_jsonl_objects(path: str | Path, required: Sequence[str]) -> list[dict]:
-    """The objects of ``iter_jsonl_objects``, read in full."""
-    return [obj for _, obj in iter_jsonl_objects(path, required)]
-
-
 def load_ids(path: str | Path) -> list[str]:
     """The ids of a JSONL id file, one {"id": ...} object per non-blank
     line, as text; an id must be a string or an integer, as in
@@ -346,21 +321,25 @@ def load_ids(path: str | Path) -> list[str]:
 
 
 def load_generations(path: str | Path) -> list[dict]:
-    return load_jsonl_objects(path, ("id", "output"))
+    """Generation records; an ``output`` that is not a string is a
+    ``DataFormatError``."""
+    rows = []
+    for lineno, row in iter_jsonl_objects(path, ("id", "output")):
+        if type(row["output"]) is not str:
+            raise DataFormatError(path, lineno, '"output" must be a string')
+        rows.append(row)
+    return rows
 
 
-def file_sha256(path: str | Path) -> bytes | None:
+def file_sha256(path: str | Path) -> bytes:
     """The sha256 of a file, hashed a MiB at a time (``hashlib.file_digest``
-    needs Python 3.11); None when the file cannot be read."""
+    needs Python 3.11)."""
     digest = hashlib.sha256()
     buf = bytearray(1 << 20)
     view = memoryview(buf)
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            while size := fh.readinto(buf):
-                digest.update(view[:size])
-    except OSError:
-        return None
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
     return digest.digest()
 
 
@@ -385,7 +364,7 @@ def index_pairs(
     # hashed before it is parsed, so a file changed in between has another digest
     train_sha256 = file_sha256(train_path)
     key = hashlib.sha256(b"%s\0%s\0" % (_TRAIN_ROWS_VERSION, fmt.encode()))
-    key.update(train_sha256 or b"")
+    key.update(train_sha256)
     key.update(hashlib.sha256(json.dumps(ids).encode()).digest())
     try:
         data = Path(cache_path).read_bytes()
@@ -395,7 +374,7 @@ def index_pairs(
     lines = data.split(b"\n")
     sealed = key.copy()
     sealed.update(memoryview(data)[len(lines[0]) + 1 :])
-    if train_sha256 is not None and len(lines) == len(ids) + 2 and lines[0] == sealed.hexdigest().encode():
+    if len(lines) == len(ids) + 2 and lines[0] == sealed.hexdigest().encode():
         def pair_of(row: int) -> ParaphrasePair:
             source, target = json.loads(lines[row + 1])
             return ParaphrasePair(ids[row], source, target)
@@ -406,10 +385,9 @@ def index_pairs(
     if None in pairs:
         raise DataFormatError(emb_path, None, "embeddings reference unknown train ids "
                               f"(first: {ids[pairs.index(None)]!r})")
-    if train_sha256 is not None:
-        body = "".join(
-            f"[{encode_basestring_ascii(p.source)}, {encode_basestring_ascii(p.target)}]\n" for p in pairs
-        ).encode("ascii")
-        key.update(body)
-        atomic_write(cache_path, [key.hexdigest().encode(), b"\n", body])
+    body = "".join(
+        f"[{encode_basestring_ascii(p.source)}, {encode_basestring_ascii(p.target)}]\n" for p in pairs
+    ).encode("ascii")
+    key.update(body)
+    atomic_write(cache_path, [key.hexdigest().encode(), b"\n", body])
     return pairs.__getitem__

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .dataio import DataFormatError, ParaphrasePair, id_text, iter_jsonl_objects
 from .metrics.ter import ter
-from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize
+from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, normalize
 
 TER_DIRECTION = "hypothesis=target, reference=source"
 
@@ -91,7 +91,7 @@ class LabeledPair:
 @dataclass
 class LabelingResult:
     labeled: list[LabeledPair]
-    rejected: list[tuple[ParaphrasePair, str]]
+    rejected: int
     thresholds: NoveltyThresholds
     normalization: NormalizationConfig
     histogram: Counter = field(default_factory=Counter)
@@ -102,7 +102,7 @@ class LabelingResult:
             "thresholds": {"low_max": self.thresholds.low_max, "high_min": self.thresholds.high_min},
             "normalization": self.normalization.as_dict(),
             "histogram": {c.label: self.histogram.get(c, 0) for c in NoveltyClass},
-            "rejected": len(self.rejected),
+            "rejected": self.rejected,
         }
 
 
@@ -113,37 +113,37 @@ def label_dataset(
 ) -> LabelingResult:
     """Label every pair with TER(target, source) and its novelty class.
 
-    Pairs whose source normalizes to nothing cannot be rated; they land
-    in ``rejected`` with a reason and the run continues. TER is computed
-    once per distinct (target tokens, source tokens) pair.
+    Pairs whose source normalizes to nothing cannot be rated; they are
+    counted in ``rejected`` and the run continues. TER is computed once
+    per distinct (target, source) text pair: one normalization holds for
+    the whole call, so equal texts have equal tokens.
     """
-    result = LabelingResult(
-        labeled=[], rejected=[], thresholds=thresholds, normalization=cfg
-    )
-    ter_by_tokens: dict[tuple[TokenSeq, TokenSeq], float] = {}
+    result = LabelingResult(labeled=[], rejected=0, thresholds=thresholds, normalization=cfg)
+    ter_by_text: dict[tuple[str, str], float] = {}
     for pair in pairs:
         source_tokens = normalize(pair.source, cfg)
         if not source_tokens:
-            result.rejected.append((pair, "source is empty after normalization"))
+            result.rejected += 1
             continue
-        key = (normalize(pair.target, cfg), source_tokens)
-        if key not in ter_by_tokens:
-            ter_by_tokens[key] = ter(*key)
-        ter_value = ter_by_tokens[key]
+        key = (pair.target, pair.source)
+        if key not in ter_by_text:
+            ter_by_text[key] = ter(normalize(pair.target, cfg), source_tokens)
+        ter_value = ter_by_text[key]
         novelty = classify(ter_value, thresholds)
         result.labeled.append(LabeledPair(pair=pair, ter_value=ter_value, novelty=novelty))
         result.histogram[novelty] += 1
     return result
 
 
-def load_labeled(path: str | Path) -> list[LabeledPair]:
-    """The pairs of a ``labeled.jsonl`` file; a field of the wrong type or
-    value (the id follows ``load_pairs``' rule) is a ``DataFormatError``."""
+def load_labeled(path: str | Path) -> dict[str, NoveltyClass]:
+    """The novelty class of each id of a ``labeled.jsonl`` file, the last
+    row of an id winning. Every row is checked: a field of the wrong type
+    or value (the id and the non-empty source follow ``load_pairs``' rules)
+    is a ``DataFormatError``."""
     labels = tuple(c.label for c in NoveltyClass)
-    labeled = []
+    classes = {}
     for lineno, obj in iter_jsonl_objects(path, LABELED_FIELDS):
-        if type(obj["id"]) is not str:
-            obj["id"] = id_text(path, lineno, obj["id"])
+        row_id = obj["id"] if type(obj["id"]) is str else id_text(path, lineno, obj["id"])
         if type(obj["source"]) is not str or type(obj["target"]) is not str:
             raise DataFormatError(path, lineno, '"source" and "target" must be strings')
         # bools, NaN, infinities and ints beyond float range all fail
@@ -151,9 +151,7 @@ def load_labeled(path: str | Path) -> list[LabeledPair]:
             raise DataFormatError(path, lineno, '"ter" must be a finite number')
         if obj["class"] not in labels:
             raise DataFormatError(path, lineno, f'"class" must be one of {", ".join(labels)}')
-        try:
-            pair = ParaphrasePair(obj["id"], obj["source"], obj["target"])
-        except ValueError as err:  # an empty source
-            raise DataFormatError(path, lineno, str(err)) from err
-        labeled.append(LabeledPair(pair, float(obj["ter"]), NoveltyClass.from_label(obj["class"])))
-    return labeled
+        if not obj["source"]:
+            raise DataFormatError(path, lineno, f"pair {row_id!r}: source must be non-empty")
+        classes[row_id] = NoveltyClass.from_label(obj["class"])
+    return classes

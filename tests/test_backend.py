@@ -5,14 +5,12 @@ import pytest
 
 from paraprompt.backend import (
     BackendConfig,
+    BackendError,
     CompletionParseError,
-    EmptyParaphraseError,
     GenerationRequest,
     HttpBackend,
-    MalformedResponseError,
     MockBackend,
     PromptBudgetError,
-    TransportError,
     generate_batch,
     make_embedding_backend,
     make_generation_backend,
@@ -134,7 +132,7 @@ def test_http_transport_error_after_retries(monkeypatch):
 
     monkeypatch.setattr("paraprompt.backend.requests.post", failing_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
-    with pytest.raises(TransportError, match="after 3 attempts"):
+    with pytest.raises(BackendError, match="^http://x/gen unreachable after 3 attempts: refused$"):
         backend.generate(GenerationRequest(prompt="p"))
     assert calls["n"] == 3
 
@@ -148,7 +146,7 @@ def test_http_malformed_response_not_retried(monkeypatch):
 
     monkeypatch.setattr("paraprompt.backend.requests.post", bad_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
-    with pytest.raises(MalformedResponseError):
+    with pytest.raises(BackendError, match='"text" and an integer "token_count"'):
         backend.generate(GenerationRequest(prompt="p"))
     assert calls["n"] == 1
 
@@ -180,7 +178,7 @@ def test_http_embed_batch_dimension_check(monkeypatch):
 
     monkeypatch.setattr("paraprompt.backend.requests.post", mixed_post)
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
-    with pytest.raises(MalformedResponseError, match="mixed"):
+    with pytest.raises(BackendError, match="mixed"):
         backend.embed(["a", "b"])
 
 
@@ -192,7 +190,7 @@ def test_http_embed_rejects_values_outside_float32(monkeypatch, value):
 
     monkeypatch.setattr("paraprompt.backend.requests.post", post)
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
-    with pytest.raises(MalformedResponseError, match="finite and in float32 range"):
+    with pytest.raises(BackendError, match="finite and in float32 range"):
         backend.embed(["a", "b"])
 
 
@@ -206,30 +204,30 @@ def test_http_embed_accepts_float32_extremes(monkeypatch):
     assert backend.embed(["a"])[0].tolist() == [big, -big, 1e-45]
 
 
-# Replies that parse as JSON but not as the agreed shape; none may escape
-# as anything but a BackendError. An unusable over-budget token count
-# becomes None.
+# Replies that parse as JSON but not as the agreed shape, each with the kind
+# of error it must raise: a PromptBudgetError, whose unusable token count
+# becomes None, or, for any other malformed response, a plain BackendError.
 MALFORMED_REPLIES = [
-    ("generate", 413, {"token_count": None}, PromptBudgetError),
-    ("generate", 413, {"token_count": "many"}, PromptBudgetError),
-    ("generate", 413, json.loads('{"token_count": 1e400}'), PromptBudgetError),
-    ("generate", 413, {"token_count": True}, PromptBudgetError),
-    ("generate", 400, {"error": "prompt_too_long", "token_count": "many"}, PromptBudgetError),
-    ("generate", 200, {"text": "a", "token_count": None}, MalformedResponseError),
-    ("generate", 200, {"text": "a", "token_count": "x"}, MalformedResponseError),
-    ("generate", 200, {"text": "a", "token_count": True}, MalformedResponseError),
-    ("generate", 200, "text token_count", MalformedResponseError),
-    ("embed", 200, "vectors", MalformedResponseError),
-    ("embed", 200, {"vectors": [["a"]]}, MalformedResponseError),
-    ("embed", 200, {"vectors": [[[1.0]]]}, MalformedResponseError),
-    ("embed", 200, {"vectors": [1.0]}, MalformedResponseError),
-    ("embed", 200, {"vectors": [[]]}, MalformedResponseError),
+    ("generate", 413, {"token_count": None}, "PromptBudgetError"),
+    ("generate", 413, {"token_count": "many"}, "PromptBudgetError"),
+    ("generate", 413, json.loads('{"token_count": 1e400}'), "PromptBudgetError"),
+    ("generate", 413, {"token_count": True}, "PromptBudgetError"),
+    ("generate", 400, {"error": "prompt_too_long", "token_count": "many"}, "PromptBudgetError"),
+    ("generate", 200, {"text": "a", "token_count": None}, "MalformedResponseError"),
+    ("generate", 200, {"text": "a", "token_count": "x"}, "MalformedResponseError"),
+    ("generate", 200, {"text": "a", "token_count": True}, "MalformedResponseError"),
+    ("generate", 200, "text token_count", "MalformedResponseError"),
+    ("embed", 200, "vectors", "MalformedResponseError"),
+    ("embed", 200, {"vectors": [["a"]]}, "MalformedResponseError"),
+    ("embed", 200, {"vectors": [[[1.0]]]}, "MalformedResponseError"),
+    ("embed", 200, {"vectors": [1.0]}, "MalformedResponseError"),
+    ("embed", 200, {"vectors": [[]]}, "MalformedResponseError"),
     # numpy alone would read these as [1.5, 1.0], [1.0, 2.0] and [1.5, 0.0]
-    ("embed", 200, {"vectors": [["1.5", True]]}, MalformedResponseError),
-    ("embed", 200, {"vectors": [[True, 2]]}, MalformedResponseError),
-    ("embed", 200, {"vectors": [[1.5, False]]}, MalformedResponseError),
+    ("embed", 200, {"vectors": [["1.5", True]]}, "MalformedResponseError"),
+    ("embed", 200, {"vectors": [[True, 2]]}, "MalformedResponseError"),
+    ("embed", 200, {"vectors": [[1.5, False]]}, "MalformedResponseError"),
     # a JSON integer too large for a float
-    ("embed", 200, json.loads('{"vectors": [[1%s]]}' % ("0" * 400)), MalformedResponseError),
+    ("embed", 200, json.loads('{"vectors": [[1%s]]}' % ("0" * 400)), "MalformedResponseError"),
 ]
 
 
@@ -240,13 +238,15 @@ def test_http_malformed_reply_is_a_backend_error(monkeypatch, call, status, body
         lambda *args, **kwargs: _FakeResponse(status_code=status, body=body),
     )
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", embedding_url="http://x/emb"))
-    with pytest.raises(error) as err:
+    with pytest.raises(BackendError) as err:
         if call == "generate":
             backend.generate(GenerationRequest(prompt="p"))
         else:
             backend.embed(["a"])
-    if error is PromptBudgetError:
-        assert err.value.prompt_tokens is None
+    if error == "PromptBudgetError":
+        assert type(err.value) is PromptBudgetError and err.value.prompt_tokens is None
+    else:
+        assert type(err.value) is BackendError
 
 
 def test_parse_completion_extracts_after_final_marker():
@@ -260,7 +260,7 @@ def test_parse_completion_missing_marker():
 
 
 def test_parse_completion_empty_after_marker():
-    with pytest.raises(EmptyParaphraseError):
+    with pytest.raises(CompletionParseError, match="empty after the infix marker"):
         parse_completion("Input: q\nParaphrase:   \nInput:")
 
 
@@ -275,5 +275,6 @@ def test_config_validation():
         BackendConfig(max_in_flight=0)
     with pytest.raises(ValueError):
         BackendConfig(retry_limit=0)
-    with pytest.raises(ValueError):
-        BackendConfig(timeout=0)
+    for timeout in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="timeout must be > 0 and finite"):
+            BackendConfig(timeout=timeout)

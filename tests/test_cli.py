@@ -226,6 +226,39 @@ def test_generate_ncrapt_uses_query_class(data_dir):
     assert all(r["output"] for r in rows)
 
 
+def test_every_generation_row_carries_the_mode(data_dir):
+    # an error row first: eval labels its report with the first row's mode
+    test = data_dir / "test_blank.jsonl"
+    write_jsonl(test, [{"id": "blank", "source": "   ", "target": "x"}] + TEST_ROWS)
+    out = data_dir / "out"
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out,
+        "--mode", "ncrapt",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert rows[0] == {"id": "blank", "prompt_n": 0, "mode": "ncrapt", "output": "",
+                       "error": "empty source after normalization"}
+    assert [row["mode"] for row in rows] == ["ncrapt"] * 3
+    assert run(["eval", "--test", test, "--out", out]) == 0
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("ncrapt,")
+
+
+@pytest.mark.parametrize("output", [None, 3, ["a"]])
+def test_eval_refuses_an_output_that_is_not_a_string(data_dir, capsys, output):
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "copy") == 0
+    path = out / "generations.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1]["output"] = output
+    write_jsonl(path, rows)
+    capsys.readouterr()
+    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
+    assert capsys.readouterr().err == f'data error: {path}:2: "output" must be a string\n'
+    assert not (out / "report.txt").exists()
+
+
 def test_generate_copy_and_eval_pattern(data_dir, capsys):
     out = data_dir / "out"
     assert _generate(data_dir, out, "copy") == 0
@@ -291,6 +324,8 @@ def test_params_custom_shape(capsys):
     (["--layers", "-1", "--width", "8"], "layers must be >= 1"),
     (["--layers", "0", "--width", "8"], "layers must be >= 1"),
     (["--layers", "2"], "--layers and --width must be given together"),
+    (["--shape", "gpt2-large", "--layers", "2", "--width", "8"],
+     "--shape cannot be combined with --layers and --width"),
 ])
 def test_params_bad_custom_shape_is_a_usage_error(capsys, flags, message):
     assert run(["params"] + flags) == 1
@@ -450,6 +485,9 @@ INVALID_SETTINGS = [
     (["--max-in-flight", "0"], None),
     (["--retry-limit", "0"], None),
     (["--timeout", "0"], None),
+    (["--timeout", "nan"], None),
+    (["--timeout", "inf"], None),
+    ([], "timeout=nan"),
     (["--k", "0"], None),
     (["--max-prompt-tokens", "0"], None),
     ([], "seed=abc"),
@@ -612,6 +650,7 @@ def test_prompt_over_budget_without_examples_is_an_error_row(data_dir, monkeypat
     assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
     for row in rows:
         assert row["output"] == ""
+        assert row["mode"] == "rapt"
         assert row["prompt_n"] > 248
         assert row["error"] == f"prompt of {row['prompt_n']} tokens exceeds max_prompt_tokens 100"
 

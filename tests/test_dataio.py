@@ -13,10 +13,10 @@ from paraprompt.dataio import (
     DatasetSplit,
     ParaphrasePair,
     atomic_write,
+    iter_jsonl_objects,
     key_values,
     load_generations,
     load_ids,
-    load_jsonl_objects,
     load_pairs,
     validate_split_sizes,
     write_generations,
@@ -193,7 +193,7 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
     returned, or raises the same message on the same line."""
     readers = [
         (lambda p: load_pairs(p, "jsonl").pairs, load_pairs_per_line),
-        (lambda p: load_jsonl_objects(p, ("source",)),
+        (lambda p: [obj for _, obj in iter_jsonl_objects(p, ("source",))],
          lambda p: load_jsonl_objects_per_line(p, ("source",))),
         (load_ids, lambda p: [str(obj["id"]) for obj in load_jsonl_objects_per_line(p, ("id",))]),
     ]
@@ -214,10 +214,10 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
         assert any(outcome in message for message in seen), outcome
 
 
-def test_load_jsonl_objects_accepts_unicode_space_around_a_value(tmp_path):
+def test_iter_jsonl_objects_accepts_unicode_space_around_a_value(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('\xa0{"id": "a"}\u3000\n', encoding="utf-8")
-    assert load_jsonl_objects(path, ("id",)) == [{"id": "a"}]
+    assert list(iter_jsonl_objects(path, ("id",))) == [(1, {"id": "a"})]
     with pytest.raises(DataFormatError, match=r":1: invalid JSON: Expecting value"):
         load_pairs(path)
 
@@ -369,25 +369,27 @@ def test_split_sizes_known_dataset_match():
         DatasetSplit("train", [_mk(i) for i in range(5)]),
         DatasetSplit("test", [_mk(i) for i in range(2)]),
     ]
-    report = validate_split_sizes(splits, "custom")
-    assert report.all_match
-    assert not report.known
+    assert validate_split_sizes(splits, "custom") == (
+        "dataset: custom (custom, informational)\n"
+        "  train: expected -, got 5 [ok]\n"
+        "  test: expected -, got 2 [ok]\n"
+    )
 
 
 def test_split_sizes_published_table():
     train = DatasetSplit("train", [_mk(i) for i in range(10)])
-    report = validate_split_sizes([train], "QQP 50K")
-    assert report.known
-    assert not report.all_match  # 10 != 46,000
-    entry = report.entries[0]
-    assert entry[1] == 46_000 and entry[2] == 10
-    assert "MISMATCH" in report.render()
+    validation = DatasetSplit("validation", [_mk(i) for i in range(4_000)])
+    assert validate_split_sizes([train, validation], "QQP 50K") == (
+        "dataset: QQP 50K\n"
+        "  train: expected 46000, got 10 [MISMATCH]\n"
+        "  validation: expected 4000, got 4000 [ok]\n"
+    )
 
 
 def test_split_sizes_off_by_one_flagged():
     train = DatasetSplit("train", [_mk(i) for i in range(45_999)])
     report = validate_split_sizes([train], "qqp-50k")
-    assert not report.all_match
+    assert report.splitlines()[1] == "  train: expected 46000, got 45999 [MISMATCH]"
 
 
 def _mk(i):

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
+from paraprompt import novelty
 from paraprompt.dataio import ParaphrasePair, write_jsonl
+from paraprompt.metrics.ter import ter
 from paraprompt.novelty import (
     NoveltyClass,
     NoveltyThresholds,
@@ -89,9 +92,8 @@ def test_label_rejects_unratable_source_and_continues():
         ParaphrasePair(id="1", source="a b", target="a b"),
     ]
     result = label_dataset(pairs)
-    assert len(result.rejected) == 1
-    assert result.rejected[0][0].id == "0"
-    assert len(result.labeled) == 1
+    assert result.rejected == 1
+    assert [lp.pair.id for lp in result.labeled] == ["1"]
     assert result.metadata()["rejected"] == 1
 
 
@@ -110,7 +112,32 @@ def test_labeled_pair_round_trip(tmp_path):
     assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
                    "ter": 0.25, "class": "medium"}
     write_jsonl(tmp_path / "labeled.jsonl", [row])
-    assert load_labeled(tmp_path / "labeled.jsonl") == [result.labeled[0]]
+    assert load_labeled(tmp_path / "labeled.jsonl") == {"0": NoveltyClass.MEDIUM}
+
+
+def test_label_rates_each_distinct_pair_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(novelty, "ter", lambda hyp, ref: calls.append(hyp) or ter(hyp, ref))
+    result = label_dataset(_pairs([("a b c d", "a b x d"), ("p q", "p r"), ("a b c d", "a b x d")]))
+    assert calls == [("a", "b", "x", "d"), ("p", "r")]
+    assert [lp.ter_value for lp in result.labeled] == [0.25, 0.5, 0.25]
+
+
+def test_label_memo_holds_no_token_copies():
+    # a memo keyed by two normalized token tuples per pair held about
+    # 4 KB per 30-word pair (12 MB here); keyed by the texts, it holds none
+    rng = random.Random(3)
+    words = [f"w{i}" for i in range(2000)]
+    pairs = _pairs([(" ".join(rng.choices(words, k=30)), " ".join(rng.choices(words, k=30)))
+                    for _ in range(3000)])
+    tracemalloc.start()
+    try:
+        result = label_dataset(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.labeled) == 3000
+    assert peak < 2_000_000
 
 
 def test_class_order():
