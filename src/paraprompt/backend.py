@@ -4,8 +4,8 @@ All neural computation lives behind this boundary. The wire protocol is
 a minimal self-owned pair of JSON-over-HTTP endpoints:
 
     POST <generation_url>   {"prompt": str, "max_new_tokens": int,
-                             "stop": [str], "request_id": str,
-                             "layout": {...}?}
+                             "stop": ["\\n"], "request_id": str,
+                             "layout": {...}}
                          -> {"text": str, "token_count": int}
                             (the count is checked, not used)
     POST <embedding_url>    {"texts": [str], "model": str}
@@ -20,7 +20,7 @@ URLs with the "mock:" scheme select the in-process deterministic mock,
 e.g. "mock:echo?seed=1" for generation or "mock:hash?dim=16" for
 embeddings. Transport failures are retried up to the configured limit;
 malformed responses never are. A completion is the text the service
-returned, cut at the first stop string.
+returned; ``parse_completion`` reads it.
 
 numpy loads on the first ``embed`` and ``requests`` on the first HTTP
 request, so a command that uses neither does not pay to import them.
@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
-from .promptkit import DECODE_MARGIN, DEFAULT_TEMPLATE, SegmentKind, TextTemplate
-from .novelty import NoveltyClass
+from .promptkit import DECODE_MARGIN, SegmentKind
 
 if TYPE_CHECKING:
     import numpy as np
@@ -95,22 +94,13 @@ class BackendConfig:
 @dataclass(frozen=True)
 class GenerationRequest:
     prompt: str
+    layout_json: dict
     max_new_tokens: int = DECODE_MARGIN
-    stop: tuple[str, ...] = ()
     request_id: str = ""
-    layout_json: dict | None = None
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ValueError("prompt must be non-empty")
-
-
-def _truncate_at_stop(text: str, stop: Sequence[str]) -> str:
-    for marker in stop:
-        idx = text.find(marker)
-        if idx >= 0:
-            text = text[:idx]
-    return text
 
 
 class GenerationBackend(Protocol):
@@ -127,9 +117,7 @@ class MockBackend:
     Generation modes:
       echo     repeat the query, so pipelines behave like a copy model: the
                tokens of the request layout's ``query_input`` segment,
-               rendered, under any template; for a request without a
-               layout, what follows the prompt's final ``DEFAULT_TEMPLATE``
-               prefix ("Input:") on its line, or "" when it has none.
+               rendered, under any template.
       shuffle  like echo, but deterministically shuffles the tokens using
                the seed and the prompt digest.
       constant always answer ``constant_text``.
@@ -154,26 +142,16 @@ class MockBackend:
         self.dim = dim
         self.constant_text = constant_text
 
-    def _completion_for(self, request: GenerationRequest) -> str:
-        prompt = request.prompt
-        if request.layout_json is not None:
-            segments = reversed(request.layout_json["segments"])
-            line = next((render(segment["tokens"]) for segment in segments
-                         if segment["kind"] == SegmentKind.QUERY_INPUT.value), "")
-        else:
-            marker = DEFAULT_TEMPLATE.prefix
-            idx = prompt.rfind(marker)
-            line = prompt[idx + len(marker):].split("\n", 1)[0].strip() if idx >= 0 else ""
-        if self.mode == "shuffle" and line:
-            tokens = line.split()
-            digest = hashlib.sha256(f"{self.seed}:{prompt}".encode()).hexdigest()
-            random.Random(int(digest[:16], 16)).shuffle(tokens)
-            line = " ".join(tokens)
-        return line
-
     def generate(self, request: GenerationRequest) -> str:
-        text = self.constant_text if self.mode == "constant" else self._completion_for(request)
-        return _truncate_at_stop(text, request.stop)
+        if self.mode == "constant":
+            return self.constant_text
+        tokens = next(segment["tokens"] for segment in request.layout_json["segments"]
+                      if segment["kind"] == SegmentKind.QUERY_INPUT.value)
+        if self.mode == "shuffle":
+            tokens = list(tokens)
+            digest = hashlib.sha256(f"{self.seed}:{request.prompt}".encode()).hexdigest()
+            random.Random(int(digest[:16], 16)).shuffle(tokens)
+        return render(tokens)
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -228,17 +206,16 @@ class HttpBackend:
         payload = {
             "prompt": request.prompt,
             "max_new_tokens": request.max_new_tokens,
-            "stop": list(request.stop),
+            "stop": ["\n"],
             "request_id": request.request_id,
+            "layout": request.layout_json,
         }
-        if request.layout_json is not None:
-            payload["layout"] = request.layout_json
         body = self._post(self.config.generation_url, payload)
-        if "text" not in body or type(body.get("token_count")) is not int:
+        if type(body.get("text")) is not str or type(body.get("token_count")) is not int:
             raise BackendError(
-                f'generation response needs "text" and an integer "token_count": {body}'
+                f'generation response needs a string "text" and an integer "token_count": {body}'
             )
-        return _truncate_at_stop(str(body["text"]), request.stop)
+        return body["text"]
 
     def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
         if not texts:
@@ -315,24 +292,11 @@ def generate_batch(
         return list(pool.map(backend.generate, requests_list))
 
 
-def parse_completion(
-    raw: str,
-    template: TextTemplate = DEFAULT_TEMPLATE,
-    query_class: NoveltyClass | None = None,
-    cfg: NormalizationConfig = DEFAULT_NORMALIZATION,
-) -> TokenSeq:
-    """Extract the paraphrase from prompt+completion text.
-
-    Looks for the final query-infix marker, keeps the first line after
-    it, and normalizes. Raises ``CompletionParseError`` when the marker
-    is missing or nothing follows it.
-    """
-    marker = template.infix_realization(query_class)
-    idx = raw.rfind(marker)
-    if idx < 0:
-        raise CompletionParseError(f"completion lacks the {marker!r} marker")
-    tail = raw[idx + len(marker):].split("\n", 1)[0]
-    tokens = normalize(tail, cfg)
+def parse_completion(completion: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> TokenSeq:
+    """The paraphrase in a completion: its first line, normalized. Every
+    prompt ends at its query infix, so the reply opens with the answer.
+    Raises ``CompletionParseError`` when that line is empty."""
+    tokens = normalize(completion.split("\n", 1)[0], cfg)
     if not tokens:
-        raise CompletionParseError("completion is empty after the infix marker")
+        raise CompletionParseError("completion's first line is empty")
     return tokens

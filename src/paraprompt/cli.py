@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 # choices and PipelineConfig's validation.
 CHOICES = {
     "data_format": dataio.DATA_FORMATS,
-    "mode": ("manual", "rapt", "ncrapt", "copy", "ground-truth"),
+    "mode": dataio.GENERATION_MODES,
     "strategy": ("knn", "random"),
     "query_class": tuple(c.label for c in novelty.NoveltyClass),
     "exclude_self": ("auto", "always", "never"),
@@ -217,6 +217,7 @@ def _retrieve(
 ) -> list[list[promptkit.PromptExample]]:
     """Each query's examples in ascending similarity; none for a query
     whose source normalizes to nothing."""
+    import numpy as np
     from . import retrieval
     index = _load_index(config)
     if len(index) == 0:
@@ -236,6 +237,10 @@ def _retrieve(
     )
     excludes = [{pair.id} if exclude_self else set() for pair, _ in queries]
     looked_up = [i for i, (_, x) in enumerate(queries) if x]
+    # a query vector without a direction cannot be ranked against the index
+    zero = next((queries[i][0].id for i in looked_up if not np.linalg.norm(vectors[i])), None)
+    if len(index) and zero is not None:
+        raise dataio.DataFormatError(config.test_path, None, f"query id {zero!r}: zero-norm vector")
     if config.strategy == "random":
         found = [
             retrieval.query_random(index, vectors[i], config.k, excludes[i], seed=config.seed + i)
@@ -297,9 +302,8 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
             row.update(discrete_render=True, examples=[e.id for e in layout.examples])
         request = backend_mod.GenerationRequest(
             prompt=promptkit.render_text(layout, template),
-            stop=("\n",),
-            request_id=pair.id,
             layout_json=promptkit.layout_to_json(layout),
+            request_id=pair.id,
         )
         pending.append((row, request, dropped))
 
@@ -307,13 +311,9 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
         gen_backend, [request for _, request, _ in pending],
         max_in_flight=config.backend.max_in_flight,
     )
-    infix_class = query_class if config.mode == "ncrapt" else None
-    for (row, request, dropped), completion in zip(pending, completions):
+    for (row, _, dropped), completion in zip(pending, completions):
         try:
-            tokens = backend_mod.parse_completion(
-                request.prompt + completion, template, infix_class, config.normalization
-            )
-            row["output"] = render(tokens)
+            row["output"] = render(backend_mod.parse_completion(completion, config.normalization))
         except backend_mod.CompletionParseError as err:
             row.update(output="", error=str(err))
         if dropped:
@@ -355,7 +355,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     texts: list[tuple[str, str]] = []
     skipped_no_reference = 0
     for row in generations:
-        pair = by_id.get(str(row["id"]))
+        pair = by_id.get(row["id"])
         if pair is None:
             raise dataio.DataFormatError(
                 out_dir / "generations.jsonl", None,
@@ -392,7 +392,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     report = evaluate_all(records, vector_pairs, cfg_norm)
     if skipped_no_reference:
         report.diagnostics["missing_reference_skipped"] = skipped_no_reference
-    label = str(generations[0].get("mode", config.mode))
+    label = generations[0].get("mode", config.mode)
     text = report_text(report, label=label)
     dataio.atomic_write_text(out_dir / "report.txt", text)
     dataio.atomic_write_text(out_dir / "report.csv", report_csv(report, label=label))

@@ -25,6 +25,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 DATA_FORMATS = ("jsonl", "tsv")
+# The modes of ``generate``, recorded in each row it writes
+GENERATION_MODES = ("manual", "rapt", "ncrapt", "copy", "ground-truth")
 
 # Published split sizes, used for sanity-checking loaded corpora.
 KNOWN_SPLIT_SIZES: dict[str, dict[str, int]] = {
@@ -321,12 +323,21 @@ def load_ids(path: str | Path) -> list[str]:
 
 
 def load_generations(path: str | Path) -> list[dict]:
-    """Generation records; an ``output`` that is not a string is a
-    ``DataFormatError``."""
+    """Generation records, each id as text under ``load_pairs``' rules. A
+    repeated id, an ``output`` that is not a string or a ``mode`` that is
+    not a ``GENERATION_MODES`` value is a ``DataFormatError``."""
     rows = []
+    seen: set[str] = set()
     for lineno, row in iter_jsonl_objects(path, ("id", "output")):
+        if type(row["id"]) is not str:
+            row["id"] = id_text(path, lineno, row["id"])
+        if row["id"] in seen:
+            raise DataFormatError(path, lineno, f"duplicate id {row['id']!r}")
+        seen.add(row["id"])
         if type(row["output"]) is not str:
             raise DataFormatError(path, lineno, '"output" must be a string')
+        if "mode" in row and row["mode"] not in GENERATION_MODES:
+            raise DataFormatError(path, lineno, f'"mode" must be one of {", ".join(GENERATION_MODES)}')
         rows.append(row)
     return rows
 

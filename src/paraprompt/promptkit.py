@@ -280,9 +280,7 @@ class TextTemplate:
 
     Learned slot spans have no canonical text, so soft segments render
     through these stand-in strings; this is flagged in run metadata by
-    callers. The infix starting with a newline guarantees its final
-    occurrence in a rendered prompt is the query infix, because content
-    tokens never contain whitespace.
+    callers.
     """
 
     prefix: str = "Input:"
@@ -321,11 +319,8 @@ def _realize(segment: PromptSegment, template: TextTemplate) -> str:
 
 
 def render_text(layout: PromptLayout, template: TextTemplate | None = None) -> str:
-    """Deterministic discrete rendering of a layout.
-
-    The rendered prompt ends at the query infix, which doubles as the
-    parse-back marker for completions.
-    """
+    """Deterministic discrete rendering of a layout; the rendered prompt
+    ends at the query infix."""
     template = template or DEFAULT_TEMPLATE
     pieces: list[str] = []
     prev: SegmentKind | None = None

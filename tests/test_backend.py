@@ -17,29 +17,56 @@ from paraprompt.backend import (
     parse_completion,
 )
 from paraprompt.novelty import NoveltyClass
-from paraprompt.promptkit import DEFAULT_TEMPLATE
+from paraprompt.promptkit import (
+    PromptExample,
+    SlotSpec,
+    assemble_manual,
+    assemble_ncrapt,
+    layout_to_json,
+    render_text,
+)
+
+
+def _request(layout, request_id=""):
+    return GenerationRequest(
+        prompt=render_text(layout), layout_json=layout_to_json(layout), request_id=request_id
+    )
+
+
+def _manual(query, request_id=""):
+    return _request(assemble_manual(tuple(query.split())), request_id)
 
 
 def test_mock_echo_falls_back_to_query_for_open_prompts():
+    # an open prompt (manual, no examples) and a prompt with examples both
+    # echo the layout's query segment, never an example
     mock = MockBackend(mode="echo")
-    completion = mock.generate(
-        GenerationRequest(prompt="Input: how do i learn\nParaphrase:")
-    )
-    assert completion == "how do i learn"
+    assert mock.generate(_manual("how do i learn")) == "how do i learn"
+    example = PromptExample(source=("a", "b"), target=("c",), similarity=0.5,
+                            novelty=NoveltyClass.LOW, id="t0")
+    layout = assemble_ncrapt(("how", "do", "i", "learn"), [example], NoveltyClass.HIGH,
+                             SlotSpec(global_prefix_len=2, class_prefix_len=1, infix_len=1))
+    assert mock.generate(_request(layout)) == "how do i learn"
 
 
 def test_mock_stop_truncation():
+    # the mock returns its text whole; parse_completion keeps the first line
     mock = MockBackend(mode="constant", constant_text="one\ntwo")
-    assert mock.generate(GenerationRequest(prompt="p", stop=("\n",))) == "one"
+    completion = mock.generate(_manual("q"))
+    assert completion == "one\ntwo"
+    assert parse_completion(completion) == ("one",)
 
 
 def test_mock_generation_deterministic():
     a = MockBackend(mode="shuffle", seed=3)
     b = MockBackend(mode="shuffle", seed=3)
-    prompt = "Input: w x y z\nParaphrase:"
-    assert a.generate(GenerationRequest(prompt=prompt)) == b.generate(
-        GenerationRequest(prompt=prompt)
-    )
+    query = "t u v w x y z"
+    first = a.generate(_manual(query))
+    assert first == b.generate(_manual(query))
+    assert sorted(first.split()) == query.split()
+    # the order depends on the seed and the prompt, not on the instance
+    assert {MockBackend(mode="shuffle", seed=seed).generate(_manual(query))
+            for seed in range(8)} != {first}
 
 
 def test_mock_embed_deterministic_and_unit():
@@ -83,12 +110,7 @@ def test_generate_batch_preserves_order_and_bounds_concurrency():
                     self.in_flight -= 1
 
     mock = SlowMock(mode="echo")
-    requests_list = [
-        GenerationRequest(
-            prompt=f"Input: text {i}\nParaphrase:", request_id=str(i)
-        )
-        for i in range(16)
-    ]
+    requests_list = [_manual(f"text {i}", request_id=str(i)) for i in range(16)]
     completions = generate_batch(mock, requests_list, max_in_flight=3)
     assert completions == [f"text {i}" for i in range(16)]
     # the pool actually runs requests concurrently, but never more than
@@ -106,7 +128,7 @@ def test_make_backend_selects_mock_by_scheme():
 
 def test_empty_prompt_rejected():
     with pytest.raises(ValueError):
-        GenerationRequest(prompt="")
+        GenerationRequest(prompt="", layout_json={})
 
 
 class _FakeResponse:
@@ -133,7 +155,7 @@ def test_http_transport_error_after_retries(monkeypatch):
     monkeypatch.setattr("paraprompt.backend.requests.post", failing_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
     with pytest.raises(BackendError, match="^http://x/gen unreachable after 3 attempts: refused$"):
-        backend.generate(GenerationRequest(prompt="p"))
+        backend.generate(_manual("p"))
     assert calls["n"] == 3
 
 
@@ -147,18 +169,38 @@ def test_http_malformed_response_not_retried(monkeypatch):
     monkeypatch.setattr("paraprompt.backend.requests.post", bad_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
     with pytest.raises(BackendError, match='"text" and an integer "token_count"'):
-        backend.generate(GenerationRequest(prompt="p"))
+        backend.generate(_manual("p"))
     assert calls["n"] == 1
 
 
 def test_http_success_and_stop_truncation(monkeypatch):
+    # the service is asked to stop at a newline; the reply comes back as
+    # sent, and parse_completion keeps its first line
+    request = _manual("p", request_id="q7")
+    sent = []
+
     def ok_post(url, json=None, timeout=None, headers=None):
-        assert json["prompt"] == "p"
+        sent.append(json)
         return _FakeResponse(body={"text": "abc\ndef", "token_count": 2})
 
     monkeypatch.setattr("paraprompt.backend.requests.post", ok_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
-    assert backend.generate(GenerationRequest(prompt="p", stop=("\n",))) == "abc"
+    completion = backend.generate(request)
+    assert completion == "abc\ndef"
+    assert parse_completion(completion) == ("abc",)
+    assert sent == [{"prompt": "Input: p\nParaphrase:", "max_new_tokens": 100, "stop": ["\n"],
+                     "request_id": "q7", "layout": request.layout_json}]
+
+
+@pytest.mark.parametrize("text", [None, 12, ["a"], {"a": 1}])
+def test_http_text_that_is_not_a_string_is_a_backend_error(monkeypatch, text):
+    monkeypatch.setattr(
+        "paraprompt.backend.requests.post",
+        lambda *args, **kwargs: _FakeResponse(body={"text": text, "token_count": 3}),
+    )
+    backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
+    with pytest.raises(BackendError, match='needs a string "text"'):
+        backend.generate(_manual("p"))
 
 
 def test_http_budget_rejection_surfaces_n(monkeypatch):
@@ -168,7 +210,7 @@ def test_http_budget_rejection_surfaces_n(monkeypatch):
     monkeypatch.setattr("paraprompt.backend.requests.post", over_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
     with pytest.raises(PromptBudgetError) as err:
-        backend.generate(GenerationRequest(prompt="p"))
+        backend.generate(_manual("p"))
     assert err.value.prompt_tokens == 2048
 
 
@@ -240,7 +282,7 @@ def test_http_malformed_reply_is_a_backend_error(monkeypatch, call, status, body
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", embedding_url="http://x/emb"))
     with pytest.raises(BackendError) as err:
         if call == "generate":
-            backend.generate(GenerationRequest(prompt="p"))
+            backend.generate(_manual("p"))
         else:
             backend.embed(["a"])
     if error == "PromptBudgetError":
@@ -249,25 +291,29 @@ def test_http_malformed_reply_is_a_backend_error(monkeypatch, call, status, body
         assert type(err.value) is BackendError
 
 
+# A completion is what follows the prompt, which ends at its final
+# (query) infix marker; parse_completion reads the completion's first line.
+
 def test_parse_completion_extracts_after_final_marker():
-    raw = "Input: x\nParaphrase: noise\n\nInput: q\nParaphrase: how do i learn\nInput:"
-    assert parse_completion(raw) == ("how", "do", "i", "learn")
+    completion = " how do i learn\nInput: x\nParaphrase: noise"
+    assert parse_completion(completion) == ("how", "do", "i", "learn")
 
 
 def test_parse_completion_missing_marker():
-    with pytest.raises(CompletionParseError):
-        parse_completion("no marker here")
+    # a reply without a line break is read whole, markers or not
+    assert parse_completion("no marker here") == ("no", "marker", "here")
+    assert parse_completion("a Paraphrase: b") == ("a", "paraphrase", ":", "b")
 
 
 def test_parse_completion_empty_after_marker():
-    with pytest.raises(CompletionParseError, match="empty after the infix marker"):
-        parse_completion("Input: q\nParaphrase:   \nInput:")
+    for completion in ("", "   ", "  \nInput: q", "\nParaphrase: words"):
+        with pytest.raises(CompletionParseError, match="^completion's first line is empty$"):
+            parse_completion(completion)
 
 
 def test_parse_completion_class_tagged_marker():
-    raw = "Input: q\nParaphrase: (high) brand new words"
-    tokens = parse_completion(raw, DEFAULT_TEMPLATE, NoveltyClass.HIGH)
-    assert tokens == ("brand", "new", "words")
+    # the class tag ends the prompt, so the completion holds only the words
+    assert parse_completion(" brand new words") == ("brand", "new", "words")
 
 
 def test_config_validation():

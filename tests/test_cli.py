@@ -259,6 +259,44 @@ def test_eval_refuses_an_output_that_is_not_a_string(data_dir, capsys, output):
     assert not (out / "report.txt").exists()
 
 
+_MODES = "manual, rapt, ncrapt, copy, ground-truth"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("id", "q0", "duplicate id 'q0'"),
+    ("id", True, '"id" must be a string or an integer'),
+    ("id", 1.5, '"id" must be a string or an integer'),
+    ("mode", 5, f'"mode" must be one of {_MODES}'),
+    ("mode", None, f'"mode" must be one of {_MODES}'),
+    ("mode", [], f'"mode" must be one of {_MODES}'),
+    ("mode", "a\nb", f'"mode" must be one of {_MODES}'),
+], ids=["repeated-id", "true-id", "float-id", "number-mode", "null-mode", "list-mode", "two-line-mode"])
+def test_eval_reads_generations_under_the_dataset_rules(data_dir, capsys, field, value, message):
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "copy") == 0
+    path = out / "generations.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    rows[1][field] = value
+    write_jsonl(path, rows)
+    capsys.readouterr()
+    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
+    assert capsys.readouterr().err == f"data error: {path}:2: {message}\n"
+    assert not (out / "report.txt").exists()
+
+
+def test_eval_reads_an_integer_id_as_its_text(data_dir):
+    # a row without "mode" is labelled with the configured mode, rapt by default
+    test = data_dir / "numbered.jsonl"
+    write_jsonl(test, [{**row, "id": str(i)} for i, row in enumerate(TEST_ROWS)])
+    out = data_dir / "out"
+    assert run(["generate", "--test", test, "--out", out, "--mode", "copy"]) == 0
+    path = out / "generations.jsonl"
+    rows = [json.loads(line) for line in path.read_text().splitlines()]
+    write_jsonl(path, [{"id": i, "prompt_n": 0, "output": row["output"]} for i, row in enumerate(rows)])
+    assert run(["eval", "--test", test, "--out", out]) == 0
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("rapt,")
+
+
 def test_generate_copy_and_eval_pattern(data_dir, capsys):
     out = data_dir / "out"
     assert _generate(data_dir, out, "copy") == 0
@@ -517,6 +555,24 @@ def test_invalid_setting_is_usage_error(data_dir, capsys, flags, config_line):
     assert "Traceback" not in err
 
 
+def test_zero_norm_query_vector_is_a_data_error(data_dir, capsys, monkeypatch):
+    from paraprompt.backend import MockBackend
+
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    embed = MockBackend.embed
+    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: [
+        vector * 0.0 if text == TEST_ROWS[1]["source"] else vector
+        for text, vector in zip(texts, embed(self, texts))
+    ])
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {data_dir / 'test.jsonl'}: query id 'q1': zero-norm vector\n"
+    )
+    assert not (out / "generations.jsonl").exists()
+
+
 def test_query_index_dimension_mismatch_is_data_error(data_dir, capsys):
     out = data_dir / "out"
     assert run([
@@ -616,6 +672,64 @@ def test_mock_echo_repeats_the_query_under_any_template(data_dir):
     assert _generate(data_dir, out, "manual", ["--template", template]) == 0
     rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
     assert [(row["output"], row.get("error")) for row in rows] == [(r["source"], None) for r in TEST_ROWS]
+
+
+def test_generate_with_an_empty_infix_writes_outputs(data_dir):
+    template = data_dir / "empty-infix.template"
+    template.write_text("infix=\n", encoding="utf-8")
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "manual", ["--template", template]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [(row["output"], row.get("error")) for row in rows] == [(r["source"], None) for r in TEST_ROWS]
+
+
+def test_a_completion_that_repeats_an_infix_without_a_newline_is_read_whole(data_dir):
+    # the completion's first line is the output, whatever it holds
+    template = data_dir / "so.template"
+    template.write_text("infix= so\n", encoding="utf-8")
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "manual", [
+        "--template", template, "--generation-url", "mock:constant?text=x+so+y%0Az",
+    ]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [row["output"] for row in rows] == ["x so y"] * len(TEST_ROWS)
+
+
+# sha256 of the JSON bodies that generate posts to an HTTP generation
+# service on the fixture above, one line per request in request-id order
+HTTP_PAYLOAD_DIGESTS = [
+    (["--mode", "manual"], "074f2803d52efe068013d765d01d7919d8c25b48f3a2ad38c2aa3e7a3b37e167"),
+    (["--mode", "rapt"], "b0a01f9540d9d46b6578b5e7429b6b318e35f08d4e7acb85b70615b92edede95"),
+    (["--mode", "ncrapt", "--query-class", "low"],
+     "ede81ac70014c1235c89193fb344a58f613bf42d4cc629bb68591a09759371bb"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, digest", HTTP_PAYLOAD_DIGESTS, ids=[" ".join(flags) for flags, _ in HTTP_PAYLOAD_DIGESTS]
+)
+def test_http_generate_payloads_keep_their_bytes(data_dir, monkeypatch, flags, digest):
+    from paraprompt.backend import requests as requests_lib
+
+    sent = []
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"text": " x y", "token_count": 2}
+
+    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or Response())
+    out = data_dir / "out"
+    if flags[1] != "manual":
+        assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+        assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert _generate(data_dir, out, flags[1], [
+        *flags[2:], "--generation-url", "http://gen.invalid/generate",
+    ]) == 0
+    body = "".join(json.dumps(p) + "\n" for p in sorted(sent, key=lambda p: p["request_id"]))
+    assert len(sent) == len(TEST_ROWS)
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("flag, url", [
