@@ -34,7 +34,7 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
 from .promptkit import DECODE_MARGIN, SegmentKind
@@ -255,28 +255,32 @@ def _json_object(response) -> dict | None:
     return body if isinstance(body, dict) else None
 
 
-def _parse_mock_url(url: str) -> dict:
-    parsed = urlparse(url)
-    options = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
-    options["mode"] = parsed.path or "echo"
-    return options
+def _mock_options(url: str, modes: Sequence[str], names: Sequence[str]) -> tuple[str, dict]:
+    """The mode of ``mock:MODE?QUERY``, or ``modes[0]`` when MODE is empty,
+    and its query's options; a mode not in ``modes`` or an option not in
+    ``names`` is a ``ValueError``."""
+    mode, _, query = url.removeprefix("mock:").partition("?")
+    mode = mode or modes[0]
+    if mode not in modes:
+        raise ValueError(f"unknown mock mode {mode!r}")
+    options = {k: v[-1] for k, v in parse_qs(query, keep_blank_values=True).items()}
+    unknown = next((name for name in options if name not in names), None)
+    if unknown is not None:
+        raise ValueError(f"unknown mock option {unknown!r}")
+    return mode, options
 
 
 def make_generation_backend(config: BackendConfig) -> GenerationBackend:
     if config.generation_url.startswith("mock:"):
-        opts = _parse_mock_url(config.generation_url)
-        return MockBackend(
-            mode=opts["mode"],
-            seed=int(opts.get("seed", 0)),
-            constant_text=opts.get("text", "ok"),
-        )
+        mode, opts = _mock_options(config.generation_url, ("echo", "shuffle", "constant"), ("seed", "text"))
+        return MockBackend(mode=mode, seed=int(opts.get("seed", 0)), constant_text=opts.get("text", "ok"))
     return HttpBackend(config)
 
 
 def make_embedding_backend(config: BackendConfig) -> EmbeddingBackend:
     if config.embedding_url.startswith("mock:"):
-        opts = _parse_mock_url(config.embedding_url)
-        return MockBackend(mode="echo", seed=int(opts.get("seed", 0)), dim=int(opts.get("dim", 16)))
+        _, opts = _mock_options(config.embedding_url, ("hash",), ("seed", "dim"))
+        return MockBackend(seed=int(opts.get("seed", 0)), dim=int(opts.get("dim", 16)))
     return HttpBackend(config)
 
 

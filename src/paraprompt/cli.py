@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import sys
@@ -213,19 +214,22 @@ def _novelty_by_id(config: PipelineConfig, ids: Sequence[str]) -> dict[str, nove
 
 
 def _retrieve(
-    config: PipelineConfig, queries: Sequence[tuple[dataio.ParaphrasePair, TokenSeq]]
+    config: PipelineConfig, queries: Sequence[tuple[int, dataio.ParaphrasePair, TokenSeq]]
 ) -> list[list[promptkit.PromptExample]]:
-    """Each query's examples in ascending similarity; none for a query
-    whose source normalizes to nothing."""
+    """Each query's examples in ascending similarity. A query is a test
+    pair's (position in the test file, pair, normalized source); the source
+    is never empty, and the position seeds the random strategy."""
     import numpy as np
     from . import retrieval
     index = _load_index(config)
     if len(index) == 0:
         print("warning: retrieval index is empty; layouts degrade to 0 examples")
     classes_by_id = _novelty_by_id(config, index.ids) if config.mode == "ncrapt" else {}
+    if not queries:
+        return []
     embedder = backend_mod.make_embedding_backend(config.backend)
-    vectors = embedder.embed([pair.source for pair, _ in queries]) if queries else []
-    if len(index) and vectors and len(vectors[0]) != index.dim:
+    vectors = embedder.embed([pair.source for _, pair, _ in queries])
+    if len(index) and len(vectors[0]) != index.dim:
         raise dataio.DataFormatError(
             Path(config.out_dir) / "embeddings.bin", None,
             f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
@@ -235,22 +239,18 @@ def _retrieve(
     exclude_self = config.exclude_self == "always" or (
         config.exclude_self == "auto" and os.path.samefile(config.train_path, config.test_path)
     )
-    excludes = [{pair.id} if exclude_self else set() for pair, _ in queries]
-    looked_up = [i for i, (_, x) in enumerate(queries) if x]
+    excludes = [{pair.id} if exclude_self else set() for _, pair, _ in queries]
     # a query vector without a direction cannot be ranked against the index
-    zero = next((queries[i][0].id for i in looked_up if not np.linalg.norm(vectors[i])), None)
+    zero = next((pair.id for (_, pair, _), v in zip(queries, vectors) if not np.linalg.norm(v)), None)
     if len(index) and zero is not None:
         raise dataio.DataFormatError(config.test_path, None, f"query id {zero!r}: zero-norm vector")
     if config.strategy == "random":
         found = [
-            retrieval.query_random(index, vectors[i], config.k, excludes[i], seed=config.seed + i)
-            for i in looked_up
+            retrieval.query_random(index, vector, config.k, exclude, seed=config.seed + position)
+            for (position, _, _), vector, exclude in zip(queries, vectors, excludes)
         ]
     else:
-        found = retrieval.query_knn_batch(
-            index, [vectors[i] for i in looked_up], config.k, [excludes[i] for i in looked_up]
-        )
-    hits_by_query = dict(zip(looked_up, found))
+        found = retrieval.query_knn_batch(index, vectors, config.k, excludes)
     return [
         [
             promptkit.PromptExample(
@@ -260,14 +260,15 @@ def _retrieve(
                 novelty=classes_by_id.get(record.id),
                 id=record.id,
             )
-            for record, sim in reversed(hits_by_query.get(i, []))
+            for record, sim in reversed(hits)
         ]
-        for i in range(len(queries))
+        for hits in found
     ]
 
 
 def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:
-    """Plan one prompt per query, send those within budget, parse the replies."""
+    """Plan one prompt per query, send those within budget, parse the replies.
+    A pair whose source normalizes to nothing becomes an error row, not a query."""
     template = config.template
     gen_backend = backend_mod.make_generation_backend(config.backend)
     query_class = novelty.NoveltyClass.from_label(config.query_class)
@@ -278,16 +279,18 @@ def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair
             x, examples, query_class, config.slots
         ),
     }[config.mode]
-    queries = [(pair, normalize(pair.source, config.normalization)) for pair in pairs]
-    retrieved = [[]] * len(queries) if config.mode == "manual" else _retrieve(config, queries)
-    rows: list[dict] = []
+    rows = [{"id": pair.id, "prompt_n": 0, "mode": config.mode} for pair in pairs]
+    queries = []
+    for position, pair in enumerate(pairs):
+        x = normalize(pair.source, config.normalization)
+        if x:
+            queries.append((position, pair, x))
+        else:
+            rows[position].update(output="", error="empty source after normalization")
+    retrieved = itertools.repeat(()) if config.mode == "manual" else _retrieve(config, queries)
     pending: list[tuple[dict, backend_mod.GenerationRequest, int]] = []
-    for (pair, x), examples in zip(queries, retrieved):
-        row = {"id": pair.id, "prompt_n": 0, "mode": config.mode}
-        rows.append(row)
-        if not x:
-            row.update(output="", error="empty source after normalization")
-            continue
+    for (position, pair, x), examples in zip(queries, retrieved):
+        row = rows[position]
         layout, row["prompt_n"], dropped = promptkit.fit_examples_to_budget(
             lambda kept: assemble(x, kept), examples, promptkit.count_tokens,
             config.max_prompt_tokens,
@@ -336,7 +339,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     else:
         rows = _generate_rows(config, pairs)
         summary = f"wrote {len(rows)} generations ({config.mode}) -> {out_dir / 'generations.jsonl'}"
-    dataio.write_generations(out_dir / "generations.jsonl", rows)
+    dataio.write_jsonl(out_dir / "generations.jsonl", rows)
     write_config_snapshot(config, out_dir, "generate")
     print(summary)
     return 0

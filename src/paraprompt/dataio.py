@@ -278,6 +278,21 @@ def atomic_write_text(path: str | Path, content: str) -> None:
     atomic_write(path, [content.encode("utf-8")])
 
 
+def table_text(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells, the header first, as aligned text: the first column
+    left-aligned, the others right-aligned, two spaces apart."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])]) + "\n"
+        for row in rows
+    )
+
+
+def table_csv(rows: Sequence[Sequence[str]]) -> str:
+    """Rows of cells, the header first, as CSV lines."""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 # json.dumps(row, ensure_ascii=False) without building an encoder per call
 _encode_row = json.JSONEncoder(ensure_ascii=False).encode
 
@@ -290,15 +305,6 @@ def write_pairs(path: str | Path, pairs: Sequence[ParaphrasePair]) -> None:
     write_jsonl(
         path, ({"id": p.id, "source": p.source, "target": p.target} for p in pairs)
     )
-
-
-def write_generations(path: str | Path, rows: Sequence[dict]) -> None:
-    """Generation records: {"id", "prompt_n", "output"} plus free extras."""
-    for row in rows:
-        missing = {"id", "prompt_n", "output"} - set(row)
-        if missing:
-            raise ValueError(f"generation record missing fields: {sorted(missing)}")
-    write_jsonl(path, rows)
 
 
 def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:

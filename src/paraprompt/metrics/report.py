@@ -8,11 +8,11 @@ BLEU, iBLEU, SARI.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import Sequence
 
+from ..dataio import table_csv, table_text
 from ..textcore import NormalizationConfig, DEFAULT_NORMALIZATION, TokenSeq
 from .bleu import bleu_corpus_stats, self_bleu
 from .sari import sari_corpus
@@ -121,27 +121,17 @@ def format_cell(value: float | None) -> str:
     return str(Decimal(repr(value)).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
 
 
+def _table(report: MetricReport, label: str) -> list[list[str]]:
+    return [["Method", *REPORT_COLUMNS], [label] + [format_cell(v) for v in report.as_row()]]
+
+
 def report_text(report: MetricReport, label: str = "corpus") -> str:
-    cells = [format_cell(v) for v in report.as_row()]
-    widths = [max(len(h), len(c)) for h, c in zip(REPORT_COLUMNS, cells)]
-    name_w = max(len("Method"), len(label))
-    header = "  ".join(
-        ["Method".ljust(name_w)] + [h.rjust(w) for h, w in zip(REPORT_COLUMNS, widths)]
-    )
-    row = "  ".join(
-        [label.ljust(name_w)] + [c.rjust(w) for c, w in zip(cells, widths)]
-    )
-    lines = [header, row]
-    lines.append(
-        f"# corpus_size={report.corpus_size} normalization={report.normalization.as_dict()}"
-    )
+    text = table_text(_table(report, label))
+    text += f"# corpus_size={report.corpus_size} normalization={report.normalization.as_dict()}\n"
     if report.diagnostics:
-        lines.append(f"# diagnostics={report.diagnostics}")
-    return "\n".join(lines) + "\n"
+        text += f"# diagnostics={report.diagnostics}\n"
+    return text
 
 
 def report_csv(report: MetricReport, label: str = "corpus") -> str:
-    buf = io.StringIO()
-    buf.write(",".join(("Method",) + REPORT_COLUMNS) + "\n")
-    buf.write(",".join([label] + [format_cell(v) for v in report.as_row()]) + "\n")
-    return buf.getvalue()
+    return table_csv(_table(report, label))

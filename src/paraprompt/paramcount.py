@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
+from .dataio import table_csv, table_text
 from .novelty import NoveltyClass
 from .promptkit import SlotSpec
 
@@ -109,27 +110,17 @@ class ParamTable:
     methods: tuple[Method, ...]
     counts: list[list[int]]
 
+    def _rows(self, cell: Callable[[int], str]) -> list[list[str]]:
+        """The header, then one row per method with each count as ``cell`` writes it."""
+        return [["Method"] + [s.name for s in self.shapes]] + [
+            [m.label] + [cell(c) for c in row] for m, row in zip(self.methods, self.counts)
+        ]
+
     def render_text(self) -> str:
-        headers = ["Method"] + [s.name for s in self.shapes]
-        rows = [
-            [m.label] + [f"{c:,}" for c in row]
-            for m, row in zip(self.methods, self.counts)
-        ]
-        widths = [
-            max(len(headers[col]), *(len(r[col]) for r in rows))
-            for col in range(len(headers))
-        ]
-        def fmt(cells: Sequence[str]) -> str:
-            first = cells[0].ljust(widths[0])
-            rest = [c.rjust(w) for c, w in zip(cells[1:], widths[1:])]
-            return "  ".join([first] + rest)
-        return "\n".join([fmt(headers)] + [fmt(r) for r in rows]) + "\n"
+        return table_text(self._rows("{:,}".format))
 
     def render_csv(self) -> str:
-        lines = [",".join(["Method"] + [s.name for s in self.shapes])]
-        for method, row in zip(self.methods, self.counts):
-            lines.append(",".join([method.label] + [str(c) for c in row]))
-        return "\n".join(lines) + "\n"
+        return table_csv(self._rows(str))
 
 
 def report_table(shapes: Sequence[ModelShape]) -> ParamTable:

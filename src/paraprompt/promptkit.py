@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,28 +63,10 @@ CONTENT_KINDS = {
 
 
 @dataclass(frozen=True)
-class SlotRange:
-    """Half-open range of symbolic slot ids."""
-
-    start: int
-    stop: int
-
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.stop < self.start:
-            raise ValueError(f"bad slot range [{self.start}, {self.stop})")
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-    def ids(self) -> range:
-        return range(self.start, self.stop)
-
-
-@dataclass(frozen=True)
 class PromptSegment:
     kind: SegmentKind
     novelty: NoveltyClass | None = None
-    slots: SlotRange | None = None
+    slots: range | None = None  # symbolic slot ids
     tokens: TokenSeq | None = None
     literal: str | None = None
 
@@ -119,11 +101,11 @@ class SlotSpec:
         if self.class_prefix_len < 1 or self.infix_len < 1:
             raise ValueError("prefix and infix lengths must be >= 1")
 
-    def span_ranges(self, pair: int = 0) -> tuple[SlotRange, SlotRange]:
-        """Prefix and infix ranges of the ``pair``-th span pair."""
+    def span_ranges(self, pair: int = 0) -> tuple[range, range]:
+        """Prefix and infix slot ids of the ``pair``-th span pair."""
         s, t = self.class_prefix_len, self.infix_len
         base = self.global_prefix_len + pair * (s + t)
-        return SlotRange(base, base + s), SlotRange(base + s, base + s + t)
+        return range(base, base + s), range(base + s, base + s + t)
 
     def slot_universe(self, pairs: int = 1) -> int:
         """Distinct slot ids of the global block plus ``pairs`` span pairs."""
@@ -156,7 +138,7 @@ class PromptLayout:
         ids: set[int] = set()
         for seg in self.segments:
             if seg.slots is not None:
-                ids.update(seg.slots.ids())
+                ids.update(seg.slots)
         return ids
 
 
@@ -206,8 +188,7 @@ def _assemble_soft(
     segments = []
     if body is None:
         body = spec
-        global_block = SlotRange(0, spec.global_prefix_len)
-        segments.append(PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=global_block))
+        segments.append(PromptSegment(SegmentKind.GLOBAL_PREFIX, slots=range(spec.global_prefix_len)))
 
     def spans(cls: NoveltyClass | None) -> tuple[PromptSegment, PromptSegment]:
         if query_class is None:
@@ -287,20 +268,15 @@ class TextTemplate:
     infix: str = "\nParaphrase:"
     global_prefix: str = "Generate a paraphrase of each input."
     example_separator: str = "\n\n"
-    class_tags: dict = field(
-        default_factory=lambda: {
-            NoveltyClass.LOW: " (low)",
-            NoveltyClass.MEDIUM: " (medium)",
-            NoveltyClass.HIGH: " (high)",
-        }
-    )
+    # appended to an infix that cites a novelty class's slots
+    tag_low: str = " (low)"
+    tag_medium: str = " (medium)"
+    tag_high: str = " (high)"
 
     def infix_realization(self, novelty: NoveltyClass | None) -> str:
         if novelty is None:
             return self.infix
-        if novelty not in self.class_tags:
-            raise TemplateError(f"template has no realization for class {novelty.label!r}")
-        return self.infix + self.class_tags[novelty]
+        return self.infix + getattr(self, f"tag_{novelty.label}")
 
 
 DEFAULT_TEMPLATE = TextTemplate()
@@ -438,21 +414,15 @@ def _unescape(value: str) -> str:
 def load_template(path: str | Path) -> TextTemplate:
     """Template file: key=value lines with \\n, \\t, \\\\ escapes.
 
-    Keys: prefix, infix, global_prefix, example_separator, tag_low,
-    tag_medium, tag_high. Missing keys keep defaults; a line without "=",
-    a line with another key, or bytes that are not UTF-8 raise
-    ``TemplateError`` naming the file (and line).
+    Keys are the ``TextTemplate`` fields: prefix, infix, global_prefix,
+    example_separator, tag_low, tag_medium, tag_high. Missing keys keep
+    defaults; a line without "=", a line with another key, or bytes that
+    are not UTF-8 raise ``TemplateError`` naming the file (and line).
     """
-    defaults = TextTemplate()
-    tag_keys = {f"tag_{cls.label}": cls for cls in NoveltyClass}
-    text_keys = {f.name for f in dataclasses.fields(TextTemplate)} - {"class_tags"}
+    keys = {f.name for f in dataclasses.fields(TextTemplate)}
     values: dict[str, str] = {}
-    tags = dict(defaults.class_tags)
     for lineno, key, value in key_values(path, TemplateError):
-        if key in tag_keys:
-            tags[tag_keys[key]] = _unescape(value)
-        elif key in text_keys:
-            values[key] = _unescape(value)
-        else:
+        if key not in keys:
             raise TemplateError(f"{path}:{lineno}: unknown template key {key!r}")
-    return dataclasses.replace(defaults, class_tags=tags, **values)
+        values[key] = _unescape(value)
+    return TextTemplate(**values)

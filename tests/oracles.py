@@ -34,7 +34,6 @@ from paraprompt.promptkit import (
     PromptLayout,
     PromptSegment,
     SegmentKind,
-    SlotRange,
     SlotSpec,
 )
 
@@ -371,7 +370,7 @@ def layout_from_json(obj: dict) -> PromptLayout:
             PromptSegment(
                 kind=SegmentKind(seg["kind"]),
                 novelty=NoveltyClass.from_label(seg["class"]) if "class" in seg else None,
-                slots=SlotRange(*seg["slots"]) if "slots" in seg else None,
+                slots=range(*seg["slots"]) if "slots" in seg else None,
                 tokens=tuple(seg["tokens"]) if "tokens" in seg else None,
                 literal=seg.get("literal"),
             )

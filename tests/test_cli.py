@@ -736,6 +736,14 @@ def test_http_generate_payloads_keep_their_bytes(data_dir, monkeypatch, flags, d
     ("--generation-url", "mock:bogus"),
     ("--generation-url", "mock:echo?seed=x"),
     ("--embedding-url", "mock:hash?dim=0"),
+    ("--embedding-url", "mock:bogus?dim=4"),
+    ("--embedding-url", "mock:echo"),
+    ("--embedding-url", "mock:hash?dim=4&sede=3"),
+    ("--embedding-url", "mock:hash?text=hi"),
+    ("--generation-url", "mock:echo?sead=3"),
+    ("--generation-url", "mock:echo?dim=4"),
+    ("--generation-url", "mock://shuffle?seed=3"),
+    ("--embedding-url", "mock://bogus"),
 ])
 def test_bad_mock_url_is_a_usage_error_before_any_stage_writes(data_dir, capsys, flag, url):
     out = data_dir / "out"
@@ -885,6 +893,54 @@ def test_index_with_only_blank_sources_is_a_data_error(data_dir, capsys):
     assert run(["index", "--train", train, "--out", out]) == 2
     assert capsys.readouterr().err == f"data error: {train}: no pairs to index\n"
     assert not (out / "embeddings.bin").exists()
+
+
+BLANK_FIRST_ROWS = [{"id": "blank", "source": " \t", "target": "x"}] + TEST_ROWS
+
+
+def test_a_blank_query_is_not_embedded(data_dir, monkeypatch):
+    from paraprompt.backend import MockBackend
+
+    embedded = []
+    embed = MockBackend.embed
+    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: embedded.append(list(texts)) or embed(self, texts))
+    test = data_dir / "test_blank.jsonl"
+    write_jsonl(test, BLANK_FIRST_ROWS)
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    embedded.clear()
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out, "--mode", "rapt",
+    ]) == 0
+    assert embedded == [[r["source"] for r in TEST_ROWS]]
+
+
+def test_random_strategy_seeds_each_query_by_its_position_in_the_test_file(data_dir):
+    # the blank row keeps its position: q0 draws with seed 5 + 1, q1 with 5 + 2
+    test = data_dir / "test_blank.jsonl"
+    write_jsonl(test, BLANK_FIRST_ROWS)
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out,
+        "--mode", "rapt", "--strategy", "random", "--seed", "5",
+    ]) == 0
+    assert hashlib.sha256((out / "generations.jsonl").read_bytes()).hexdigest() == (
+        "c50af5366719688784cb04ee18a699613f1638d5a869b00d053e948591cea3d7"
+    )
+
+
+def test_rapt_with_only_blank_queries_still_needs_the_index(data_dir, capsys):
+    test = data_dir / "test_blank.jsonl"
+    write_jsonl(test, [{"id": "a", "source": " "}, {"id": "b", "source": "\t"}])
+    out = data_dir / "out"
+    assert run([
+        "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out, "--mode", "rapt",
+    ]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'embeddings.bin'}: embedding file missing; run the index command first\n"
+    )
+    assert not (out / "generations.jsonl").exists()
 
 
 # Every subcommand's flags, written out: (option strings, dest, type, choices,

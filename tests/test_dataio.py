@@ -19,7 +19,6 @@ from paraprompt.dataio import (
     load_ids,
     load_pairs,
     validate_split_sizes,
-    write_generations,
     write_jsonl,
     write_pairs,
 )
@@ -305,13 +304,8 @@ def test_generation_records_round_trip(tmp_path):
         {"id": "1", "prompt_n": 300, "output": "text two", "mode": "rapt"},
         {"id": "2", "prompt_n": 3, "output": "x é y"},
     ]
-    write_generations(path, rows)
+    write_jsonl(path, rows)
     assert load_generations(path) == rows
-
-
-def test_generation_records_schema_enforced(tmp_path):
-    with pytest.raises(ValueError, match="missing fields"):
-        write_generations(tmp_path / "g.jsonl", [{"id": "0"}])
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
