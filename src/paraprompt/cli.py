@@ -151,12 +151,11 @@ def cmd_label(config: PipelineConfig) -> int:
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
     split = dataio.load_pairs(train_path, config.data_format, "train")
-    result = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
-    dataio.write_jsonl(out_dir / "labeled.jsonl", (lp.as_dict() for lp in result.labeled))
-    meta = result.metadata()
+    rows, meta = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
+    dataio.write_jsonl(out_dir / "labeled.jsonl", (dict(zip(novelty.LABELED_FIELDS, row)) for row in rows))
     dataio.atomic_write_text(out_dir / "labeled_meta.json", json.dumps(meta, indent=2) + "\n")
     write_config_snapshot(config, out_dir, "label")
-    print(f"labeled {len(result.labeled)} pairs -> {out_dir / 'labeled.jsonl'}")
+    print(f"labeled {len(rows)} pairs -> {out_dir / 'labeled.jsonl'}")
     print(f"histogram: {meta['histogram']} (rejected: {meta['rejected']})")
     return 0
 

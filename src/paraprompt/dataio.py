@@ -155,8 +155,10 @@ def _jsonl_values(
 
 
 def id_text(path: str | Path, lineno: int, value: object) -> str:
-    """A non-string id read from JSON: an integer (not a boolean) becomes
-    its decimal text; anything else is a ``DataFormatError``."""
+    """An id read from JSON as text: a string as it is, an integer (not a
+    boolean) as its decimal text; anything else is a ``DataFormatError``."""
+    if type(value) is str:
+        return value
     if type(value) is not int:
         raise DataFormatError(path, lineno, '"id" must be a string or an integer')
     return str(value)
@@ -212,13 +214,11 @@ def _pairs(
             raise DataFormatError(path, lineno, 'expected an object with a "source" field')
         source = obj["source"]
         target = obj.get("target", "")
-        row_id = obj["id"] if "id" in obj else str(position)
         if type(source) is not str:
             raise DataFormatError(path, lineno, '"source" must be a string')
         if type(target) is not str:
             raise DataFormatError(path, lineno, '"target" must be a string')
-        if type(row_id) is not str:
-            row_id = id_text(path, lineno, row_id)
+        row_id = id_text(path, lineno, obj["id"]) if "id" in obj else str(position)
         try:
             pair = ParaphrasePair(id=row_id, source=source, target=target)
         except ValueError as err:
@@ -322,10 +322,7 @@ def load_ids(path: str | Path) -> list[str]:
     """The ids of a JSONL id file, one {"id": ...} object per non-blank
     line, as text; an id must be a string or an integer, as in
     ``load_pairs``."""
-    return [
-        obj["id"] if type(obj["id"]) is str else id_text(path, lineno, obj["id"])
-        for lineno, obj in iter_jsonl_objects(path, ("id",))
-    ]
+    return [id_text(path, lineno, obj["id"]) for lineno, obj in iter_jsonl_objects(path, ("id",))]
 
 
 def load_generations(path: str | Path) -> list[dict]:
@@ -335,8 +332,7 @@ def load_generations(path: str | Path) -> list[dict]:
     rows = []
     seen: set[str] = set()
     for lineno, row in iter_jsonl_objects(path, ("id", "output")):
-        if type(row["id"]) is not str:
-            row["id"] = id_text(path, lineno, row["id"])
+        row["id"] = id_text(path, lineno, row["id"])
         if row["id"] in seen:
             raise DataFormatError(path, lineno, f"duplicate id {row['id']!r}")
         seen.add(row["id"])

@@ -38,9 +38,7 @@ class BleuStats:
                 continue
             max_ref: Counter = Counter()
             for ref in references:
-                for gram, count in Counter(ngram_windows(ref, n)).items():
-                    if count > max_ref[gram]:
-                        max_ref[gram] = count
+                max_ref |= Counter(ngram_windows(ref, n))
             clipped = sum(min(c, max_ref[g]) for g, c in pred_counts.items())
             self.matched[n - 1] += clipped
             self.total[n - 1] += sum(pred_counts.values())

@@ -48,7 +48,7 @@ def ibleu(bleu: float, self_bleu_value: float) -> float:
 @dataclass
 class MetricReport:
     bert: float | None
-    self_ter: float
+    self_ter: float | None
     self_bleu: float
     bleu: float
     ibleu: float

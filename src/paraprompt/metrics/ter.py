@@ -204,7 +204,7 @@ def ter(hypothesis: TokenSeq, reference: TokenSeq) -> float:
 
 @dataclass(frozen=True)
 class SelfTerSummary:
-    percent: float
+    percent: float | None
     scored: int
     skipped: int
 
@@ -213,7 +213,8 @@ def self_ter(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> SelfTerSummary:
     """Mean TER(prediction, source) x 100 over (prediction, source) pairs.
 
     Pairs with an empty source cannot be scored; they are skipped and
-    counted so callers can surface the tally.
+    counted so callers can surface the tally. With none left to score,
+    the mean is absent (None), not an error.
     """
     if not pairs:
         raise ValueError("self-TER needs a non-empty corpus")
@@ -226,6 +227,6 @@ def self_ter(pairs: Sequence[tuple[TokenSeq, TokenSeq]]) -> SelfTerSummary:
             continue
         total += ter(prediction, source)
         scored += 1
-    if scored == 0:
-        raise ValueError("self-TER: every record had an empty source")
-    return SelfTerSummary(percent=100.0 * total / scored, scored=scored, skipped=skipped)
+    return SelfTerSummary(
+        percent=100.0 * total / scored if scored else None, scored=scored, skipped=skipped
+    )

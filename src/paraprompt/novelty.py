@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -72,67 +72,44 @@ def classify(ter_value: float, thresholds: NoveltyThresholds = DEFAULT_THRESHOLD
     return NoveltyClass.MEDIUM
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    pair: ParaphrasePair
-    ter_value: float
-    novelty: NoveltyClass
-
-    def as_dict(self) -> dict:
-        return {
-            "id": self.pair.id,
-            "source": self.pair.source,
-            "target": self.pair.target,
-            "ter": self.ter_value,
-            "class": self.novelty.label,
-        }
-
-
-@dataclass
-class LabelingResult:
-    labeled: list[LabeledPair]
-    rejected: int
-    thresholds: NoveltyThresholds
-    normalization: NormalizationConfig
-    histogram: Counter = field(default_factory=Counter)
-
-    def metadata(self) -> dict:
-        return {
-            "ter_direction": TER_DIRECTION,
-            "thresholds": {"low_max": self.thresholds.low_max, "high_min": self.thresholds.high_min},
-            "normalization": self.normalization.as_dict(),
-            "histogram": {c.label: self.histogram.get(c, 0) for c in NoveltyClass},
-            "rejected": self.rejected,
-        }
-
-
 def label_dataset(
     pairs: Sequence[ParaphrasePair],
     cfg: NormalizationConfig = DEFAULT_NORMALIZATION,
     thresholds: NoveltyThresholds = DEFAULT_THRESHOLDS,
-) -> LabelingResult:
+) -> tuple[list[tuple], dict]:
     """Label every pair with TER(target, source) and its novelty class.
 
-    Pairs whose source normalizes to nothing cannot be rated; they are
-    counted in ``rejected`` and the run continues. TER is computed once
-    per distinct (target, source) text pair: one normalization holds for
-    the whole call, so equal texts have equal tokens.
+    Returns the rows of ``labeled.jsonl``, one tuple in ``LABELED_FIELDS``
+    order per rated pair, and the ``labeled_meta.json`` record. Pairs
+    whose source normalizes to nothing cannot be rated; they are counted
+    in ``rejected`` and the run continues. TER is computed once per
+    distinct (target, source) text pair: one normalization holds for the
+    whole call, so equal texts have equal tokens.
     """
-    result = LabelingResult(labeled=[], rejected=0, thresholds=thresholds, normalization=cfg)
+    rows = []
+    rejected = 0
+    histogram = Counter()
     ter_by_text: dict[tuple[str, str], float] = {}
     for pair in pairs:
         source_tokens = normalize(pair.source, cfg)
         if not source_tokens:
-            result.rejected += 1
+            rejected += 1
             continue
         key = (pair.target, pair.source)
         if key not in ter_by_text:
             ter_by_text[key] = ter(normalize(pair.target, cfg), source_tokens)
         ter_value = ter_by_text[key]
         novelty = classify(ter_value, thresholds)
-        result.labeled.append(LabeledPair(pair=pair, ter_value=ter_value, novelty=novelty))
-        result.histogram[novelty] += 1
-    return result
+        rows.append((pair.id, pair.source, pair.target, ter_value, novelty.label))
+        histogram[novelty] += 1
+    meta = {
+        "ter_direction": TER_DIRECTION,
+        "thresholds": asdict(thresholds),
+        "normalization": cfg.as_dict(),
+        "histogram": {c.label: histogram[c] for c in NoveltyClass},
+        "rejected": rejected,
+    }
+    return rows, meta
 
 
 def load_labeled(path: str | Path) -> dict[str, NoveltyClass]:
@@ -143,7 +120,7 @@ def load_labeled(path: str | Path) -> dict[str, NoveltyClass]:
     labels = tuple(c.label for c in NoveltyClass)
     classes = {}
     for lineno, obj in iter_jsonl_objects(path, LABELED_FIELDS):
-        row_id = obj["id"] if type(obj["id"]) is str else id_text(path, lineno, obj["id"])
+        row_id = id_text(path, lineno, obj["id"])
         if type(obj["source"]) is not str or type(obj["target"]) is not str:
             raise DataFormatError(path, lineno, '"source" and "target" must be strings')
         # bools, NaN, infinities and ints beyond float range all fail

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -333,7 +334,8 @@ def layout_length(
     n = 0
     for segment in layout.segments:
         if segment.slots is not None:
-            n += len(segment.slots)
+            # not len(): a range of 2**63 or more slots has no C length
+            n += segment.slots.stop - segment.slots.start
             continue
         text = segment.literal if segment.literal is not None else render(segment.tokens or ())
         n += int(token_counter(text))
@@ -397,20 +399,6 @@ def layout_to_json(layout: PromptLayout) -> dict:
 _TEMPLATE_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\\\": "\\"}
 
 
-def _unescape(value: str) -> str:
-    out = []
-    i = 0
-    while i < len(value):
-        pair = value[i : i + 2]
-        if pair in _TEMPLATE_ESCAPES:
-            out.append(_TEMPLATE_ESCAPES[pair])
-            i += 2
-        else:
-            out.append(value[i])
-            i += 1
-    return "".join(out)
-
-
 def load_template(path: str | Path) -> TextTemplate:
     """Template file: key=value lines with \\n, \\t, \\\\ escapes.
 
@@ -424,5 +412,5 @@ def load_template(path: str | Path) -> TextTemplate:
     for lineno, key, value in key_values(path, TemplateError):
         if key not in keys:
             raise TemplateError(f"{path}:{lineno}: unknown template key {key!r}")
-        values[key] = _unescape(value)
+        values[key] = re.sub(r"\\[nt\\]", lambda m: _TEMPLATE_ESCAPES[m.group()], value)
     return TextTemplate(**values)

@@ -791,6 +791,36 @@ def test_eval_with_every_prediction_empty_leaves_bert_blank(data_dir):
     assert f"'bert_excluded': {len(TEST_ROWS)}" in (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize("mode, flags", [
+    ("copy", []), ("copy", ["--no-semantic"]), ("manual", []),
+])
+def test_eval_with_no_scorable_source_leaves_self_ter_blank(data_dir, mode, flags):
+    test = data_dir / "test_blank.jsonl"
+    write_jsonl(test, [
+        {"id": "a", "source": "   ", "target": "hello there"},
+        {"id": "b", "source": "\t", "target": "why not"},
+    ])
+    out = data_dir / "out"
+    assert run(["generate", "--test", test, "--out", out, "--mode", mode]) == 0
+    assert run(["eval", "--test", test, "--out", out, *flags]) == 0
+    cells = (out / "report.csv").read_text().splitlines()[1].split(",")
+    assert cells[2] == ""
+    assert "'self_ter_skipped': 2" in (out / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("mode, flag", [("rapt", "--global-prefix-len"), ("ncrapt", "--infix-len")])
+def test_a_slot_length_beyond_a_c_size_is_an_over_budget_row(data_dir, mode, flag):
+    out = data_dir / "out"
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert _generate(data_dir, out, mode, [flag, 10**21]) == 0
+    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
+    assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
+    for row in rows:
+        assert row["prompt_n"] > 10**21
+        assert row["error"] == f"prompt of {row['prompt_n']} tokens exceeds max_prompt_tokens 924"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("ter", "high", '"ter" must be a finite number'),
     ("class", 3, '"class" must be one of low, medium, high'),

@@ -1,0 +1,70 @@
+"""The CLI contract under drawn settings and test files: ``generate`` in
+the retrieval modes, then ``eval``, each ends with an exit code of 0, 1,
+2 or 3, and no exception escapes ``main``."""
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from paraprompt.cli import main
+
+TRAIN_ROWS = [
+    {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
+    {"id": "t1", "source": "why is the sky blue", "target": "what makes the sky appear blue"},
+    {"id": "t2", "source": "how can i lose weight fast", "target": "what is a quick way to shed pounds"},
+    {"id": "t3", "source": " ", "target": "a pair label rejects"},
+]
+
+# small ints around each setting's lower bound, one that fits a prompt,
+# and sizes past a C ssize_t
+SIZES = st.one_of(st.integers(-1, 6), st.sampled_from([300, 2**63, 10**21]))
+
+SOURCES = st.sampled_from(["how do i learn java", "why is the ocean salty", "   ", "\t"])
+
+TEST_FILES = st.lists(SOURCES, min_size=1, max_size=3)
+
+
+def _write_jsonl(path, rows):
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def indexed(tmp_path_factory):
+    """A run directory holding the label and index outputs of TRAIN_ROWS."""
+    root = tmp_path_factory.mktemp("contract")
+    _write_jsonl(root / "train.jsonl", TRAIN_ROWS)
+    for command in ("label", "index"):
+        assert main([command, "--train", str(root / "train.jsonl"), "--out", str(root / "out")]) == 0
+    return root
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    mode=st.sampled_from(["rapt", "ncrapt"]),
+    strategy=st.sampled_from(["knn", "random"]),
+    k=SIZES, seed=SIZES, max_prompt_tokens=SIZES,
+    global_prefix_len=SIZES, class_prefix_len=SIZES, infix_len=SIZES,
+    test_rows=TEST_FILES,
+)
+def test_generate_then_eval_exits_with_a_documented_code(
+    indexed, mode, strategy, k, seed, max_prompt_tokens, global_prefix_len, class_prefix_len, infix_len,
+    test_rows,
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(indexed / "out", out)
+        test = Path(tmp) / "test.jsonl"
+        _write_jsonl(test, [{"id": f"q{i}", "source": source, "target": "what makes seawater salty"}
+                            for i, source in enumerate(test_rows)])
+        generate = [
+            "generate", "--train", indexed / "train.jsonl", "--test", test, "--out", out,
+            "--mode", mode, "--strategy", strategy, "--k", k, "--seed", seed,
+            "--max-prompt-tokens", max_prompt_tokens, "--global-prefix-len", global_prefix_len,
+            "--class-prefix-len", class_prefix_len, "--infix-len", infix_len,
+        ]
+        assert main([str(a) for a in generate]) in (0, 1, 2, 3)
+        assert main(["eval", "--test", str(test), "--out", str(out)]) in (0, 1, 2, 3)

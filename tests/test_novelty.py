@@ -60,26 +60,22 @@ def _pairs(rows):
 
 
 def test_label_identity_pair_is_low():
-    result = label_dataset(_pairs([("a b c", "a b c")]))
-    assert result.labeled[0].ter_value == 0.0
-    assert result.labeled[0].novelty is NoveltyClass.LOW
+    rows, _ = label_dataset(_pairs([("a b c", "a b c")]))
+    assert rows[0][3:] == (0.0, "low")
 
 
 def test_label_one_substitution_is_medium():
-    result = label_dataset(_pairs([("a b c d", "a b x d")]))
-    assert result.labeled[0].ter_value == 0.25
-    assert result.labeled[0].novelty is NoveltyClass.MEDIUM
+    rows, _ = label_dataset(_pairs([("a b c d", "a b x d")]))
+    assert rows[0][3:] == (0.25, "medium")
 
 
 def test_label_disjoint_is_high():
-    result = label_dataset(_pairs([("a b", "x y")]))
-    assert result.labeled[0].ter_value == 1.0
-    assert result.labeled[0].novelty is NoveltyClass.HIGH
+    rows, _ = label_dataset(_pairs([("a b", "x y")]))
+    assert rows[0][3:] == (1.0, "high")
 
 
 def test_label_histogram_and_metadata():
-    result = label_dataset(_pairs([("a b", "a b"), ("a b c d", "a b x d"), ("a b", "x y")]))
-    meta = result.metadata()
+    _, meta = label_dataset(_pairs([("a b", "a b"), ("a b c d", "a b x d"), ("a b", "x y")]))
     assert meta["histogram"] == {"low": 1, "medium": 1, "high": 1}
     assert meta["rejected"] == 0
     assert "hypothesis=target" in meta["ter_direction"]
@@ -91,24 +87,21 @@ def test_label_rejects_unratable_source_and_continues():
         ParaphrasePair(id="0", source="   ", target="x"),
         ParaphrasePair(id="1", source="a b", target="a b"),
     ]
-    result = label_dataset(pairs)
-    assert result.rejected == 1
-    assert [lp.pair.id for lp in result.labeled] == ["1"]
-    assert result.metadata()["rejected"] == 1
+    rows, meta = label_dataset(pairs)
+    assert [row[0] for row in rows] == ["1"]
+    assert meta["rejected"] == 1
 
 
 def test_relabeling_is_fixed_point():
     pairs = _pairs([("a b c d", "a b x d"), ("p q", "p q")])
-    first = label_dataset(pairs)
-    again = label_dataset([lp.pair for lp in first.labeled])
-    assert [(lp.ter_value, lp.novelty) for lp in first.labeled] == [
-        (lp.ter_value, lp.novelty) for lp in again.labeled
-    ]
+    first, _ = label_dataset(pairs)
+    again, _ = label_dataset([ParaphrasePair(*row[:3]) for row in first])
+    assert again == first
 
 
 def test_labeled_pair_round_trip(tmp_path):
-    result = label_dataset(_pairs([("a b c d", "a b x d")]))
-    row = result.labeled[0].as_dict()
+    rows, _ = label_dataset(_pairs([("a b c d", "a b x d")]))
+    row = dict(zip(novelty.LABELED_FIELDS, rows[0]))
     assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
                    "ter": 0.25, "class": "medium"}
     write_jsonl(tmp_path / "labeled.jsonl", [row])
@@ -118,9 +111,9 @@ def test_labeled_pair_round_trip(tmp_path):
 def test_label_rates_each_distinct_pair_once(monkeypatch):
     calls = []
     monkeypatch.setattr(novelty, "ter", lambda hyp, ref: calls.append(hyp) or ter(hyp, ref))
-    result = label_dataset(_pairs([("a b c d", "a b x d"), ("p q", "p r"), ("a b c d", "a b x d")]))
+    rows, _ = label_dataset(_pairs([("a b c d", "a b x d"), ("p q", "p r"), ("a b c d", "a b x d")]))
     assert calls == [("a", "b", "x", "d"), ("p", "r")]
-    assert [lp.ter_value for lp in result.labeled] == [0.25, 0.5, 0.25]
+    assert [row[3] for row in rows] == [0.25, 0.5, 0.25]
 
 
 def test_label_memo_holds_no_token_copies():
@@ -132,11 +125,11 @@ def test_label_memo_holds_no_token_copies():
                     for _ in range(3000)])
     tracemalloc.start()
     try:
-        result = label_dataset(pairs)
+        rows, _ = label_dataset(pairs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.labeled) == 3000
+    assert len(rows) == 3000
     assert peak < 2_000_000
 
 
