@@ -126,6 +126,8 @@ class MockBackend:
     equal vectors.
     """
 
+    MODES = ("echo", "shuffle", "constant")
+
     def __init__(
         self,
         mode: str = "echo",
@@ -133,7 +135,7 @@ class MockBackend:
         dim: int = 16,
         constant_text: str = "ok",
     ) -> None:
-        if mode not in ("echo", "shuffle", "constant"):
+        if mode not in self.MODES:
             raise ValueError(f"unknown mock mode {mode!r}")
         if dim < 1:
             raise ValueError("embedding dim must be >= 1")
@@ -272,7 +274,7 @@ def _mock_options(url: str, modes: Sequence[str], names: Sequence[str]) -> tuple
 
 def make_generation_backend(config: BackendConfig) -> GenerationBackend:
     if config.generation_url.startswith("mock:"):
-        mode, opts = _mock_options(config.generation_url, ("echo", "shuffle", "constant"), ("seed", "text"))
+        mode, opts = _mock_options(config.generation_url, MockBackend.MODES, ("seed", "text"))
         return MockBackend(mode=mode, seed=int(opts.get("seed", 0)), constant_text=opts.get("text", "ok"))
     return HttpBackend(config)
 

@@ -113,19 +113,19 @@ _PARSERS = {"bool": lambda value: _BOOL_VALUES[value.lower()], "int": int, "floa
 
 
 def load_config_file(path: str | Path) -> dict:
-    """key=value config lines; # starts a comment, values are typed by field."""
+    """key=value config lines; # starts a comment, values are typed by field,
+    and an empty value leaves its key at the default."""
     values = {key: value.strip() for _, key, value in dataio.key_values(path, UsageError)}
     keys = config_keys()
     typed: dict = {}
     for key, value in values.items():
         if key not in keys:
             raise UsageError(f"{path}: unknown config key {key!r}")
-        ftype = keys[key][1]
-        if ftype not in _PARSERS:
-            typed[key] = value if value != "" else None
+        if not value:
             continue
+        ftype = keys[key][1]
         try:
-            typed[key] = _PARSERS[ftype](value)
+            typed[key] = _PARSERS.get(ftype, str)(value)
         except (KeyError, ValueError):
             raise UsageError(f"{path}: bad {ftype} for {key}: {value!r}") from None
     return typed
@@ -382,14 +382,13 @@ def cmd_eval(config: PipelineConfig) -> int:
     vector_pairs = None
     if config.semantic:
         embedder = backend_mod.make_embedding_backend(config.backend)
-        source_vecs = embedder.embed([src for src, _ in texts])
-        # Empty predictions have no meaningful embedding; reuse an
-        # all-zero vector so they are excluded and tallied by the metric.
-        pred_texts = [pred for _, pred in texts]
-        nonempty = [t for t in pred_texts if t]
-        embedded = iter(embedder.embed(nonempty)) if nonempty else iter(())
-        pred_vecs = [next(embedded) if t else source_vecs[0] * 0.0 for t in pred_texts]
-        vector_pairs = list(zip(source_vecs, pred_vecs))
+        # One request, sources first, so the backend's shape check covers
+        # every vector. Empty predictions have no meaningful embedding; an
+        # all-zero vector stands in, so the metric excludes and tallies them.
+        vectors = embedder.embed([src for src, _ in texts] + [pred for _, pred in texts if pred])
+        embedded = iter(vectors[len(texts):])
+        zero = vectors[0] * 0.0
+        vector_pairs = [(v, next(embedded) if pred else zero) for v, (_, pred) in zip(vectors, texts)]
 
     report = evaluate_all(records, vector_pairs, cfg_norm)
     if skipped_no_reference:

@@ -118,11 +118,7 @@ class TerResult:
         return self.edits / self.reference_length
 
 
-def ter_detail(
-    hypothesis: TokenSeq,
-    reference: TokenSeq,
-    max_block: int = MAX_SHIFT_BLOCK,
-) -> TerResult:
+def ter_detail(hypothesis: TokenSeq, reference: TokenSeq) -> TerResult:
     """Greedy-shift TER with the edit breakdown exposed."""
     if len(reference) == 0:
         raise ValueError("TER is undefined against an empty reference")
@@ -149,7 +145,7 @@ def ter_detail(
                 while (
                     start + length < n
                     and dest + length < ref_len
-                    and length < max_block
+                    and length < MAX_SHIFT_BLOCK
                     and cur[start + length] == ref[dest + length]
                 ):
                     length += 1

@@ -52,9 +52,10 @@ class NoveltyThresholds:
     high_min: float = 0.4
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.low_max < self.high_min:
+        # NaN fails too; an infinity is no JSON number for labeled_meta.json
+        if not 0.0 < self.low_max < self.high_min < float("inf"):
             raise ValueError(
-                f"need 0 < low_max < high_min, got {self.low_max}, {self.high_min}"
+                f"need 0 < low_max < high_min, both finite, got {self.low_max}, {self.high_min}"
             )
 
 

@@ -18,12 +18,11 @@ MAX_NGRAM_ORDER = 4
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Normalization switches, applied in the order NFC, lowercase, punctuation, whitespace."""
+    """Normalization switches, applied in the order NFC, lowercase, punctuation."""
 
     lowercase: bool = True
     unicode_normalize: bool = True
     punctuation_split: bool = True
-    collapse_whitespace: bool = True
 
     def as_dict(self) -> dict[str, bool]:
         return dataclasses.asdict(self)
@@ -44,19 +43,6 @@ def _split_punctuation(text: str) -> str:
     return "".join(out)
 
 
-def normalize_text(text: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> str:
-    """Apply the configured normalization rules, returning a plain string."""
-    if cfg.unicode_normalize:
-        text = unicodedata.normalize("NFC", text)
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.punctuation_split:
-        text = _split_punctuation(text)
-    if cfg.collapse_whitespace:
-        text = " ".join(text.split())
-    return text
-
-
 def normalize(text: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> TokenSeq:
     """Normalize and tokenize ``text``.
 
@@ -64,7 +50,13 @@ def normalize(text: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> To
     re-normalizing the space-joined output is a no-op. Tokens never
     contain whitespace.
     """
-    return tuple(normalize_text(text, cfg).split())
+    if cfg.unicode_normalize:
+        text = unicodedata.normalize("NFC", text)
+    if cfg.lowercase:
+        text = text.lower()
+    if cfg.punctuation_split:
+        text = _split_punctuation(text)
+    return tuple(text.split())
 
 
 def render(seq: TokenSeq) -> str:

@@ -517,6 +517,35 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert main(["label", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize("command, key, default", [
+    ("label", "out_dir", "out"),
+    ("label", "generation_url", "mock:echo"),
+    ("index", "embedding_url", "mock:hash"),
+    ("label", "low_max", "0.2"),
+    ("validate", "dataset_name", "custom"),
+])
+def test_empty_config_value_leaves_the_default(data_dir, monkeypatch, capsys, command, key, default):
+    monkeypatch.chdir(data_dir)
+    config = data_dir / "run.conf"
+    config.write_text(f"{key}=\n", encoding="utf-8")
+    assert run([command, "--config", config, "--train", data_dir / "train.jsonl"]) == 0
+    if command == "validate":
+        assert capsys.readouterr().out.startswith(f"dataset: {default} ")
+    else:
+        snapshot = (data_dir / "out" / f"resolved_config_{command}.txt").read_text().splitlines()
+        assert f"{key}={default}" in snapshot
+
+
+def test_a_snapshot_read_back_as_config_writes_the_same_snapshot(data_dir):
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "copy") == 0
+    snapshot = (out / "resolved_config_generate.txt").read_text()
+    config = data_dir / "snapshot.conf"
+    config.write_text(snapshot, encoding="utf-8")
+    assert run(["generate", "--config", config]) == 0
+    assert (out / "resolved_config_generate.txt").read_text() == snapshot
+
+
 INVALID_SETTINGS = [
     (["--low-max", "0.5", "--high-min", "0.3"], None),
     (["--infix-len", "0"], None),
@@ -533,6 +562,8 @@ INVALID_SETTINGS = [
     ([], "query_class=extreme"),
     ([], "exclude_self=bogus"),
     ([], "data_format=xml"),
+    (["--high-min", "inf"], None),
+    ([], "high_min=inf"),
 ]
 
 
@@ -808,6 +839,28 @@ def test_eval_with_no_scorable_source_leaves_self_ter_blank(data_dir, mode, flag
     assert "'self_ter_skipped': 2" in (out / "report.txt").read_text()
 
 
+def test_eval_embeds_sources_and_outputs_in_one_request(data_dir, monkeypatch):
+    from types import SimpleNamespace
+
+    from paraprompt.backend import requests as requests_lib
+
+    sent = []
+
+    def post(url, json, timeout):
+        sent.append(json["texts"])
+        # each request's vectors are one component longer than the last's
+        vectors = [[1.0] * (len(sent) + 1)] * len(json["texts"])
+        return SimpleNamespace(status_code=200, json=lambda: {"vectors": vectors})
+
+    monkeypatch.setattr(requests_lib, "post", post)
+    out = data_dir / "out"
+    assert _generate(data_dir, out, "copy") == 0
+    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out,
+                "--embedding-url", "http://e.invalid/embed"]) == 0
+    sources = [row["source"] for row in TEST_ROWS]
+    assert sent == [sources + sources]
+
+
 @pytest.mark.parametrize("mode, flag", [("rapt", "--global-prefix-len"), ("ncrapt", "--infix-len")])
 def test_a_slot_length_beyond_a_c_size_is_an_over_budget_row(data_dir, mode, flag):
     out = data_dir / "out"
@@ -994,8 +1047,6 @@ _SHARED_FLAGS = {
      "unicode_normalize", None, None, _BOOL),
     (("--normalization-punctuation-split", "--no-normalization-punctuation-split"),
      "punctuation_split", None, None, _BOOL),
-    (("--normalization-collapse-whitespace", "--no-normalization-collapse-whitespace"),
-     "collapse_whitespace", None, None, _BOOL),
     (("--generation-url",), "generation_url", None, None, _STORE),
     (("--embedding-url",), "embedding_url", None, None, _STORE),
     (("--embedding-model",), "embedding_model_name", None, None, _STORE),
@@ -1051,34 +1102,34 @@ def test_every_subcommand_keeps_its_flags():
 # index do not depend on the mode, and run only in rapt and ncrapt
 _SHARED_DIGESTS = {
     "labeled.jsonl": "e282a90b9da6de513a94847e0d8e026b07368ad3bcfd8eaf4e3941413271b08d",
-    "labeled_meta.json": "2548aae3186c8a5ace01f8f26e0ee353e4292c6734c27da11abd9fe21189dff1",
+    "labeled_meta.json": "e93a7001bbfa517e6c9c488d3d393d3db5937c1f0d5db0d1a67f2abd161bc39b",
     "embeddings.bin": "8dcf0b5e9f18a7cdfd7b6b001e049a798e1b44598fdd67de934ff4c6c98ab472",
     "embeddings.ids.jsonl": "bebb9da4ada90102838cd50dd3969a0105f7633f616db7b7013783e88cbb1eeb",
 }
 GOLDEN_RUNS = [
     (["--mode", "rapt"], {
         "generations.jsonl": "31ed549f0664b191b6cc0d58952733ab0bcde328179855026c35a8912a4afb47",
-        "report.txt": "665e0efe8dfeae1a73d33b2d648e9f6838afeacc9eb0773ab7f9f31f8e30b400",
+        "report.txt": "745ae2dbcd2206c75170f10640540aa3d34cefdc7198d2804a2a6ca51e551e98",
         "report.csv": "2f5dd053ce20a0b1b4388524edac171f9b6eb96adfe23e96b428883f06028d3f",
     }),
     (["--mode", "ncrapt", "--query-class", "low"], {
         "generations.jsonl": "6181a1b9579bb060bf9266cfb0dbea9fd8de4e15c8a4e0c9388cd72d4fecfb96",
-        "report.txt": "8575c9a2f03236573faaa4cec55a3382d0df2a392c208c9a726849500dc7ed3f",
+        "report.txt": "aafe505fcda79ed414bbc3498eb1e0da23d8b13d23619a739e7c05e1710fb8cc",
         "report.csv": "b2b531e6ad9aa55c4f56255165ead5c130ac6dca2aae30134a924a7251094f5e",
     }),
     (["--mode", "manual"], {
         "generations.jsonl": "0094ce339a4f240af119e5e1b28a252c3437e2c76f4fd5a627d9866418b04c8e",
-        "report.txt": "e34c5817b1e4dbccd31a4dd0d651e117f9ecf057ac69fe2e198a1966c5592cf8",
+        "report.txt": "60a9e7f0468449f3d5d360eaf6ea2db39cc09630c380ec6ea1c8a2b25f9884b6",
         "report.csv": "6f26e3ccf7fb0012e17f44a50865b1c59a16c3dafc26311dcaba540e22e05612",
     }),
     (["--mode", "rapt", "--strategy", "random", "--seed", "5"], {
         "generations.jsonl": "70e09f593c5a5a87e90173d9c45bf20260969f508897c6b25c5f3fd60923a3cb",
-        "report.txt": "665e0efe8dfeae1a73d33b2d648e9f6838afeacc9eb0773ab7f9f31f8e30b400",
+        "report.txt": "745ae2dbcd2206c75170f10640540aa3d34cefdc7198d2804a2a6ca51e551e98",
         "report.csv": "2f5dd053ce20a0b1b4388524edac171f9b6eb96adfe23e96b428883f06028d3f",
     }),
     (["--mode", "ncrapt", "--k", "4", "--generation-url", "mock:shuffle?seed=3"], {
         "generations.jsonl": "29173765a22a4076ea8f850dd1fdfaa72a8c4af9e6cbe380b431bf12554c1064",
-        "report.txt": "61a7378724736ff87571c760076bf35f20b5864e7b0fa820c571e53dd5dd3c40",
+        "report.txt": "9e572a62b3741e5c39b8cc8871af46c9c16366062756b6e488c4af8af1432300",
         "report.csv": "7bf245722f0092a361747813f0b204d05d23ee302126771c2181a26aaeda431c",
     }),
 ]

@@ -1,16 +1,17 @@
-"""The CLI contract under drawn settings and test files: ``generate`` in
-the retrieval modes, then ``eval``, each ends with an exit code of 0, 1,
-2 or 3, and no exception escapes ``main``."""
+"""The CLI contract under drawn settings, test files and config files:
+each command ends with an exit code of 0, 1, 2 or 3, and no exception
+escapes ``main``."""
 
 import json
+import os
 import shutil
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from paraprompt.cli import main
+from paraprompt.cli import config_keys, main
 
 TRAIN_ROWS = [
     {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
@@ -26,6 +27,17 @@ SIZES = st.one_of(st.integers(-1, 6), st.sampled_from([300, 2**63, 10**21]))
 SOURCES = st.sampled_from(["how do i learn java", "why is the ocean salty", "   ", "\t"])
 
 TEST_FILES = st.lists(SOURCES, min_size=1, max_size=3)
+
+CONFIG_VALUES = st.sampled_from(["", "  ", "nan", "inf", "-1", "0", str(2**63), str(10**21), "word"])
+# no request leaves the process, and each unit of max_in_flight can start a thread
+KEY_VALUES = {
+    "generation_url": st.sampled_from(["", "mock:echo", "mock:shuffle?seed=3", "mock:constant?text=hi"]),
+    "embedding_url": st.sampled_from(["", "mock:hash", "mock:hash?dim=3", "mock:bogus"]),
+    "max_in_flight": st.integers(1, 8).map(str),
+}
+CONFIG_LINES = st.lists(st.sampled_from(list(config_keys())), unique=True, max_size=5).flatmap(
+    lambda keys: st.tuples(*(st.tuples(st.just(key), KEY_VALUES.get(key, CONFIG_VALUES)) for key in keys))
+)
 
 
 def _write_jsonl(path, rows):
@@ -68,3 +80,33 @@ def test_generate_then_eval_exits_with_a_documented_code(
         ]
         assert main([str(a) for a in generate]) in (0, 1, 2, 3)
         assert main(["eval", "--test", str(test), "--out", str(out)]) in (0, 1, 2, 3)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(lines=CONFIG_LINES)
+# empty values of keys whose type has no empty value, and a threshold JSON cannot hold
+@example(lines=(("out_dir", ""),))
+@example(lines=(("generation_url", ""), ("embedding_url", "")))
+@example(lines=(("dataset_name", ""),))
+@example(lines=(("high_min", "inf"),))
+def test_config_file_lines_exit_with_a_documented_code(lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_jsonl(Path(tmp) / "pairs.jsonl", TRAIN_ROWS)
+        Path(tmp, "run.cfg").write_text("".join(f"{key}={value}\n" for key, value in lines), encoding="utf-8")
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a default out_dir writes here
+        try:
+            label = main(["label", "--config", "run.cfg", "--train", "pairs.jsonl"])
+            assert label in (0, 1, 2, 3)
+            if label == 0:
+                out = dict(lines).get("out_dir", "").strip() or "out"
+                json.loads(Path(out, "labeled_meta.json").read_text(), parse_constant=_no_constant)
+            assert main(["validate", "--config", "run.cfg", "--train", "pairs.jsonl"]) in (0, 1, 2, 3)
+            for command in (["generate", "--mode", "copy"], ["eval"]):
+                assert main([*command, "--config", "run.cfg", "--test", "pairs.jsonl"]) in (0, 1, 2, 3)
+        finally:
+            os.chdir(cwd)

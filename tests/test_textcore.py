@@ -8,7 +8,6 @@ from paraprompt.textcore import (
     NormalizationConfig,
     ngram_windows,
     normalize,
-    normalize_text,
     render,
 )
 
@@ -54,12 +53,6 @@ def test_normalize_idempotent(text):
     assert once == again
 
 
-@given(text_strategy)
-def test_normalize_text_idempotent(text):
-    once = normalize_text(text)
-    assert normalize_text(once) == once
-
-
 def test_ngrams_unigram_counts():
     assert Counter(ngram_windows(("a", "b", "a"), 1)) == {("a",): 2, ("b",): 1}
 
@@ -91,5 +84,4 @@ def test_default_config_records_all_rules():
         "lowercase": True,
         "unicode_normalize": True,
         "punctuation_split": True,
-        "collapse_whitespace": True,
     }
