@@ -152,10 +152,12 @@ def cmd_label(config: PipelineConfig) -> int:
     out_dir = Path(config.out_dir)
     split = dataio.load_pairs(train_path, config.data_format, "train")
     rows, meta = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
-    dataio.write_jsonl(out_dir / "labeled.jsonl", (dict(zip(novelty.LABELED_FIELDS, row)) for row in rows))
+    labeled_path = out_dir / novelty.LABELED.name
+    names = [f.name for f in novelty.LABELED.fields]
+    dataio.write_jsonl(labeled_path, (dict(zip(names, row)) for row in rows))
     dataio.atomic_write_text(out_dir / "labeled_meta.json", json.dumps(meta, indent=2) + "\n")
     write_config_snapshot(config, out_dir, "label")
-    print(f"labeled {len(rows)} pairs -> {out_dir / 'labeled.jsonl'}")
+    print(f"labeled {len(rows)} pairs -> {labeled_path}")
     print(f"histogram: {meta['histogram']} (rejected: {meta['rejected']})")
     return 0
 
@@ -174,9 +176,9 @@ def cmd_index(config: PipelineConfig) -> int:
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([p.source for p in pairs])
     index = retrieval.RetrievalIndex([p.id for p in pairs], vectors, pairs.__getitem__)
-    emb_path = out_dir / "embeddings.bin"
+    emb_path = out_dir / retrieval.EMBEDDING_FILE
     entries = [(p.id, vector) for p, vector in zip(pairs, vectors)]
-    retrieval.write_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl", entries)
+    retrieval.write_embeddings_binary(emb_path, out_dir / dataio.EMBEDDING_IDS.name, entries)
     write_config_snapshot(config, out_dir, "index")
     skipped = len(split.pairs) - len(pairs)
     print(f"indexed {len(index)} vectors of dim {index.dim} -> {emb_path}"
@@ -190,10 +192,8 @@ def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
-    emb_path = out_dir / "embeddings.bin"
-    if not emb_path.exists():
-        raise dataio.DataFormatError(emb_path, None, "embedding file missing; run the index command first")
-    ids, matrix = retrieval.load_embeddings_binary(emb_path, out_dir / "embeddings.ids.jsonl")
+    emb_path = out_dir / retrieval.EMBEDDING_FILE
+    ids, matrix = retrieval.load_embeddings_binary(emb_path, out_dir / dataio.EMBEDDING_IDS.name)
     pair_of = dataio.index_pairs(train_path, config.data_format, ids, out_dir / "train_rows.jsonl", emb_path)
     return retrieval.RetrievalIndex(ids, matrix, pair_of)
 
@@ -201,10 +201,9 @@ def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
 def _novelty_by_id(config: PipelineConfig, ids: Sequence[str]) -> dict[str, novelty.NoveltyClass]:
     """The novelty class of each train id; every index row ``ids`` needs
     one, since an example without a class cannot enter a conditioned prompt."""
-    labeled_path = Path(config.out_dir) / "labeled.jsonl"
-    if not labeled_path.exists():
-        raise dataio.DataFormatError(labeled_path, None, "novelty labels missing; run the label command first")
-    classes = novelty.load_labeled(labeled_path)
+    labeled_path = Path(config.out_dir) / novelty.LABELED.name
+    rows = dataio.read_jsonl(labeled_path, novelty.LABELED)
+    classes = {row["id"]: novelty.NoveltyClass.from_label(row["class"]) for row in rows}
     missing = next((rid for rid in ids if rid not in classes), None)
     if missing is not None:
         raise dataio.DataFormatError(labeled_path, None, f"no novelty class for index id {missing!r}; "
@@ -230,7 +229,7 @@ def _retrieve(
     vectors = embedder.embed([pair.source for _, pair, _ in queries])
     if len(index) and len(vectors[0]) != index.dim:
         raise dataio.DataFormatError(
-            Path(config.out_dir) / "embeddings.bin", None,
+            Path(config.out_dir) / retrieval.EMBEDDING_FILE, None,
             f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
             "index and generate need the same embedding backend",
         )
@@ -327,6 +326,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     """Assemble prompts for the test inputs and collect completions."""
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
+    gen_path = out_dir / dataio.GENERATIONS.name
     pairs = dataio.load_pairs(test_path, config.data_format, "test").pairs
     if config.mode in ("copy", "ground-truth"):
         rows = [
@@ -337,8 +337,8 @@ def cmd_generate(config: PipelineConfig) -> int:
         summary = f"wrote {len(rows)} {config.mode} pseudo-generations"
     else:
         rows = _generate_rows(config, pairs)
-        summary = f"wrote {len(rows)} generations ({config.mode}) -> {out_dir / 'generations.jsonl'}"
-    dataio.write_jsonl(out_dir / "generations.jsonl", rows)
+        summary = f"wrote {len(rows)} generations ({config.mode}) -> {gen_path}"
+    dataio.write_jsonl(gen_path, rows)
     write_config_snapshot(config, out_dir, "generate")
     print(summary)
     return 0
@@ -349,8 +349,9 @@ def cmd_eval(config: PipelineConfig) -> int:
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
     cfg_norm = config.normalization
+    gen_path = out_dir / dataio.GENERATIONS.name
     split = dataio.load_pairs(test_path, config.data_format, "test")
-    generations = dataio.load_generations(out_dir / "generations.jsonl")
+    generations = list(dataio.read_jsonl(gen_path, dataio.GENERATIONS))
     by_id = {p.id: p for p in split.pairs}
 
     records: list[EvalRecord] = []
@@ -360,8 +361,7 @@ def cmd_eval(config: PipelineConfig) -> int:
         pair = by_id.get(row["id"])
         if pair is None:
             raise dataio.DataFormatError(
-                out_dir / "generations.jsonl", None,
-                f"generation id {row['id']!r} not present in {test_path}",
+                gen_path, None, f"generation id {row['id']!r} not present in {test_path}"
             )
         if not pair.target:
             skipped_no_reference += 1
@@ -375,9 +375,7 @@ def cmd_eval(config: PipelineConfig) -> int:
         )
         texts.append((pair.source, row["output"]))
     if not records:
-        raise dataio.DataFormatError(
-            out_dir / "generations.jsonl", None, "nothing to evaluate"
-        )
+        raise dataio.DataFormatError(gen_path, None, "nothing to evaluate")
 
     vector_pairs = None
     if config.semantic:

@@ -4,8 +4,10 @@ JSONL is the canonical format; TSV is accepted because public paraphrase
 corpora ship that way. All writes are atomic (temp file + rename) and
 UTF-8; a BOM is tolerated on read and never written.
 
-Every JSONL reader goes through ``_jsonl_values``, which accepts exactly
-what ``json.loads`` accepts on each line and raises its messages.
+Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
+``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``,
+``GENERATIONS`` and ``novelty.LABELED``. It accepts exactly what
+``json.loads`` accepts on each line and raises its messages.
 
 Text that is not UTF-8, or a ``\\u`` escape of a lone surrogate, is a
 ``DataFormatError``, so every text read can be written back.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -115,53 +118,131 @@ _JSON_SPACE = " \t\r\n"
 _scan_once = json.JSONDecoder().scan_once
 
 
-def _jsonl_values(
-    path: str | Path, numbered_lines: Iterable[tuple[int, str]], strip: bool
-) -> Iterator[tuple[int, object]]:
-    """(1-based line number, value) for each non-blank line of a JSONL file,
-    given as (line number, line) with each line's newline kept or not.
+@dataclass(frozen=True)
+class FieldType:
+    """A check on a JSON value; a value that fails it reads ``"<field>" must be <must_be>``."""
+
+    test: Callable[[object], bool]
+    must_be: str
+
+
+STRING = FieldType(lambda v: type(v) is str, "a string")
+# the id rule; an integer is read as its decimal text
+ID = FieldType(lambda v: type(v) is str or type(v) is int, "a string or an integer")
+# bools, NaN, infinities and ints beyond float range all fail
+FINITE = FieldType(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
+
+
+def one_of(values: Sequence[str]) -> FieldType:
+    return FieldType(lambda v: v in values, f"one of {', '.join(values)}")
+
+
+@dataclass(frozen=True)
+class Field:
+    """One field of a JSONL row. An absent optional field reads as its
+    default, or stays absent when that is None; a ``nonempty`` one is not ""."""
+
+    name: str
+    type: FieldType
+    required: bool = True
+    default: object = None
+    nonempty: bool = False
+
+
+@dataclass(frozen=True)
+class Schema:
+    """A kind of JSONL file: its name in the run directory, the stage that
+    writes it (both None for a dataset, which the user names), and its
+    fields, the id first; an absent optional id reads as the row's position."""
+
+    name: str | None
+    stage: str | None
+    fields: tuple[Field, ...]
+
+
+DATASET = Schema(None, None, (
+    Field("id", ID, required=False),
+    Field("source", STRING, nonempty=True),
+    Field("target", STRING, required=False, default=""),
+))
+EMBEDDING_IDS = Schema("embeddings.ids.jsonl", "index", (Field("id", ID),))
+# other keys of a generation row are kept unchecked
+GENERATIONS = Schema("generations.jsonl", "generate", (
+    Field("id", ID),
+    Field("output", STRING),
+    Field("mode", one_of(GENERATION_MODES), required=False),
+))
+
+
+def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
+    """The rows of a JSONL file under ``schema``, one object per non-blank
+    line, in order: its id as text, its absent fields' defaults filled in
+    and every other key as read. A missing artifact names the stage that
+    writes it.
 
     A line is blank when it is empty or holds only whitespace
     (``str.isspace``). Any other line must parse as ``json.loads`` parses
-    the line without its newline or, when ``strip``, the line after
+    the line without its newline or, in an artifact, the line after
     ``str.strip()``; if it does not, ``DataFormatError`` carries json's
-    message. A value with only JSON whitespace around it is scanned in
+    message, or Python's for an integer past its digit limit (4,300 by
+    default) or a value nested past its recursion limit. A value with only JSON whitespace around it is scanned in
     place; any other line is handed to ``json.loads`` itself, so the BOM
     message and the error for, say, an unterminated string before a
     trailing tab stay json's own. A ``\\u`` escape of a lone surrogate,
-    which no UTF-8 file can hold, is a ``DataFormatError`` too.
+    which no UTF-8 file can hold, is a ``DataFormatError`` too, and so is
+    a value that is not an object, an absent required field, a field that
+    fails its type check, an empty ``nonempty`` field and a repeated id;
+    the fields are checked in the schema's order.
     """
-    for lineno, line in numbered_lines:
-        text = line.strip(_JSON_SPACE)
-        try:
-            value, end = _scan_once(text, 0)
-        except (StopIteration, json.JSONDecodeError):
-            end = -1
-        if end != len(text):
-            if not line or line.isspace():
-                continue
+    shape = "expected an object with " + ", ".join(f.name for f in schema.fields if f.required)
+    seen: set[str] = set()
+    try:
+        fh = _open_text(path)
+    except FileNotFoundError:
+        if schema.stage is None:
+            raise
+        raise DataFormatError(path, None, f"missing; run the {schema.stage} command first") from None
+    with fh:
+        for lineno, line in _numbered_lines(path, fh):
+            text = line.strip(_JSON_SPACE)
             try:
-                value = json.loads(line.strip() if strip else line.rstrip("\n"))
-            except json.JSONDecodeError as err:
-                raise DataFormatError(path, lineno, f"invalid JSON: {err.msg}") from err
-        # only a \u escape can decode to a surrogate
-        if "\\u" in line:
-            try:
-                _encode_row(value).encode("utf-8")
-            except UnicodeEncodeError:
-                raise DataFormatError(path, lineno, "a \\u escape names a lone surrogate, "
-                                      "which is not text") from None
-        yield lineno, value
-
-
-def id_text(path: str | Path, lineno: int, value: object) -> str:
-    """An id read from JSON as text: a string as it is, an integer (not a
-    boolean) as its decimal text; anything else is a ``DataFormatError``."""
-    if type(value) is str:
-        return value
-    if type(value) is not int:
-        raise DataFormatError(path, lineno, '"id" must be a string or an integer')
-    return str(value)
+                row, end = _scan_once(text, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end != len(text):
+                if not line or line.isspace():
+                    continue
+                try:
+                    # a dataset line is parsed as it stands, an artifact line stripped
+                    row = json.loads(line.strip() if schema.stage else line.rstrip("\n"))
+                except (ValueError, RecursionError) as err:
+                    raise DataFormatError(path, lineno, f"invalid JSON: {getattr(err, 'msg', err)}") from err
+            # only a \u escape can decode to a surrogate
+            if "\\u" in line:
+                try:
+                    _encode_row(row).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DataFormatError(path, lineno, "a \\u escape names a lone surrogate, "
+                                          "which is not text") from None
+            if not isinstance(row, dict):
+                raise DataFormatError(path, lineno, shape)
+            # an absent id is the row's position among the file's rows
+            row_id = str(row.get("id", len(seen)))
+            for f in schema.fields:
+                if f.name not in row:
+                    if f.required:
+                        raise DataFormatError(path, lineno, shape)
+                    if f.default is not None:
+                        row[f.name] = f.default
+                elif not f.type.test(row[f.name]):
+                    raise DataFormatError(path, lineno, f'"{f.name}" must be {f.type.must_be}')
+                elif f.nonempty and not row[f.name]:
+                    raise DataFormatError(path, lineno, f"pair {row_id!r}: {f.name} must be non-empty")
+            row["id"] = row_id
+            if row_id in seen:
+                raise DataFormatError(path, lineno, f"duplicate id {row_id!r}")
+            seen.add(row_id)
+            yield row
 
 
 def data_format(path: str | Path, fmt: str | None) -> str:
@@ -176,55 +257,25 @@ def data_format(path: str | Path, fmt: str | None) -> str:
 def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") -> DatasetSplit:
     """Load paraphrase pairs from a JSONL or TSV file, preserving order.
 
-    JSONL lines look like {"id": ..., "source": ..., "target": ...}:
-    ``source`` is a string, ``target`` a string or absent, and ``id`` a
-    string, an integer or absent; absent ids are auto-assigned as "0",
-    "1", ... TSV rows carry either source<TAB>target or
-    id<TAB>source<TAB>target. Duplicate ids are rejected.
+    JSONL rows are read under ``DATASET``. TSV rows carry either
+    source<TAB>target or id<TAB>source<TAB>target, the first kind named by
+    position as "0", "1", ... Duplicate ids are rejected.
     """
     fmt = data_format(path, fmt)
-    pairs: list[ParaphrasePair] = []
-    seen: set[str] = set()
+    if fmt == "jsonl":
+        pairs = [ParaphrasePair(row["id"], row["source"], row["target"]) for row in read_jsonl(path, DATASET)]
+        return DatasetSplit(name=name, pairs=pairs)
+    by_id: dict[str, ParaphrasePair] = {}
     with _open_text(path) as fh:
-        for lineno, pair in _pairs(path, _numbered_lines(path, fh), fmt):
-            if pair.id in seen:
-                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
-            seen.add(pair.id)
-            pairs.append(pair)
-    return DatasetSplit(name=name, pairs=pairs)
-
-
-def _pairs(
-    path: str | Path, numbered_lines: Iterable[tuple[int, str]], fmt: str
-) -> Iterator[tuple[int, ParaphrasePair]]:
-    """(1-based line number, pair) for each non-blank line of a dataset
-    file, given as (line number, line) with each line's newline kept. A
-    pair with no id is named by its position among the file's pairs. A
-    malformed line is a ``DataFormatError``."""
-    position = 0
-    if fmt == "tsv":
-        for lineno, raw in numbered_lines:
+        for lineno, raw in _numbered_lines(path, fh):
             line = raw.rstrip("\n").rstrip("\r")
-            if line.strip():
-                yield lineno, _parse_tsv_line(path, lineno, line, default_id=str(position))
-                position += 1
-        return
-    for lineno, obj in _jsonl_values(path, numbered_lines, strip=False):
-        if not isinstance(obj, dict) or "source" not in obj:
-            raise DataFormatError(path, lineno, 'expected an object with a "source" field')
-        source = obj["source"]
-        target = obj.get("target", "")
-        if type(source) is not str:
-            raise DataFormatError(path, lineno, '"source" must be a string')
-        if type(target) is not str:
-            raise DataFormatError(path, lineno, '"target" must be a string')
-        row_id = id_text(path, lineno, obj["id"]) if "id" in obj else str(position)
-        try:
-            pair = ParaphrasePair(id=row_id, source=source, target=target)
-        except ValueError as err:
-            raise DataFormatError(path, lineno, str(err)) from err
-        yield lineno, pair
-        position += 1
+            if not line.strip():
+                continue
+            pair = _parse_tsv_line(path, lineno, line, default_id=str(len(by_id)))
+            if pair.id in by_id:
+                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
+            by_id[pair.id] = pair
+    return DatasetSplit(name=name, pairs=list(by_id.values()))
 
 
 def _parse_tsv_line(path, lineno: int, line: str, default_id: str) -> ParaphrasePair:
@@ -305,43 +356,6 @@ def write_pairs(path: str | Path, pairs: Sequence[ParaphrasePair]) -> None:
     write_jsonl(
         path, ({"id": p.id, "source": p.source, "target": p.target} for p in pairs)
     )
-
-
-def iter_jsonl_objects(path: str | Path, required: Sequence[str]) -> Iterator[tuple[int, dict]]:
-    """(1-based line number, object) for each non-blank line of a JSONL
-    file; each object must carry the ``required`` keys."""
-    keys = frozenset(required)
-    with _open_text(path) as fh:
-        for lineno, obj in _jsonl_values(path, _numbered_lines(path, fh), strip=True):
-            if not isinstance(obj, dict) or not obj.keys() >= keys:
-                raise DataFormatError(path, lineno, f"expected an object with {', '.join(required)}")
-            yield lineno, obj
-
-
-def load_ids(path: str | Path) -> list[str]:
-    """The ids of a JSONL id file, one {"id": ...} object per non-blank
-    line, as text; an id must be a string or an integer, as in
-    ``load_pairs``."""
-    return [id_text(path, lineno, obj["id"]) for lineno, obj in iter_jsonl_objects(path, ("id",))]
-
-
-def load_generations(path: str | Path) -> list[dict]:
-    """Generation records, each id as text under ``load_pairs``' rules. A
-    repeated id, an ``output`` that is not a string or a ``mode`` that is
-    not a ``GENERATION_MODES`` value is a ``DataFormatError``."""
-    rows = []
-    seen: set[str] = set()
-    for lineno, row in iter_jsonl_objects(path, ("id", "output")):
-        row["id"] = id_text(path, lineno, row["id"])
-        if row["id"] in seen:
-            raise DataFormatError(path, lineno, f"duplicate id {row['id']!r}")
-        seen.add(row["id"])
-        if type(row["output"]) is not str:
-            raise DataFormatError(path, lineno, '"output" must be a string')
-        if "mode" in row and row["mode"] not in GENERATION_MODES:
-            raise DataFormatError(path, lineno, f'"mode" must be one of {", ".join(GENERATION_MODES)}')
-        rows.append(row)
-    return rows
 
 
 def file_sha256(path: str | Path) -> bytes:

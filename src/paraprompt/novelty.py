@@ -12,19 +12,15 @@ between is medium.
 from __future__ import annotations
 
 import enum
-import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .dataio import DataFormatError, ParaphrasePair, id_text, iter_jsonl_objects
+from .dataio import FINITE, ID, STRING, Field, ParaphrasePair, Schema, one_of
 from .metrics.ter import ter
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, normalize
 
 TER_DIRECTION = "hypothesis=target, reference=source"
-
-LABELED_FIELDS = ("id", "source", "target", "ter", "class")
 
 
 class NoveltyClass(enum.IntEnum):
@@ -44,6 +40,16 @@ class NoveltyClass(enum.IntEnum):
             return cls[label.upper()]
         except KeyError:
             raise ValueError(f"unknown novelty class {label!r}") from None
+
+
+# The rows ``label`` writes, in this field order
+LABELED = Schema("labeled.jsonl", "label", (
+    Field("id", ID),
+    Field("source", STRING, nonempty=True),
+    Field("target", STRING),
+    Field("ter", FINITE),
+    Field("class", one_of(tuple(c.label for c in NoveltyClass))),
+))
 
 
 @dataclass(frozen=True)
@@ -80,8 +86,8 @@ def label_dataset(
 ) -> tuple[list[tuple], dict]:
     """Label every pair with TER(target, source) and its novelty class.
 
-    Returns the rows of ``labeled.jsonl``, one tuple in ``LABELED_FIELDS``
-    order per rated pair, and the ``labeled_meta.json`` record. Pairs
+    Returns the rows of ``labeled.jsonl``, one tuple in ``LABELED``'s
+    field order per rated pair, and the ``labeled_meta.json`` record. Pairs
     whose source normalizes to nothing cannot be rated; they are counted
     in ``rejected`` and the run continues. TER is computed once per
     distinct (target, source) text pair: one normalization holds for the
@@ -111,25 +117,3 @@ def label_dataset(
         "rejected": rejected,
     }
     return rows, meta
-
-
-def load_labeled(path: str | Path) -> dict[str, NoveltyClass]:
-    """The novelty class of each id of a ``labeled.jsonl`` file, the last
-    row of an id winning. Every row is checked: a field of the wrong type
-    or value (the id and the non-empty source follow ``load_pairs``' rules)
-    is a ``DataFormatError``."""
-    labels = tuple(c.label for c in NoveltyClass)
-    classes = {}
-    for lineno, obj in iter_jsonl_objects(path, LABELED_FIELDS):
-        row_id = id_text(path, lineno, obj["id"])
-        if type(obj["source"]) is not str or type(obj["target"]) is not str:
-            raise DataFormatError(path, lineno, '"source" and "target" must be strings')
-        # bools, NaN, infinities and ints beyond float range all fail
-        if type(obj["ter"]) not in (int, float) or not abs(obj["ter"]) <= sys.float_info.max:
-            raise DataFormatError(path, lineno, '"ter" must be a finite number')
-        if obj["class"] not in labels:
-            raise DataFormatError(path, lineno, f'"class" must be one of {", ".join(labels)}')
-        if not obj["source"]:
-            raise DataFormatError(path, lineno, f"pair {row_id!r}: source must be non-empty")
-        classes[row_id] = NoveltyClass.from_label(obj["class"])
-    return classes

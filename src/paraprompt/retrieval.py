@@ -60,9 +60,12 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .dataio import DataFormatError, IndexBuildError, ParaphrasePair, atomic_write, atomic_write_text, load_ids
+from .dataio import EMBEDDING_IDS, DataFormatError, IndexBuildError, ParaphrasePair, read_jsonl
+from .dataio import atomic_write, atomic_write_text
 
 EMBEDDING_MAGIC = b"RAPTEMB1"
+# The embedding file in a run directory; its sidecar is ``EMBEDDING_IDS.name``
+EMBEDDING_FILE = "embeddings.bin"
 
 # Byte budget for one block of query-by-row product scores; a block holds
 # at least one query.
@@ -333,8 +336,9 @@ def write_embeddings_binary(
 
 
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The sidecar ids and a read-only (count, dim) float32 view of the
-    file, mapped read-only."""
+    """The sidecar ids, read first (so a missing index names ``index``), and
+    a read-only (count, dim) float32 view of the file, mapped read-only."""
+    ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
     header_end = len(EMBEDDING_MAGIC) + 8
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -351,7 +355,6 @@ def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list
             )
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     matrix = np.frombuffer(mapped, dtype="<f4", offset=header_end).reshape(count, dim)
-    ids = load_ids(ids_path)
     if len(ids) != count:
         raise DataFormatError(
             ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors"

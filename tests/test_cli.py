@@ -422,6 +422,17 @@ def test_non_string_dataset_fields_are_a_data_error(data_dir, capsys, row):
     assert not (data_dir / "out" / "labeled.jsonl").exists()
 
 
+@pytest.mark.parametrize("value, message", [
+    ("1" * 5000, "Exceeds the limit (4300 digits)"),
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["digits", "nesting"])
+def test_json_past_a_python_limit_is_a_data_error(data_dir, capsys, value, message):
+    train = data_dir / "huge.jsonl"
+    train.write_text('{"id": ' + value + ', "source": "a"}\n', encoding="utf-8")
+    assert run(["label", "--train", train, "--out", data_dir / "out"]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {train}:1: invalid JSON: {message}")
+
+
 def test_text_that_is_not_utf8_is_a_data_error(data_dir, capsys):
     train = data_dir / "latin1.jsonl"
     train.write_bytes(b'{"id": "a", "source": "caf\xe9", "target": "cafe"}\n')
@@ -472,6 +483,25 @@ def test_null_id_in_the_embedding_sidecar_is_a_data_error(data_dir, capsys):
     assert _generate(data_dir, out, "rapt") == 2
     assert capsys.readouterr().err.startswith(
         f'data error: {ids_path}:2: "id" must be a string or an integer'
+    )
+
+
+def test_a_repeated_id_in_the_embedding_sidecar_names_its_line(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    ids_path = out / "embeddings.ids.jsonl"
+    lines = ids_path.read_text().splitlines(keepends=True)
+    ids_path.write_text("".join(lines[:2] + lines[1:2] + lines[3:]))
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    assert capsys.readouterr().err == f"data error: {ids_path}:3: duplicate id 't1'\n"
+
+
+def test_eval_without_generations_names_the_generate_command(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'generations.jsonl'}: missing; run the generate command first\n"
     )
 
 
@@ -639,7 +669,7 @@ def test_ncrapt_without_labels_is_a_data_error(data_dir, capsys):
     capsys.readouterr()
     assert _generate(data_dir, out, "ncrapt") == 2
     assert capsys.readouterr().err == (
-        f"data error: {out / 'labeled.jsonl'}: novelty labels missing; run the label command first\n"
+        f"data error: {out / 'labeled.jsonl'}: missing; run the label command first\n"
     )
     assert not (out / "generations.jsonl").exists()
 
@@ -893,6 +923,19 @@ def test_ncrapt_bad_novelty_label_is_a_data_error(data_dir, capsys, field, value
     assert not (out / "generations.jsonl").exists()
 
 
+def test_ncrapt_refuses_labels_that_repeat_an_id(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    labeled = out / "labeled.jsonl"
+    rows = [json.loads(line) for line in labeled.read_text().splitlines()]
+    write_jsonl(labeled, rows + [{**rows[0], "class": "high" if rows[0]["class"] != "high" else "low"}])
+    capsys.readouterr()
+    assert _generate(data_dir, out, "ncrapt") == 2
+    assert capsys.readouterr().err == f"data error: {labeled}:6: duplicate id 't0'\n"
+    assert not (out / "generations.jsonl").exists()
+
+
 def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
     # label rejects the blank source and index leaves it out
     train = data_dir / "train_blank.jsonl"
@@ -1021,7 +1064,7 @@ def test_rapt_with_only_blank_queries_still_needs_the_index(data_dir, capsys):
         "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out, "--mode", "rapt",
     ]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {out / 'embeddings.bin'}: embedding file missing; run the index command first\n"
+        f"data error: {out / 'embeddings.ids.jsonl'}: missing; run the index command first\n"
     )
     assert not (out / "generations.jsonl").exists()
 

@@ -1,7 +1,9 @@
-"""The CLI contract under drawn settings, test files and config files:
-each command ends with an exit code of 0, 1, 2 or 3, and no exception
-escapes ``main``."""
+"""The CLI contract under drawn settings, test files, config files and
+mutated artifacts: each command ends with an exit code of 0, 1, 2 or 3,
+and no exception escapes ``main``."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -11,7 +13,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from paraprompt import dataio, novelty
 from paraprompt.cli import config_keys, main
+from paraprompt.dataio import DATASET, EMBEDDING_IDS, GENERATIONS
+from paraprompt.novelty import LABELED
 
 TRAIN_ROWS = [
     {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
@@ -110,3 +115,72 @@ def test_config_file_lines_exit_with_a_documented_code(lines):
                 assert main([*command, "--config", "run.cfg", "--test", "pairs.jsonl"]) in (0, 1, 2, 3)
         finally:
             os.chdir(cwd)
+
+
+GENERATE_NCRAPT = ["generate", "--mode", "ncrapt", "--train", "{train}", "--test", "{test}", "--out", "{out}"]
+# The command that reads each file of the schema table
+CONSUMERS = {
+    DATASET: ["label", "--train", "{train}", "--out", "{out}"],
+    LABELED: GENERATE_NCRAPT,
+    EMBEDDING_IDS: GENERATE_NCRAPT,
+    GENERATIONS: ["eval", "--test", "{test}", "--out", "{out}"],
+}
+# values that no field type accepts
+WRONG_TYPES = st.sampled_from([True, [], {"x": 1}])
+
+
+def test_every_schema_has_a_consumer():
+    declared = {v for module in (dataio, novelty) for v in vars(module).values() if isinstance(v, dataio.Schema)}
+    assert declared == set(CONSUMERS)
+
+
+@pytest.fixture(scope="module")
+def complete_run(tmp_path_factory):
+    """A run directory holding every file of the schema table: label,
+    index and ncrapt generate outputs of TRAIN_ROWS."""
+    root = tmp_path_factory.mktemp("complete")
+    _write_jsonl(root / "train.jsonl", TRAIN_ROWS)
+    _write_jsonl(root / "test.jsonl", [{"id": "q0", "source": "how do i learn java", "target": "learn java"},
+                                       {"id": "q1", "source": "why is the ocean salty", "target": "salty sea"}])
+    for command in ("label", "index"):
+        assert main(_argv(root, [command, "--train", "{train}", "--out", "{out}"])) == 0
+    assert main(_argv(root, GENERATE_NCRAPT)) == 0
+    return root
+
+
+def _argv(root, args):
+    return [a.format(train=root / "train.jsonl", test=root / "test.jsonl", out=root / "out") for a in args]
+
+
+def _snapshot(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(schema=st.sampled_from(list(CONSUMERS)), data=st.data())
+def test_a_mutated_artifact_is_a_data_error_naming_its_line(complete_run, schema, data):
+    """A field set to a wrong type or null, or a required field removed, in
+    one row of any file: its consumer exits 2 naming the line, and every
+    file keeps its bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "run"
+        shutil.copytree(complete_run, root)
+        path = root / "out" / schema.name if schema.name else root / "train.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        index = data.draw(st.integers(0, len(lines) - 1), label="row")
+        field = data.draw(st.sampled_from(schema.fields), label="field")
+        row = json.loads(lines[index])
+        change = data.draw(st.sampled_from(["wrong type", "null", "removed"] if field.required
+                                           else ["wrong type", "null"]), label="change")
+        if change == "removed":
+            del row[field.name]
+        else:
+            row[field.name] = data.draw(WRONG_TYPES) if change == "wrong type" else None
+        lines[index] = json.dumps(row) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        before = _snapshot(root)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(_argv(root, CONSUMERS[schema]))
+        assert code == 2 and stderr.getvalue().startswith(f"data error: {path}:{index + 1}: "), stderr.getvalue()
+        assert _snapshot(root) == before

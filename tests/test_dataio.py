@@ -8,21 +8,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import load_jsonl_objects_per_line, load_pairs_per_line
+from paraprompt import dataio, novelty
 from paraprompt.dataio import (
+    DATASET,
+    EMBEDDING_IDS,
+    GENERATIONS,
     DataFormatError,
     DatasetSplit,
     ParaphrasePair,
+    Schema,
     atomic_write,
-    iter_jsonl_objects,
     key_values,
-    load_generations,
-    load_ids,
     load_pairs,
+    read_jsonl,
     validate_split_sizes,
     write_jsonl,
     write_pairs,
 )
-from paraprompt.novelty import load_labeled
+from paraprompt.novelty import LABELED
+
+# The schema table by test id; test_the_table_lists_every_schema keeps it whole
+TABLE = {"pairs": DATASET, "ids": EMBEDDING_IDS, "labels": LABELED, "generations": GENERATIONS}
+# One row that every schema accepts
+ROW = {"id": "a", "source": "s", "target": "t", "ter": 0.5, "class": "medium", "output": "o", "mode": "rapt"}
+
+
+def _ids(path):
+    return [row["id"] for row in read_jsonl(path, EMBEDDING_IDS)]
 
 
 def test_pair_requires_source():
@@ -116,10 +128,10 @@ def test_load_jsonl_integer_ids_and_absent_target(tmp_path):
 def test_id_file_follows_the_pair_id_rule(tmp_path):
     path = tmp_path / "ids.jsonl"
     path.write_text('{"id": "a"}\n\n{"id": 12}\n', encoding="utf-8")
-    assert load_ids(path) == ["a", "12"]
+    assert _ids(path) == ["a", "12"]
     path.write_text('{"id": "a"}\n\n{"id": null}\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=":3: " + _BAD_ID):
-        load_ids(path)
+        _ids(path)
 
 
 # Line bodies for the differential reader test: pair objects (with raw
@@ -187,14 +199,46 @@ def _outcome(read, path):
         return "error", str(err), err.line
 
 
+def _pairs_per_line(path):
+    """The per-line oracle's pairs, its message for a line without a source
+    worded as every schema words it."""
+    try:
+        return load_pairs_per_line(path)
+    except DataFormatError as err:
+        if not str(err).endswith('expected an object with a "source" field'):
+            raise
+        raise DataFormatError(path, err.line, "expected an object with source") from None
+
+
+def _ids_per_line(path):
+    """The per-line oracle's ids, or its error, unless a repeated id, which
+    every schema refuses, comes on an earlier line."""
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = list(fh)
+    try:
+        rows, error = load_jsonl_objects_per_line(path, ("id",)), None
+    except DataFormatError as err:
+        # the rows before the line the oracle refuses
+        head = path.with_name(f"head-{path.name}")
+        head.write_text("".join(lines[: err.line - 1]), encoding="utf-8")
+        rows, error = load_jsonl_objects_per_line(head, ("id",)), err
+    linenos = [lineno for lineno, line in enumerate(lines, start=1) if line.strip()]
+    seen = set()
+    for lineno, obj in zip(linenos, rows):
+        if str(obj["id"]) in seen:
+            raise DataFormatError(path, lineno, f"duplicate id {str(obj['id'])!r}")
+        seen.add(str(obj["id"]))
+    if error:
+        raise error
+    return [str(obj["id"]) for obj in rows]
+
+
 def test_jsonl_readers_match_per_line_json_loads(tmp_path):
-    """Each reader returns what the former json.loads-per-line reader
-    returned, or raises the same message on the same line."""
+    """A dataset file and an artifact are read as the former json.loads-per-line
+    readers read them, or the same message is raised on the same line."""
     readers = [
-        (lambda p: load_pairs(p, "jsonl").pairs, load_pairs_per_line),
-        (lambda p: [obj for _, obj in iter_jsonl_objects(p, ("source",))],
-         lambda p: load_jsonl_objects_per_line(p, ("source",))),
-        (load_ids, lambda p: [str(obj["id"]) for obj in load_jsonl_objects_per_line(p, ("id",))]),
+        (lambda p: load_pairs(p, "jsonl").pairs, _pairs_per_line),
+        (_ids, _ids_per_line),
     ]
     rng = random.Random(20240607)
     seen = set()
@@ -213,39 +257,70 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
         assert any(outcome in message for message in seen), outcome
 
 
-def test_iter_jsonl_objects_accepts_unicode_space_around_a_value(tmp_path):
+def test_artifacts_accept_unicode_space_around_a_value(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('\xa0{"id": "a"}\u3000\n', encoding="utf-8")
-    assert list(iter_jsonl_objects(path, ("id",))) == [(1, {"id": "a"})]
+    assert list(read_jsonl(path, EMBEDDING_IDS)) == [{"id": "a"}]
     with pytest.raises(DataFormatError, match=r":1: invalid JSON: Expecting value"):
         load_pairs(path)
 
 
-READERS = {
-    "pairs": lambda path: load_pairs(path, "jsonl"),
-    "tsv pairs": lambda path: load_pairs(path, "tsv"),
-    "ids": load_ids,
-    "generations": load_generations,
-    "labels": load_labeled,
-}
+def test_the_table_lists_every_schema():
+    declared = {v for module in (dataio, novelty) for v in vars(module).values() if isinstance(v, Schema)}
+    assert declared == set(TABLE.values())
 
 
-@pytest.mark.parametrize("reader", sorted(READERS))
-def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, reader):
+@pytest.mark.parametrize("schema", [*TABLE.values(), None], ids=[*TABLE, "tsv pairs"])
+def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, schema):
     path = tmp_path / "rows.jsonl"
     path.write_bytes(b'{"id": "a", "source": "s", "output": "o"}\n{"id": "caf\xe9"}\n')
     with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
-        READERS[reader](path)
+        list(read_jsonl(path, schema)) if schema else load_pairs(path, "tsv")
 
 
-@pytest.mark.parametrize("reader", sorted(set(READERS) - {"tsv pairs"}))
-def test_readers_refuse_a_lone_surrogate_escape(tmp_path, reader):
+@pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
+def test_readers_refuse_a_lone_surrogate_escape(tmp_path, schema):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"id": "\\ud83d\\ude00", "source": "s", "target": "t", "output": "o", '
                     '"ter": 0.5, "class": "medium"}\n'
                     '{"id": "b", "source": "s", "output": "\\\\ud800 x\\udfff"}\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=r":2: a \\u escape names a lone surrogate"):
-        READERS[reader](path)
+        list(read_jsonl(path, schema))
+
+
+@pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
+def test_every_schema_refuses_a_repeated_id(tmp_path, schema):
+    path = tmp_path / "rows.jsonl"
+    write_jsonl(path, [ROW, {**ROW, "id": 7}, ROW])
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}:3: duplicate id 'a'$"):
+        list(read_jsonl(path, schema))
+
+
+# JSON that json.loads refuses with a ValueError or a RecursionError, not a JSONDecodeError
+PAST_LIMITS = {
+    "digits": ("1" * 5000, r"Exceeds the limit \(4300 digits\)"),
+    "nesting": ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+}
+
+
+@pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
+@pytest.mark.parametrize("value, message", PAST_LIMITS.values(), ids=PAST_LIMITS)
+def test_json_past_a_python_limit_is_a_data_error(tmp_path, schema, value, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(ROW)[:-1] + ', "n": ' + value + "}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=r":1: invalid JSON: " + message):
+        list(read_jsonl(path, schema))
+
+
+@pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
+def test_a_missing_artifact_names_the_stage_that_writes_it(tmp_path, schema):
+    path = tmp_path / "missing.jsonl"
+    if schema.stage is None:
+        with pytest.raises(FileNotFoundError):
+            list(read_jsonl(path, schema))
+        return
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: missing; run the {schema.stage} command"):
+        list(read_jsonl(path, schema))
 
 
 def test_write_jsonl_matches_json_dumps_per_row(tmp_path):
@@ -305,7 +380,7 @@ def test_generation_records_round_trip(tmp_path):
         {"id": "2", "prompt_n": 3, "output": "x é y"},
     ]
     write_jsonl(path, rows)
-    assert load_generations(path) == rows
+    assert list(read_jsonl(path, GENERATIONS)) == rows
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

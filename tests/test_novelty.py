@@ -4,14 +4,13 @@ import tracemalloc
 import pytest
 
 from paraprompt import novelty
-from paraprompt.dataio import ParaphrasePair, write_jsonl
+from paraprompt.dataio import ParaphrasePair, read_jsonl, write_jsonl
 from paraprompt.metrics.ter import ter
 from paraprompt.novelty import (
     NoveltyClass,
     NoveltyThresholds,
     classify,
     label_dataset,
-    load_labeled,
 )
 
 
@@ -101,11 +100,11 @@ def test_relabeling_is_fixed_point():
 
 def test_labeled_pair_round_trip(tmp_path):
     rows, _ = label_dataset(_pairs([("a b c d", "a b x d")]))
-    row = dict(zip(novelty.LABELED_FIELDS, rows[0]))
+    row = dict(zip([f.name for f in novelty.LABELED.fields], rows[0]))
     assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
                    "ter": 0.25, "class": "medium"}
     write_jsonl(tmp_path / "labeled.jsonl", [row])
-    assert load_labeled(tmp_path / "labeled.jsonl") == {"0": NoveltyClass.MEDIUM}
+    assert list(read_jsonl(tmp_path / "labeled.jsonl", novelty.LABELED)) == [row]
 
 
 def test_label_rates_each_distinct_pair_once(monkeypatch):

@@ -165,7 +165,7 @@ def test_cold_and_warm_runs_write_the_same_bytes(case, monkeypatch):
 def test_a_warm_read_returns_the_pairs_of_a_full_load(case, monkeypatch):
     run, _ = case
     assert run.cold()[0] == 0
-    ids = dataio.load_ids(run.out / "embeddings.ids.jsonl")
+    ids = [row["id"] for row in dataio.read_jsonl(run.out / "embeddings.ids.jsonl", dataio.EMBEDDING_IDS)]
     by_id = {pair.id: pair for pair in dataio.load_pairs(run.train).pairs}
     # a warm read parses nothing but the cache
     monkeypatch.setattr(dataio, "load_pairs", None)
