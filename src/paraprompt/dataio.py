@@ -1,8 +1,11 @@
 """Dataset ingestion, split-size validation, and file emission.
 
 JSONL is the canonical format; TSV is accepted because public paraphrase
-corpora ship that way. All writes are atomic (temp file + rename) and
-UTF-8; a BOM is tolerated on read and never written.
+corpora ship that way. Every file is written whole to a temp file, then
+the old file is unlinked and the new one renamed onto the free name, so
+no reader sees a partial file and a failed write keeps the old file;
+nothing is fsynced. Text is UTF-8; a BOM is tolerated on read and never
+written.
 
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
 ``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``,
@@ -309,8 +312,15 @@ def validate_split_sizes(splits: Iterable[DatasetSplit], dataset_name: str) -> s
 
 def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Stream ``chunks`` into a new file beside ``path``, made as ``open()``
-    makes one (under the process umask), then rename it over ``path``. On
-    any error the new file is removed and ``path`` is left as it was."""
+    makes one (under the process umask); once it is whole, unlink ``path``
+    and rename the new file onto the free name. Nothing is fsynced. If the
+    write or the unlink fails, ``path`` is left as it was; any error
+    removes the new file.
+
+    A rename onto an existing name makes ext4 (``auto_da_alloc``) flush the
+    new file's blocks first, tens of milliseconds even for a small file.
+    Between the unlink and the rename no file is at ``path``; a reader that
+    has the old file open or mapped keeps reading the old bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
@@ -318,6 +328,7 @@ def atomic_write(path: str | Path, chunks: Iterable[bytes]) -> None:
     try:
         with fh:
             fh.writelines(chunks)
+        path.unlink(missing_ok=True)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

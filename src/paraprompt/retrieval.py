@@ -40,9 +40,12 @@ Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
 then count*dim f32-LE values) with ids in a JSONL sidecar. The writer
 converts and writes ``_WRITE_CHUNK_ROWS`` rows at a time. The reader maps
 the file read-only and views its rows in place, so ``generate`` holds no
-copy of them; while a ``generate`` runs, the file must be replaced (a new
-file renamed over it, as this package's writers do), never rewritten in
-place, or the mapped rows change under the index.
+copy of them; while a ``generate`` runs, the file must be replaced, never
+rewritten in place, or the mapped rows change under the index. This
+package's writer replaces it: the new file is written whole (never a
+partial file at the name, no fsync), the old one is unlinked, and the new
+one is renamed onto the free name. A mapping of the old file keeps its
+rows, and a failed write keeps the old file.
 """
 
 from __future__ import annotations
@@ -336,11 +339,15 @@ def write_embeddings_binary(
 
 
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
-    """The sidecar ids, read first (so a missing index names ``index``), and
-    a read-only (count, dim) float32 view of the file, mapped read-only."""
+    """The sidecar ids, read first, and a read-only (count, dim) float32
+    view of the file, mapped read-only. A missing file names ``index``."""
     ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
     header_end = len(EMBEDDING_MAGIC) + 8
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise DataFormatError(path, None, f"missing; run the {EMBEDDING_IDS.stage} command first") from None
+    with fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(header_end)
         if header[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:

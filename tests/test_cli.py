@@ -1069,6 +1069,34 @@ def test_rapt_with_only_blank_queries_still_needs_the_index(data_dir, capsys):
     assert not (out / "generations.jsonl").exists()
 
 
+def test_rapt_without_the_embedding_file_names_the_index_command(data_dir, capsys):
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    (out / "embeddings.bin").unlink()
+    capsys.readouterr()
+    assert _generate(data_dir, out, "rapt") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'embeddings.bin'}: missing; run the index command first\n"
+    )
+    assert not (out / "generations.jsonl").exists()
+
+
+def test_a_directory_in_place_of_an_artifact_is_a_data_error(data_dir, capsys):
+    # the writer's unlink of the old file fails; the directory and its
+    # contents stay, and the new file is removed
+    out = data_dir / "out"
+    gen_path = out / "generations.jsonl"
+    gen_path.mkdir(parents=True)
+    (gen_path / "kept").write_text("x", encoding="utf-8")
+    assert _generate(data_dir, out, "copy") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(gen_path) in err
+    assert "Traceback" not in err
+    assert [p.name for p in gen_path.iterdir()] == ["kept"]
+    assert (gen_path / "kept").read_text(encoding="utf-8") == "x"
+    assert list(out.glob(".*.tmp")) == []
+
+
 # Every subcommand's flags, written out: (option strings, dest, type, choices,
 # action class). A flag that is renamed, retyped or moved between
 # subcommands fails here.

@@ -420,6 +420,33 @@ def test_write_jsonl_failure_mid_stream_keeps_the_old_file(tmp_path):
     assert path.read_bytes() == b'{"id": "old"}\n'
 
 
+def test_a_rewrite_renames_onto_a_free_name(tmp_path, monkeypatch):
+    # a rename over an existing file makes ext4 flush the new file first
+    from paraprompt.retrieval import write_embeddings_binary
+
+    rows, text = tmp_path / "rows.jsonl", tmp_path / "text.txt"
+    bin_path, ids_path = tmp_path / "vectors.bin", tmp_path / "vectors.ids.jsonl"
+
+    def write_all(tag):
+        write_jsonl(rows, [{"id": tag}])
+        dataio.atomic_write_text(text, tag)
+        write_embeddings_binary(bin_path, ids_path, [(tag, [1.0])])
+
+    write_all("old")
+    replace = os.replace
+
+    def replace_onto_a_free_name(src, dst):
+        assert not os.path.lexists(dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(dataio.os, "replace", replace_onto_a_free_name)
+    write_all("new")
+    assert rows.read_text() == '{"id": "new"}\n' and text.read_text() == "new"
+    assert ids_path.read_text() == '{"id": "new"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "rows.jsonl", "text.txt", "vectors.bin", "vectors.ids.jsonl"]
+
+
 def test_atomic_write_makes_files_under_the_umask(tmp_path):
     path = tmp_path / "out.txt"
     path.write_bytes(b"old")

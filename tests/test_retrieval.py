@@ -403,6 +403,17 @@ def test_binary_sidecar_matches_json_dumps(tmp_path):
     assert load_embeddings_binary(tmp_path / "vectors.bin", ids_path)[0] == ids
 
 
+def test_a_mapped_index_keeps_its_rows_when_the_file_is_rewritten(tmp_path):
+    path = tmp_path / "vectors.bin"
+    ids_path = tmp_path / "vectors.ids.jsonl"
+    write_embeddings_binary(path, ids_path, [("a", [1.0, 2.0]), ("b", [3.0, 4.0])])
+    _, old = load_embeddings_binary(path, ids_path)
+    write_embeddings_binary(path, ids_path, [("c", [5.0, 6.0, 7.0])])
+    assert old.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    ids, new = load_embeddings_binary(path, ids_path)
+    assert ids == ["c"] and new.tolist() == [[5.0, 6.0, 7.0]]
+
+
 def test_binary_writer_failure_in_a_later_chunk_changes_nothing(tmp_path, monkeypatch):
     path = tmp_path / "vectors.bin"
     ids_path = tmp_path / "vectors.ids.jsonl"
