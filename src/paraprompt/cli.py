@@ -152,9 +152,8 @@ def cmd_label(config: PipelineConfig) -> int:
     out_dir = Path(config.out_dir)
     split = dataio.load_pairs(train_path, config.data_format, "train")
     rows, meta = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
-    labeled_path = out_dir / novelty.LABELED.name
-    names = [f.name for f in novelty.LABELED.fields]
-    dataio.write_jsonl(labeled_path, (dict(zip(names, row)) for row in rows))
+    labeled_path = out_dir / novelty.LABELED_FILE
+    dataio.write_jsonl(labeled_path, (dict(zip(novelty.LABELED_FIELDS, row)) for row in rows))
     dataio.atomic_write_text(out_dir / "labeled_meta.json", json.dumps(meta, indent=2) + "\n")
     write_config_snapshot(config, out_dir, "label")
     print(f"labeled {len(rows)} pairs -> {labeled_path}")
@@ -198,31 +197,19 @@ def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
     return retrieval.RetrievalIndex(ids, matrix, pair_of)
 
 
-def _novelty_by_id(config: PipelineConfig, ids: Sequence[str]) -> dict[str, novelty.NoveltyClass]:
-    """The novelty class of each train id; every index row ``ids`` needs
-    one, since an example without a class cannot enter a conditioned prompt."""
-    labeled_path = Path(config.out_dir) / novelty.LABELED.name
-    rows = dataio.read_jsonl(labeled_path, novelty.LABELED)
-    classes = {row["id"]: novelty.NoveltyClass.from_label(row["class"]) for row in rows}
-    missing = next((rid for rid in ids if rid not in classes), None)
-    if missing is not None:
-        raise dataio.DataFormatError(labeled_path, None, f"no novelty class for index id {missing!r}; "
-                                     "re-run the label command on the train file that index read")
-    return classes
-
-
 def _retrieve(
     config: PipelineConfig, queries: Sequence[tuple[int, dataio.ParaphrasePair, TokenSeq]]
 ) -> list[list[promptkit.PromptExample]]:
-    """Each query's examples in ascending similarity. A query is a test
-    pair's (position in the test file, pair, normalized source); the source
-    is never empty, and the position seeds the random strategy."""
+    """Each query's examples in ascending similarity, in ncrapt each with
+    the novelty class of its pair under ``config``'s normalization and
+    thresholds. A query is a test pair's (position in the test file, pair,
+    normalized source); the source is never empty, and the position seeds
+    the random strategy."""
     import numpy as np
     from . import retrieval
     index = _load_index(config)
     if len(index) == 0:
         print("warning: retrieval index is empty; layouts degrade to 0 examples")
-    classes_by_id = _novelty_by_id(config, index.ids) if config.mode == "ncrapt" else {}
     if not queries:
         return []
     embedder = backend_mod.make_embedding_backend(config.backend)
@@ -249,19 +236,24 @@ def _retrieve(
         ]
     else:
         found = retrieval.query_knn_batch(index, vectors, config.k, excludes)
-    return [
-        [
-            promptkit.PromptExample(
-                source=normalize(record.pair.source, config.normalization),
-                target=normalize(record.pair.target, config.normalization),
-                similarity=sim,
-                novelty=classes_by_id.get(record.id),
-                id=record.id,
+    # each distinct row is normalized, and in ncrapt classified, once
+    texts: dict[str, tuple[TokenSeq, TokenSeq, novelty.NoveltyClass | None]] = {}
+
+    def example(record: retrieval.ExampleRecord, sim: float) -> promptkit.PromptExample:
+        if record.id not in texts:
+            source = normalize(record.pair.source, config.normalization)
+            if not source:  # index leaves such a pair out; --train is another file
+                raise dataio.DataFormatError(config.train_path, None, f"index id {record.id!r}: source "
+                                             "normalizes to nothing; run the index command on this file")
+            target = normalize(record.pair.target, config.normalization)
+            texts[record.id] = source, target, (
+                novelty.classify(novelty.ter(target, source), config.thresholds)
+                if config.mode == "ncrapt" else None
             )
-            for record, sim in reversed(hits)
-        ]
-        for hits in found
-    ]
+        source, target, novelty_class = texts[record.id]
+        return promptkit.PromptExample(source, target, sim, novelty_class, record.id)
+
+    return [[example(record, sim) for record, sim in reversed(hits)] for hits in found]
 
 
 def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:
@@ -441,9 +433,9 @@ def cmd_validate(config: PipelineConfig) -> int:
 
 def cmd_pipeline(config: PipelineConfig) -> int:
     """label, index, generate and eval; label and index run only in the
-    retrieval modes, whose generate reads ``embeddings.bin`` (and, in
-    ncrapt, ``labeled.jsonl``). A rapt run still labels: its labels are
-    one of the artifacts the acceptance suite holds byte-identical."""
+    retrieval modes, whose generate reads ``embeddings.bin``. No generate
+    reads ``labeled.jsonl``; a rapt or ncrapt run still labels, since its
+    labels are one of the artifacts the acceptance suite holds byte-identical."""
     if config.mode in ("rapt", "ncrapt"):
         cmd_label(config)
         cmd_index(config)

@@ -8,8 +8,8 @@ nothing is fsynced. Text is UTF-8; a BOM is tolerated on read and never
 written.
 
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
-``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``,
-``GENERATIONS`` and ``novelty.LABELED``. It accepts exactly what
+``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``
+and ``GENERATIONS``. It accepts exactly what
 ``json.loads`` accepts on each line and raises its messages.
 
 Text that is not UTF-8, or a ``\\u`` escape of a lone surrogate, is a
@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -132,8 +131,6 @@ class FieldType:
 STRING = FieldType(lambda v: type(v) is str, "a string")
 # the id rule; an integer is read as its decimal text
 ID = FieldType(lambda v: type(v) is str or type(v) is int, "a string or an integer")
-# bools, NaN, infinities and ints beyond float range all fail
-FINITE = FieldType(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max, "a finite number")
 
 
 def one_of(values: Sequence[str]) -> FieldType:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .dataio import FINITE, ID, STRING, Field, ParaphrasePair, Schema, one_of
+from .dataio import ParaphrasePair
 from .metrics.ter import ter
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, normalize
 
@@ -42,14 +42,10 @@ class NoveltyClass(enum.IntEnum):
             raise ValueError(f"unknown novelty class {label!r}") from None
 
 
-# The rows ``label`` writes, in this field order
-LABELED = Schema("labeled.jsonl", "label", (
-    Field("id", ID),
-    Field("source", STRING, nonempty=True),
-    Field("target", STRING),
-    Field("ter", FINITE),
-    Field("class", one_of(tuple(c.label for c in NoveltyClass))),
-))
+# The file ``label`` writes, one object per rated pair with these keys in
+# this order; no command reads it back
+LABELED_FILE = "labeled.jsonl"
+LABELED_FIELDS = ("id", "source", "target", "ter", "class")
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,8 @@ def label_dataset(
 ) -> tuple[list[tuple], dict]:
     """Label every pair with TER(target, source) and its novelty class.
 
-    Returns the rows of ``labeled.jsonl``, one tuple in ``LABELED``'s
-    field order per rated pair, and the ``labeled_meta.json`` record. Pairs
+    Returns the rows of ``labeled.jsonl``, one tuple in ``LABELED_FIELDS``
+    order per rated pair, and the ``labeled_meta.json`` record. Pairs
     whose source normalizes to nothing cannot be rated; they are counted
     in ``rejected`` and the run continues. TER is computed once per
     distinct (target, source) text pair: one normalization holds for the

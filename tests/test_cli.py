@@ -7,7 +7,9 @@ import stat
 import numpy as np
 import pytest
 
+from paraprompt import novelty
 from paraprompt.cli import build_parser, main
+from paraprompt.textcore import normalize
 
 TRAIN_ROWS = [
     {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
@@ -663,17 +665,6 @@ def test_generate_retrieval_mode_on_empty_test_file(data_dir, capsys, mode):
     assert "wrote 0 generations" in capsys.readouterr().out
 
 
-def test_ncrapt_without_labels_is_a_data_error(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    capsys.readouterr()
-    assert _generate(data_dir, out, "ncrapt") == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'labeled.jsonl'}: missing; run the label command first\n"
-    )
-    assert not (out / "generations.jsonl").exists()
-
-
 def test_url_flags_are_the_urls_that_run(data_dir, monkeypatch):
     # no environment variable outranks a flag or leaves the snapshot wrong
     out = data_dir / "out"
@@ -904,38 +895,6 @@ def test_a_slot_length_beyond_a_c_size_is_an_over_budget_row(data_dir, mode, fla
         assert row["error"] == f"prompt of {row['prompt_n']} tokens exceeds max_prompt_tokens 924"
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("ter", "high", '"ter" must be a finite number'),
-    ("class", 3, '"class" must be one of low, medium, high'),
-    ("id", None, '"id" must be a string or an integer'),
-])
-def test_ncrapt_bad_novelty_label_is_a_data_error(data_dir, capsys, field, value, message):
-    out = data_dir / "out"
-    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    labeled = out / "labeled.jsonl"
-    rows = [json.loads(line) for line in labeled.read_text().splitlines()]
-    rows[2][field] = value
-    write_jsonl(labeled, rows)
-    capsys.readouterr()
-    assert _generate(data_dir, out, "ncrapt") == 2
-    assert capsys.readouterr().err == f"data error: {labeled}:3: {message}\n"
-    assert not (out / "generations.jsonl").exists()
-
-
-def test_ncrapt_refuses_labels_that_repeat_an_id(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    labeled = out / "labeled.jsonl"
-    rows = [json.loads(line) for line in labeled.read_text().splitlines()]
-    write_jsonl(labeled, rows + [{**rows[0], "class": "high" if rows[0]["class"] != "high" else "low"}])
-    capsys.readouterr()
-    assert _generate(data_dir, out, "ncrapt") == 2
-    assert capsys.readouterr().err == f"data error: {labeled}:6: duplicate id 't0'\n"
-    assert not (out / "generations.jsonl").exists()
-
-
 def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
     # label rejects the blank source and index leaves it out
     train = data_dir / "train_blank.jsonl"
@@ -954,30 +913,94 @@ def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
         assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
 
 
-def test_ncrapt_refuses_labels_that_miss_an_index_row(data_dir, capsys):
-    # labels of another train file: t4 is indexed but has no class
-    subset = data_dir / "train_subset.jsonl"
-    write_jsonl(subset, TRAIN_ROWS[:4])
+def _ncrapt_example_classes(data_dir, monkeypatch, out, extra=()):
+    """{example id: class} over the layouts an ncrapt generate at --k 5
+    sends to an HTTP generation service: the class of the span each
+    example's class prefix cites (the query's comes last)."""
+    from paraprompt.backend import requests as requests_lib
+
+    sent = []
+
+    class Response:
+        status_code = 200
+
+        def json(self):
+            return {"text": " x y", "token_count": 2}
+
+    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or Response())
+    assert _generate(data_dir, out, "ncrapt", [
+        "--k", 5, "--generation-url", "http://gen.invalid/generate", *extra,
+    ]) == 0
+    classes = {}
+    for payload in sent:
+        layout = payload["layout"]
+        cited = [seg["class"] for seg in layout["segments"] if seg["kind"] == "class_prefix"]
+        assert len(cited) == len(layout["examples"]) + 1
+        for example, cls in zip(layout["examples"], cited):
+            assert classes.setdefault(example["id"], cls) == cls
+    return classes
+
+
+def _labeled_classes(out):
+    return {row["id"]: row["class"] for row in map(json.loads, (out / "labeled.jsonl").read_text().splitlines())}
+
+
+def test_ncrapt_classes_ignore_labels_of_another_train_file(data_dir, monkeypatch):
     out = data_dir / "out"
-    assert run(["label", "--train", subset, "--out", out]) == 0
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    own = _labeled_classes(out)
+    assert set(own.values()) == {"low", "high"}
+    assert _ncrapt_example_classes(data_dir, monkeypatch, out) == own
+    # labels rebuilt from a file with the same ids, every pair a copy
+    copies = data_dir / "copies.jsonl"
+    write_jsonl(copies, [{**row, "target": row["source"]} for row in TRAIN_ROWS])
+    assert run(["label", "--train", copies, "--out", out]) == 0
+    assert set(_labeled_classes(out).values()) == {"low"}
+    assert _ncrapt_example_classes(data_dir, monkeypatch, out) == own
+
+
+def test_ncrapt_classes_follow_the_generate_thresholds(data_dir, monkeypatch):
+    out = data_dir / "out"
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    thresholds = novelty.NoveltyThresholds(high_min=0.9)
+    want = {
+        row["id"]: novelty.classify(novelty.ter(normalize(row["target"]), normalize(row["source"])), thresholds).label
+        for row in TRAIN_ROWS
+    }
+    assert want != _labeled_classes(out)
+    assert _ncrapt_example_classes(data_dir, monkeypatch, out, ["--high-min", 0.9]) == want
+
+
+def test_ncrapt_needs_no_labels(data_dir):
+    labeled, unlabeled = data_dir / "labeled", data_dir / "unlabeled"
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", labeled]) == 0
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", unlabeled]) == 0
+    for out in (labeled, unlabeled):
+        assert _generate(data_dir, out, "ncrapt") == 0
+    assert not (unlabeled / "labeled.jsonl").exists()
+    assert (unlabeled / "generations.jsonl").read_bytes() == (labeled / "generations.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
+def test_an_indexed_pair_whose_source_is_blank_in_the_train_file_is_a_data_error(data_dir, capsys, mode):
+    # the index of one train file, its pairs read from another with the same ids
+    out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    blanked = data_dir / "blanked.jsonl"
+    write_jsonl(blanked, [{**row, "source": " "} if row["id"] == "t0" else row for row in TRAIN_ROWS])
     capsys.readouterr()
-    assert _generate(data_dir, out, "ncrapt") == 2
+    assert run([
+        "generate", "--train", blanked, "--test", data_dir / "test.jsonl", "--out", out,
+        "--mode", mode, "--k", 5,
+    ]) == 2
     assert capsys.readouterr().err == (
-        f"data error: {out / 'labeled.jsonl'}: no novelty class for index id 't4'; "
-        "re-run the label command on the train file that index read\n"
+        f"data error: {blanked}: index id 't0': source normalizes to nothing; "
+        "run the index command on this file\n"
     )
     assert not (out / "generations.jsonl").exists()
-    # labels with ids the index lacks are accepted
-    assert run(["index", "--train", subset, "--out", out]) == 0
-    assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    assert run([
-        "generate", "--train", subset, "--test", data_dir / "test.jsonl", "--out", out,
-        "--mode", "ncrapt", "--k", "5",
-    ]) == 0
-    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
-    for row in rows:
-        assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
 
 
 def test_pipeline_artifacts_get_the_umask_mode(data_dir):

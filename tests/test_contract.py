@@ -16,7 +16,6 @@ from hypothesis import example, given, settings, strategies as st
 from paraprompt import dataio, novelty
 from paraprompt.cli import config_keys, main
 from paraprompt.dataio import DATASET, EMBEDDING_IDS, GENERATIONS
-from paraprompt.novelty import LABELED
 
 TRAIN_ROWS = [
     {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
@@ -121,7 +120,6 @@ GENERATE_NCRAPT = ["generate", "--mode", "ncrapt", "--train", "{train}", "--test
 # The command that reads each file of the schema table
 CONSUMERS = {
     DATASET: ["label", "--train", "{train}", "--out", "{out}"],
-    LABELED: GENERATE_NCRAPT,
     EMBEDDING_IDS: GENERATE_NCRAPT,
     GENERATIONS: ["eval", "--test", "{test}", "--out", "{out}"],
 }
@@ -136,14 +134,13 @@ def test_every_schema_has_a_consumer():
 
 @pytest.fixture(scope="module")
 def complete_run(tmp_path_factory):
-    """A run directory holding every file of the schema table: label,
-    index and ncrapt generate outputs of TRAIN_ROWS."""
+    """A run directory holding every file of the schema table: the index
+    and ncrapt generate outputs of TRAIN_ROWS."""
     root = tmp_path_factory.mktemp("complete")
     _write_jsonl(root / "train.jsonl", TRAIN_ROWS)
     _write_jsonl(root / "test.jsonl", [{"id": "q0", "source": "how do i learn java", "target": "learn java"},
                                        {"id": "q1", "source": "why is the ocean salty", "target": "salty sea"}])
-    for command in ("label", "index"):
-        assert main(_argv(root, [command, "--train", "{train}", "--out", "{out}"])) == 0
+    assert main(_argv(root, ["index", "--train", "{train}", "--out", "{out}"])) == 0
     assert main(_argv(root, GENERATE_NCRAPT)) == 0
     return root
 

@@ -25,12 +25,11 @@ from paraprompt.dataio import (
     write_jsonl,
     write_pairs,
 )
-from paraprompt.novelty import LABELED
 
 # The schema table by test id; test_the_table_lists_every_schema keeps it whole
-TABLE = {"pairs": DATASET, "ids": EMBEDDING_IDS, "labels": LABELED, "generations": GENERATIONS}
+TABLE = {"pairs": DATASET, "ids": EMBEDDING_IDS, "generations": GENERATIONS}
 # One row that every schema accepts
-ROW = {"id": "a", "source": "s", "target": "t", "ter": 0.5, "class": "medium", "output": "o", "mode": "rapt"}
+ROW = {"id": "a", "source": "s", "target": "t", "output": "o", "mode": "rapt"}
 
 
 def _ids(path):
@@ -281,8 +280,7 @@ def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, schema):
 @pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
 def test_readers_refuse_a_lone_surrogate_escape(tmp_path, schema):
     path = tmp_path / "rows.jsonl"
-    path.write_text('{"id": "\\ud83d\\ude00", "source": "s", "target": "t", "output": "o", '
-                    '"ter": 0.5, "class": "medium"}\n'
+    path.write_text('{"id": "\\ud83d\\ude00", "source": "s", "target": "t", "output": "o"}\n'
                     '{"id": "b", "source": "s", "output": "\\\\ud800 x\\udfff"}\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=r":2: a \\u escape names a lone surrogate"):
         list(read_jsonl(path, schema))

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from paraprompt import novelty
-from paraprompt.dataio import ParaphrasePair, read_jsonl, write_jsonl
+from paraprompt.dataio import ParaphrasePair
 from paraprompt.metrics.ter import ter
 from paraprompt.novelty import (
     NoveltyClass,
@@ -96,15 +96,6 @@ def test_relabeling_is_fixed_point():
     first, _ = label_dataset(pairs)
     again, _ = label_dataset([ParaphrasePair(*row[:3]) for row in first])
     assert again == first
-
-
-def test_labeled_pair_round_trip(tmp_path):
-    rows, _ = label_dataset(_pairs([("a b c d", "a b x d")]))
-    row = dict(zip([f.name for f in novelty.LABELED.fields], rows[0]))
-    assert row == {"id": "0", "source": "a b c d", "target": "a b x d",
-                   "ter": 0.25, "class": "medium"}
-    write_jsonl(tmp_path / "labeled.jsonl", [row])
-    assert list(read_jsonl(tmp_path / "labeled.jsonl", novelty.LABELED)) == [row]
 
 
 def test_label_rates_each_distinct_pair_once(monkeypatch):
