@@ -1,8 +1,9 @@
 """Pipeline command line: label -> index -> generate -> eval, plus params.
 
 Batch and non-interactive. Every command is deterministic given the
-config, the seed, and the mock backend, and each run writes a
-resolved-config snapshot beside its outputs so results can be reproduced.
+config, the seed, and the mock backend, and each stage that writes files
+writes beside them a snapshot of the config keys it read, so results can
+be reproduced.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 backend error.
 """
@@ -18,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import backend as backend_mod
 from . import dataio, novelty, paramcount, promptkit
@@ -134,8 +135,9 @@ def load_config_file(path: str | Path) -> dict:
 def write_config_snapshot(config: PipelineConfig, out_dir: Path, command: str) -> None:
     lines = [f"# resolved config for: {command}"]
     for key, (section, _) in config_keys().items():
-        value = getattr(getattr(config, section) if section else config, key)
-        lines.append(f"{key}={'' if value is None else value}")
+        if key in STAGES[command].keys:
+            value = getattr(getattr(config, section) if section else config, key)
+            lines.append(f"{key}={'' if value is None else value}")
     dataio.atomic_write_text(out_dir / f"resolved_config_{command}.txt", "\n".join(lines) + "\n")
 
 
@@ -432,15 +434,39 @@ def cmd_validate(config: PipelineConfig) -> int:
 
 
 def cmd_pipeline(config: PipelineConfig) -> int:
-    """label, index, generate and eval; label and index run only in the
+    """The stages of ``PIPELINE`` in order; label and index run only in the
     retrieval modes, whose generate reads ``embeddings.bin``. No generate
     reads ``labeled.jsonl``; a rapt or ncrapt run still labels, since its
     labels are one of the artifacts the acceptance suite holds byte-identical."""
-    if config.mode in ("rapt", "ncrapt"):
-        cmd_label(config)
-        cmd_index(config)
-    cmd_generate(config)
-    return cmd_eval(config)
+    for name in PIPELINE if config.mode in ("rapt", "ncrapt") else PIPELINE[2:]:
+        STAGES[name].run(config)
+    return 0
+
+
+def _keys(*names: str) -> frozenset[str]:
+    """The config keys named directly or through their sub-config."""
+    return frozenset(key for key, (section, _) in config_keys().items() if key in names or section in names)
+
+
+# A data subcommand's runner and the config keys it reads: its flags,
+# besides --config, and its snapshot's lines. A config file may hold any
+# key; a stage ignores the ones outside its set.
+Stage = NamedTuple("Stage", [("run", Callable[[PipelineConfig], int]), ("keys", frozenset[str])])
+_INPUT = ("data_format", "out_dir", "normalization")
+_EMBEDDING = ("embedding_url", "embedding_model_name", "timeout", "retry_limit")
+STAGES = {
+    "label": Stage(cmd_label, _keys("train_path", *_INPUT, "thresholds")),
+    "index": Stage(cmd_index, _keys("train_path", *_INPUT, *_EMBEDDING)),
+    "generate": Stage(cmd_generate, _keys(
+        "train_path", "test_path", *_INPUT, "seed", "mode", "k", "strategy", "query_class",
+        "exclude_self", "slots", "max_prompt_tokens", "thresholds", "backend", "template_path")),
+    "eval": Stage(cmd_eval, _keys("test_path", *_INPUT, "mode", "semantic", *_EMBEDDING)),
+    "validate": Stage(cmd_validate, _keys("train_path", "validation_path", "test_path", "dataset_name",
+                                          "data_format")),
+}
+# pipeline runs these in this order and reads what they read
+PIPELINE = ("label", "index", "generate", "eval")
+STAGES["pipeline"] = Stage(cmd_pipeline, frozenset().union(*(STAGES[name].keys for name in PIPELINE)))
 
 
 # A key's flag is "--" + the key with dashes for underscores, after a
@@ -454,19 +480,17 @@ _FLAG_NAMES = {
     "embedding_model_name": "embedding-model",
     "template_path": "template",
 }
-# Keys that, with the slot lengths, have flags on generate and pipeline only
-_PROMPT_KEYS = {"mode", "k", "strategy", "query_class", "exclude_self", "max_prompt_tokens"}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="paraprompt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     keys = config_keys()
-    for name in ("label", "index", "generate", "eval", "validate", "pipeline"):
+    for name, stage in STAGES.items():
         p = sub.add_parser(name)
         p.add_argument("--config")
         for key, (section, ftype) in keys.items():
-            if (key in _PROMPT_KEYS or section == "slots") and name not in ("generate", "pipeline"):
+            if key not in stage.keys:
                 continue
             flag = _FLAG_NAMES.get(key, key.replace("_", "-"))
             if section == "normalization":
@@ -508,16 +532,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "params":
             return cmd_params(args)
-        config = resolve_config(args)
-        handler = {
-            "label": cmd_label,
-            "index": cmd_index,
-            "generate": cmd_generate,
-            "eval": cmd_eval,
-            "validate": cmd_validate,
-            "pipeline": cmd_pipeline,
-        }[args.command]
-        return handler(config)
+        return STAGES[args.command].run(resolve_config(args))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -388,7 +388,7 @@ def layout_to_json(layout: PromptLayout) -> dict:
                 "source": list(e.source),
                 "target": list(e.target),
                 "similarity": e.similarity,
-                "class": e.novelty.label if e.novelty else None,
+                "class": e.novelty.label if e.novelty is not None else None,
                 "id": e.id,
             }
             for e in layout.examples

@@ -551,7 +551,7 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 
 @pytest.mark.parametrize("command, key, default", [
     ("label", "out_dir", "out"),
-    ("label", "generation_url", "mock:echo"),
+    ("generate", "generation_url", "mock:echo"),
     ("index", "embedding_url", "mock:hash"),
     ("label", "low_max", "0.2"),
     ("validate", "dataset_name", "custom"),
@@ -560,7 +560,9 @@ def test_empty_config_value_leaves_the_default(data_dir, monkeypatch, capsys, co
     monkeypatch.chdir(data_dir)
     config = data_dir / "run.conf"
     config.write_text(f"{key}=\n", encoding="utf-8")
-    assert run([command, "--config", config, "--train", data_dir / "train.jsonl"]) == 0
+    # manual generate reads generation_url and needs no index
+    extra = ["--test", data_dir / "test.jsonl", "--mode", "manual"] if command == "generate" else []
+    assert run([command, "--config", config, "--train", data_dir / "train.jsonl", *extra]) == 0
     if command == "validate":
         assert capsys.readouterr().out.startswith(f"dataset: {default} ")
     else:
@@ -699,8 +701,8 @@ def test_key_value_file_that_is_not_utf8_is_a_usage_error(data_dir, capsys, comm
     path = data_dir / "latin1.txt"
     path.write_bytes(b"seed=caf\xe9\n")
     out = data_dir / "out"
-    assert run([command, "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
-                "--out", out, flag, path]) == 1
+    test = ["--test", data_dir / "test.jsonl"] if command == "generate" else []
+    assert run([command, "--train", data_dir / "train.jsonl", *test, "--out", out, flag, path]) == 1
     assert capsys.readouterr().err == f"usage error: {path}: not UTF-8 text (invalid continuation byte)\n"
     assert not out.exists()
 
@@ -753,7 +755,7 @@ HTTP_PAYLOAD_DIGESTS = [
     (["--mode", "manual"], "074f2803d52efe068013d765d01d7919d8c25b48f3a2ad38c2aa3e7a3b37e167"),
     (["--mode", "rapt"], "b0a01f9540d9d46b6578b5e7429b6b318e35f08d4e7acb85b70615b92edede95"),
     (["--mode", "ncrapt", "--query-class", "low"],
-     "ede81ac70014c1235c89193fb344a58f613bf42d4cc629bb68591a09759371bb"),
+     "2bacd26960fc96c5b2adae3ef3ff18f63e6d107caf7f20abcb2580362b59200f"),
 ]
 
 
@@ -913,10 +915,8 @@ def test_ncrapt_never_retrieves_a_train_pair_without_a_class(data_dir, capsys):
         assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
 
 
-def _ncrapt_example_classes(data_dir, monkeypatch, out, extra=()):
-    """{example id: class} over the layouts an ncrapt generate at --k 5
-    sends to an HTTP generation service: the class of the span each
-    example's class prefix cites (the query's comes last)."""
+def _ncrapt_layouts(data_dir, monkeypatch, out, extra=()):
+    """The layouts an ncrapt generate at --k 5 sends to an HTTP generation service."""
     from paraprompt.backend import requests as requests_lib
 
     sent = []
@@ -931,9 +931,14 @@ def _ncrapt_example_classes(data_dir, monkeypatch, out, extra=()):
     assert _generate(data_dir, out, "ncrapt", [
         "--k", 5, "--generation-url", "http://gen.invalid/generate", *extra,
     ]) == 0
+    return [payload["layout"] for payload in sent]
+
+
+def _ncrapt_example_classes(data_dir, monkeypatch, out, extra=()):
+    """{example id: class} over those layouts: the class of the span each
+    example's class prefix cites (the query's comes last)."""
     classes = {}
-    for payload in sent:
-        layout = payload["layout"]
+    for layout in _ncrapt_layouts(data_dir, monkeypatch, out, extra):
         cited = [seg["class"] for seg in layout["segments"] if seg["kind"] == "class_prefix"]
         assert len(cited) == len(layout["examples"]) + 1
         for example, cls in zip(layout["examples"], cited):
@@ -971,6 +976,19 @@ def test_ncrapt_classes_follow_the_generate_thresholds(data_dir, monkeypatch):
     }
     assert want != _labeled_classes(out)
     assert _ncrapt_example_classes(data_dir, monkeypatch, out, ["--high-min", 0.9]) == want
+
+
+def test_ncrapt_request_layout_names_each_example_class(data_dir, monkeypatch):
+    # a low example's class is the IntEnum 0, which must not read as no class
+    out = data_dir / "out"
+    for command in ("label", "index"):
+        assert run([command, "--train", data_dir / "train.jsonl", "--out", out]) == 0
+    named = {
+        example["id"]: example["class"]
+        for layout in _ncrapt_layouts(data_dir, monkeypatch, out) for example in layout["examples"]
+    }
+    assert named == _labeled_classes(out)
+    assert "low" in named.values()
 
 
 def test_ncrapt_needs_no_labels(data_dir):
@@ -1124,8 +1142,8 @@ def test_a_directory_in_place_of_an_artifact_is_a_data_error(data_dir, capsys):
 # action class). A flag that is renamed, retyped or moved between
 # subcommands fails here.
 _STORE, _BOOL = "_StoreAction", "BooleanOptionalAction"
-_SHARED_FLAGS = {
-    (("--config",), "config", None, None, _STORE),
+# each config key's flag
+_KEY_FLAGS = {flag[1]: flag for flag in [
     (("--train",), "train_path", None, None, _STORE),
     (("--validation",), "validation_path", None, None, _STORE),
     (("--test",), "test_path", None, None, _STORE),
@@ -1133,6 +1151,15 @@ _SHARED_FLAGS = {
     (("--format",), "data_format", None, ("jsonl", "tsv"), _STORE),
     (("--out",), "out_dir", None, None, _STORE),
     (("--seed",), "seed", int, None, _STORE),
+    (("--mode",), "mode", None, ("manual", "rapt", "ncrapt", "copy", "ground-truth"), _STORE),
+    (("--k",), "k", int, None, _STORE),
+    (("--strategy",), "strategy", None, ("knn", "random"), _STORE),
+    (("--query-class",), "query_class", None, ("low", "medium", "high"), _STORE),
+    (("--exclude-self",), "exclude_self", None, ("auto", "always", "never"), _STORE),
+    (("--global-prefix-len",), "global_prefix_len", int, None, _STORE),
+    (("--class-prefix-len",), "class_prefix_len", int, None, _STORE),
+    (("--infix-len",), "infix_len", int, None, _STORE),
+    (("--max-prompt-tokens",), "max_prompt_tokens", int, None, _STORE),
     (("--low-max",), "low_max", float, None, _STORE),
     (("--high-min",), "high_min", float, None, _STORE),
     (("--normalization-lowercase", "--no-normalization-lowercase"),
@@ -1149,25 +1176,28 @@ _SHARED_FLAGS = {
     (("--retry-limit",), "retry_limit", int, None, _STORE),
     (("--semantic", "--no-semantic"), "semantic", None, None, _BOOL),
     (("--template",), "template_path", None, None, _STORE),
-}
-_PROMPT_FLAGS = {
-    (("--mode",), "mode", None, ("manual", "rapt", "ncrapt", "copy", "ground-truth"), _STORE),
-    (("--k",), "k", int, None, _STORE),
-    (("--strategy",), "strategy", None, ("knn", "random"), _STORE),
-    (("--query-class",), "query_class", None, ("low", "medium", "high"), _STORE),
-    (("--exclude-self",), "exclude_self", None, ("auto", "always", "never"), _STORE),
-    (("--global-prefix-len",), "global_prefix_len", int, None, _STORE),
-    (("--class-prefix-len",), "class_prefix_len", int, None, _STORE),
-    (("--infix-len",), "infix_len", int, None, _STORE),
-    (("--max-prompt-tokens",), "max_prompt_tokens", int, None, _STORE),
-}
+]}
+
+
+def _flags(keys):
+    """--config plus the flags of the space-separated config keys."""
+    return {(("--config",), "config", None, None, _STORE)} | {_KEY_FLAGS[key] for key in keys.split()}
+
+
+_NORMALIZATION = "lowercase unicode_normalize punctuation_split"
+_EMBEDDING = "embedding_url embedding_model_name timeout retry_limit"
+_GENERATE = (
+    "train_path test_path data_format out_dir seed mode k strategy query_class exclude_self "
+    f"global_prefix_len class_prefix_len infix_len max_prompt_tokens low_max high_min {_NORMALIZATION} "
+    f"generation_url {_EMBEDDING} max_in_flight template_path"
+)
 FLAG_CONTRACT = {
-    "label": _SHARED_FLAGS,
-    "index": _SHARED_FLAGS,
-    "generate": _SHARED_FLAGS | _PROMPT_FLAGS,
-    "eval": _SHARED_FLAGS,
-    "validate": _SHARED_FLAGS,
-    "pipeline": _SHARED_FLAGS | _PROMPT_FLAGS,
+    "label": _flags(f"train_path data_format out_dir low_max high_min {_NORMALIZATION}"),
+    "index": _flags(f"train_path data_format out_dir {_NORMALIZATION} {_EMBEDDING}"),
+    "generate": _flags(_GENERATE),
+    "eval": _flags(f"test_path data_format out_dir mode {_NORMALIZATION} semantic {_EMBEDDING}"),
+    "validate": _flags("train_path validation_path test_path dataset_name data_format"),
+    "pipeline": _flags(f"{_GENERATE} semantic"),
     "params": {
         (("--shape",), "shape", None, ("gpt2-large", "gpt2-medium"), "_AppendAction"),
         (("--layers",), "layers", int, None, _STORE),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from paraprompt import dataio, novelty
-from paraprompt.cli import config_keys, main
+from paraprompt.cli import STAGES, config_keys, main
 from paraprompt.dataio import DATASET, EMBEDDING_IDS, GENERATIONS
 
 TRAIN_ROWS = [
@@ -181,3 +181,81 @@ def test_a_mutated_artifact_is_a_data_error_naming_its_line(complete_run, schema
             code = main(_argv(root, CONSUMERS[schema]))
         assert code == 2 and stderr.getvalue().startswith(f"data error: {path}:{index + 1}: "), stderr.getvalue()
         assert _snapshot(root) == before
+
+
+# A valid value, other than the default, for every config key; the paths
+# are files of the run below ({root} is its input directory)
+OTHER_VALUES = {
+    "train_path": "{root}/other.jsonl", "validation_path": "{root}/other.jsonl",
+    "test_path": "{root}/other.jsonl", "dataset_name": "qqp-50k", "data_format": "tsv",
+    "out_dir": "{root}/work/elsewhere", "seed": "7", "mode": "manual", "k": "1", "strategy": "random",
+    "query_class": "low", "exclude_self": "never", "global_prefix_len": "3", "class_prefix_len": "2",
+    "infix_len": "2", "max_prompt_tokens": "300", "low_max": "0.1", "high_min": "0.9",
+    "lowercase": "false", "unicode_normalize": "false", "punctuation_split": "false",
+    "generation_url": "mock:shuffle?seed=3", "embedding_url": "mock:hash?seed=1",
+    "embedding_model_name": "other-model", "timeout": "5", "max_in_flight": "2", "retry_limit": "3",
+    "semantic": "false", "template_path": "{root}/q.template",
+}
+INPUTS = "--train {root}/train.jsonl --test {root}/test.jsonl --out {work}/out"
+STAGE_ARGV = {
+    "label": "label --train {root}/train.jsonl --out {work}/out",
+    "index": "index --train {root}/train.jsonl --out {work}/out",
+    "generate": f"generate --mode ncrapt {INPUTS}",
+    "eval": "eval --test {root}/test.jsonl --out {work}/out",
+    "validate": "validate --train {root}/train.jsonl --test {root}/test.jsonl",
+    "pipeline": f"pipeline --mode ncrapt {INPUTS}",
+}
+
+
+def test_every_config_key_is_read_by_some_stage():
+    assert set(OTHER_VALUES) == set(config_keys()) == frozenset().union(*(s.keys for s in STAGES.values()))
+    assert set(STAGE_ARGV) == set(STAGES)
+
+
+@pytest.fixture(scope="module")
+def stage_run(tmp_path_factory):
+    """Inputs, a run directory holding every stage's inputs (the index and
+    ncrapt generate outputs of TRAIN_ROWS), and each stage's result run
+    under an empty config file: (exit code, stdout, files of the run)."""
+    root = tmp_path_factory.mktemp("stages")
+    _write_jsonl(root / "train.jsonl", TRAIN_ROWS)
+    _write_jsonl(root / "test.jsonl", [{"id": "q0", "source": "how do i learn java", "target": "learn java"},
+                                       {"id": "q1", "source": "why is the ocean salty", "target": "salty sea"}])
+    _write_jsonl(root / "other.jsonl", [{"id": "o0", "source": "what is love", "target": "define love"}])
+    (root / "q.template").write_text("prefix=Q:\n", encoding="utf-8")
+    (root / "empty.cfg").write_text("", encoding="utf-8")
+    prepared = root / "prepared"
+    for command in ("index", "generate"):
+        assert main(_stage_argv(STAGE_ARGV[command], root, prepared)) == 0
+    base = {stage: _run_stage(root, stage, root / "empty.cfg") for stage in STAGES}
+    assert {code for code, _, _ in base.values()} == {0}
+    return root, base
+
+
+def _stage_argv(line, root, work):
+    return [arg.format(root=root, work=work) for arg in line.split()]
+
+
+def _run_stage(root, stage, config):
+    """A stage run on a fresh copy of the prepared run directory."""
+    work = root / "work"
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(root / "prepared", work)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*_stage_argv(STAGE_ARGV[stage], root, work), "--config", str(config)])
+    return code, stdout.getvalue(), _snapshot(work)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_key_outside_a_stage_leaves_its_outputs_alone(stage_run, data):
+    """A config-file key that a stage does not read, set to another valid
+    value, changes nothing it writes: not its files, its snapshot
+    included, and not its stdout."""
+    root, base = stage_run
+    stage = data.draw(st.sampled_from(list(STAGES)), label="stage")
+    key = data.draw(st.sampled_from(sorted(set(config_keys()) - STAGES[stage].keys)), label="key")
+    config = root / "one.cfg"
+    config.write_text(f"{key}={OTHER_VALUES[key].format(root=root)}\n", encoding="utf-8")
+    assert _run_stage(root, stage, config) == base[stage]
