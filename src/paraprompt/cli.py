@@ -210,13 +210,11 @@ def _retrieve(
     import numpy as np
     from . import retrieval
     index = _load_index(config)
-    if len(index) == 0:
-        print("warning: retrieval index is empty; layouts degrade to 0 examples")
     if not queries:
         return []
     embedder = backend_mod.make_embedding_backend(config.backend)
     vectors = embedder.embed([pair.source for _, pair, _ in queries])
-    if len(index) and len(vectors[0]) != index.dim:
+    if len(vectors[0]) != index.dim:
         raise dataio.DataFormatError(
             Path(config.out_dir) / retrieval.EMBEDDING_FILE, None,
             f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
@@ -229,7 +227,7 @@ def _retrieve(
     excludes = [{pair.id} if exclude_self else set() for _, pair, _ in queries]
     # a query vector without a direction cannot be ranked against the index
     zero = next((pair.id for (_, pair, _), v in zip(queries, vectors) if not np.linalg.norm(v)), None)
-    if len(index) and zero is not None:
+    if zero is not None:
         raise dataio.DataFormatError(config.test_path, None, f"query id {zero!r}: zero-norm vector")
     if config.strategy == "random":
         found = [

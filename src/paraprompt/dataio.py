@@ -98,13 +98,14 @@ def _numbered_lines(path: str | Path, fh) -> Iterator[tuple[int, str]]:
 def key_values(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, str, str]]:
     """(1-based line number, stripped key, value as written) for each
     ``key=value`` line of a text file, skipping blank lines and lines whose
-    first non-blank character is "#". A line without "=", or bytes that are
-    not UTF-8, raise ``error`` naming the file."""
+    first non-blank character is "#". A line without "=", a key given
+    twice, or bytes that are not UTF-8, raise ``error`` naming the file."""
     with _open_text(path) as fh:
         try:
             lines = list(_numbered_lines(path, fh))
         except DataFormatError as err:
             raise error(str(err)) from None
+    seen: set[str] = set()
     for lineno, raw in lines:
         line = raw.rstrip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
@@ -112,7 +113,10 @@ def key_values(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, 
         key, eq, value = line.partition("=")
         if not eq:
             raise error(f"{path}:{lineno}: expected key=value, got {line!r}")
-        yield lineno, key.strip(), value
+        if (key := key.strip()) in seen:
+            raise error(f"{path}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        yield lineno, key, value
 
 
 # The whitespace json.loads skips around a value.

@@ -340,7 +340,7 @@ def write_embeddings_binary(
 
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
     """The sidecar ids, read first, and a read-only (count, dim) float32
-    view of the file, mapped read-only. A missing file names ``index``."""
+    view of the file, mapped read-only. A file missing or of no vectors names ``index``."""
     ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
     header_end = len(EMBEDDING_MAGIC) + 8
     try:
@@ -357,13 +357,11 @@ def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list
         count, dim = struct.unpack("<II", header[len(EMBEDDING_MAGIC) :])
         expected = header_end + 4 * count * dim
         if size != expected:
-            raise DataFormatError(
-                path, None, f"size mismatch: expected {expected} bytes, found {size}"
-            )
+            raise DataFormatError(path, None, f"size mismatch: expected {expected} bytes, found {size}")
         mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     matrix = np.frombuffer(mapped, dtype="<f4", offset=header_end).reshape(count, dim)
     if len(ids) != count:
-        raise DataFormatError(
-            ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors"
-        )
+        raise DataFormatError(ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors")
+    if not count:  # index refuses to write one
+        raise DataFormatError(path, None, f"holds no vectors; run the {EMBEDDING_IDS.stage} command first")
     return ids, matrix

@@ -7,26 +7,15 @@ import stat
 import numpy as np
 import pytest
 
+import exit_cases
+from exit_cases import TEST_ROWS, TRAIN_ROWS, jsonl
 from paraprompt import novelty
 from paraprompt.cli import build_parser, main
 from paraprompt.textcore import normalize
 
-TRAIN_ROWS = [
-    {"id": "t0", "source": "how do i learn python", "target": "how do i learn python"},
-    {"id": "t1", "source": "what is the best way to learn python", "target": "which way is best for learning python"},
-    {"id": "t2", "source": "why is the sky blue", "target": "what makes the sky appear blue"},
-    {"id": "t3", "source": "how can i lose weight fast", "target": "what is a quick way to shed pounds"},
-    {"id": "t4", "source": "where should i travel in europe", "target": "which european places are worth visiting"},
-]
-
-TEST_ROWS = [
-    {"id": "q0", "source": "how do i learn java", "target": "what is the way to learn java"},
-    {"id": "q1", "source": "why is the ocean salty", "target": "what makes seawater salty"},
-]
-
 
 def write_jsonl(path, rows):
-    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    path.write_text(jsonl(rows), encoding="utf-8")
 
 
 @pytest.fixture
@@ -38,6 +27,13 @@ def data_dir(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@pytest.mark.parametrize("case", exit_cases.CASES, ids=lambda case: case.name)
+def test_exit_code_contract(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    problems = exit_cases.check(case, tmp_path, exit_cases.in_process)
+    assert not problems, "; ".join(problems)
 
 
 def test_label_writes_histogram_and_is_idempotent(data_dir, capsys):
@@ -247,58 +243,6 @@ def test_every_generation_row_carries_the_mode(data_dir):
     assert (out / "report.csv").read_text().splitlines()[1].startswith("ncrapt,")
 
 
-@pytest.mark.parametrize("output", [None, 3, ["a"]])
-def test_eval_refuses_an_output_that_is_not_a_string(data_dir, capsys, output):
-    out = data_dir / "out"
-    assert _generate(data_dir, out, "copy") == 0
-    path = out / "generations.jsonl"
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    rows[1]["output"] = output
-    write_jsonl(path, rows)
-    capsys.readouterr()
-    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
-    assert capsys.readouterr().err == f'data error: {path}:2: "output" must be a string\n'
-    assert not (out / "report.txt").exists()
-
-
-_MODES = "manual, rapt, ncrapt, copy, ground-truth"
-
-
-@pytest.mark.parametrize("field, value, message", [
-    ("id", "q0", "duplicate id 'q0'"),
-    ("id", True, '"id" must be a string or an integer'),
-    ("id", 1.5, '"id" must be a string or an integer'),
-    ("mode", 5, f'"mode" must be one of {_MODES}'),
-    ("mode", None, f'"mode" must be one of {_MODES}'),
-    ("mode", [], f'"mode" must be one of {_MODES}'),
-    ("mode", "a\nb", f'"mode" must be one of {_MODES}'),
-], ids=["repeated-id", "true-id", "float-id", "number-mode", "null-mode", "list-mode", "two-line-mode"])
-def test_eval_reads_generations_under_the_dataset_rules(data_dir, capsys, field, value, message):
-    out = data_dir / "out"
-    assert _generate(data_dir, out, "copy") == 0
-    path = out / "generations.jsonl"
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    rows[1][field] = value
-    write_jsonl(path, rows)
-    capsys.readouterr()
-    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
-    assert capsys.readouterr().err == f"data error: {path}:2: {message}\n"
-    assert not (out / "report.txt").exists()
-
-
-def test_eval_reads_an_integer_id_as_its_text(data_dir):
-    # a row without "mode" is labelled with the configured mode, rapt by default
-    test = data_dir / "numbered.jsonl"
-    write_jsonl(test, [{**row, "id": str(i)} for i, row in enumerate(TEST_ROWS)])
-    out = data_dir / "out"
-    assert run(["generate", "--test", test, "--out", out, "--mode", "copy"]) == 0
-    path = out / "generations.jsonl"
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    write_jsonl(path, [{"id": i, "prompt_n": 0, "output": row["output"]} for i, row in enumerate(rows)])
-    assert run(["eval", "--test", test, "--out", out]) == 0
-    assert (out / "report.csv").read_text().splitlines()[1].startswith("rapt,")
-
-
 def test_generate_copy_and_eval_pattern(data_dir, capsys):
     out = data_dir / "out"
     assert _generate(data_dir, out, "copy") == 0
@@ -360,18 +304,6 @@ def test_params_custom_shape(capsys):
     assert "custom-L6-d512" in out
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--layers", "-1", "--width", "8"], "layers must be >= 1"),
-    (["--layers", "0", "--width", "8"], "layers must be >= 1"),
-    (["--layers", "2"], "--layers and --width must be given together"),
-    (["--shape", "gpt2-large", "--layers", "2", "--width", "8"],
-     "--shape cannot be combined with --layers and --width"),
-])
-def test_params_bad_custom_shape_is_a_usage_error(capsys, flags, message):
-    assert run(["params"] + flags) == 1
-    assert capsys.readouterr().err == f"usage error: {message}\n"
-
-
 def test_validate_reports_sizes(data_dir, capsys):
     assert run([
         "validate", "--train", data_dir / "train.jsonl",
@@ -379,174 +311,6 @@ def test_validate_reports_sizes(data_dir, capsys):
     ]) == 0
     out = capsys.readouterr().out
     assert "expected 46000, got 5 [MISMATCH]" in out
-
-
-def test_config_file_and_flag_override(data_dir):
-    config = data_dir / "run.conf"
-    config.write_text(
-        f"train_path={data_dir / 'train.jsonl'}\n"
-        f"test_path={data_dir / 'test.jsonl'}\n"
-        "mode=copy\n"
-        "# comment line\n"
-        "seed=3\n",
-        encoding="utf-8",
-    )
-    out = data_dir / "out"
-    assert run(["generate", "--config", config, "--out", out]) == 0
-    rows = [json.loads(l) for l in (out / "generations.jsonl").read_text().splitlines()]
-    assert rows[0]["mode"] == "copy"
-    snapshot = (out / "resolved_config_generate.txt").read_text()
-    assert "seed=3" in snapshot
-    assert f"out_dir={out}" in snapshot
-
-
-def test_exit_code_usage_error():
-    assert main(["generate", "--mode", "rapt"]) == 1  # missing --test
-
-
-def test_exit_code_data_error(tmp_path):
-    missing = tmp_path / "nope.jsonl"
-    assert main(["label", "--train", str(missing), "--out", str(tmp_path / "o")]) == 2
-
-
-@pytest.mark.parametrize("row", [
-    {"id": None, "source": None, "target": None},
-    {"source": ["a", "b"], "target": {"x": 1}},
-    {"id": "x", "source": True},
-    {"id": False, "source": "a"},
-])
-def test_non_string_dataset_fields_are_a_data_error(data_dir, capsys, row):
-    bad = data_dir / "bad.jsonl"
-    write_jsonl(bad, TRAIN_ROWS[:2] + [row])
-    assert run(["label", "--train", bad, "--out", data_dir / "out"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: {bad}:3: ") and "must be a string" in err
-    assert not (data_dir / "out" / "labeled.jsonl").exists()
-
-
-@pytest.mark.parametrize("value, message", [
-    ("1" * 5000, "Exceeds the limit (4300 digits)"),
-    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
-], ids=["digits", "nesting"])
-def test_json_past_a_python_limit_is_a_data_error(data_dir, capsys, value, message):
-    train = data_dir / "huge.jsonl"
-    train.write_text('{"id": ' + value + ', "source": "a"}\n', encoding="utf-8")
-    assert run(["label", "--train", train, "--out", data_dir / "out"]) == 2
-    assert capsys.readouterr().err.startswith(f"data error: {train}:1: invalid JSON: {message}")
-
-
-def test_text_that_is_not_utf8_is_a_data_error(data_dir, capsys):
-    train = data_dir / "latin1.jsonl"
-    train.write_bytes(b'{"id": "a", "source": "caf\xe9", "target": "cafe"}\n')
-    tsv = data_dir / "latin1.tsv"
-    tsv.write_bytes(b"caf\xe9\tcafe\n")
-    for path, args in ((train, ["label", "--out", data_dir / "out"]), (tsv, ["validate"])):
-        capsys.readouterr()
-        assert run([*args, "--train", path]) == 2
-        assert capsys.readouterr().err.startswith(f"data error: {path}: not UTF-8 text")
-    assert not (data_dir / "out" / "labeled.jsonl").exists()
-
-
-def test_a_lone_surrogate_escape_is_a_data_error(data_dir, capsys):
-    bad = data_dir / "surrogate.jsonl"
-    bad.write_text('{"id": "a", "source": "how do i learn python"}\n'
-                   '{"id": "b", "source": "caf\\ud800", "target": "cafe"}\n', encoding="utf-8")
-    out = data_dir / "out"
-    for args in (["label", "--train", bad], ["index", "--train", bad],
-                 ["generate", "--mode", "copy", "--test", bad]):
-        capsys.readouterr()
-        assert run([*args, "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            f"data error: {bad}:2: a \\u escape names a lone surrogate, which is not text\n"
-        )
-    assert not out.exists() or not any(out.iterdir())
-
-
-def test_embeddings_of_an_unknown_train_id_are_a_data_error(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    ids_path = out / "embeddings.ids.jsonl"
-    ids_path.write_text(ids_path.read_text().replace('"t3"', '"zz"'))
-    capsys.readouterr()
-    assert _generate(data_dir, out, "rapt") == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'embeddings.bin'}: embeddings reference unknown train ids (first: 'zz')\n"
-    )
-    assert not (out / "generations.jsonl").exists()
-
-
-def test_null_id_in_the_embedding_sidecar_is_a_data_error(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    ids_path = out / "embeddings.ids.jsonl"
-    lines = ids_path.read_text().splitlines(keepends=True)
-    ids_path.write_text("".join(lines[:1] + ['{"id": null}\n'] + lines[2:]))
-    capsys.readouterr()
-    assert _generate(data_dir, out, "rapt") == 2
-    assert capsys.readouterr().err.startswith(
-        f'data error: {ids_path}:2: "id" must be a string or an integer'
-    )
-
-
-def test_a_repeated_id_in_the_embedding_sidecar_names_its_line(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    ids_path = out / "embeddings.ids.jsonl"
-    lines = ids_path.read_text().splitlines(keepends=True)
-    ids_path.write_text("".join(lines[:2] + lines[1:2] + lines[3:]))
-    capsys.readouterr()
-    assert _generate(data_dir, out, "rapt") == 2
-    assert capsys.readouterr().err == f"data error: {ids_path}:3: duplicate id 't1'\n"
-
-
-def test_eval_without_generations_names_the_generate_command(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["eval", "--test", data_dir / "test.jsonl", "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'generations.jsonl'}: missing; run the generate command first\n"
-    )
-
-
-def test_exit_code_backend_error(data_dir):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    code = _generate(
-        data_dir, out, "rapt",
-        ["--generation-url", "http://127.0.0.1:9/gen", "--timeout", "0.1", "--retry-limit", "1"],
-    )
-    assert code == 3
-
-
-@pytest.mark.parametrize("args, code, named", [
-    (["label", "--train", "{dir}"], 2, "{dir}"),
-    (["label", "--config", "{dir}", "--train", "{train}"], 2, "{dir}"),
-    (["generate", "--mode", "manual", "--template", "{dir}", "--test", "{train}"], 2, "{dir}"),
-    (["label", "--train", "{train}", "--out", "{file}"], 2, "{file}"),
-    (["label", "--train", "{train}", "--out", "{file}/sub"], 2, "{file}/sub"),
-    (["index", "--train", "{train}", "--embedding-url", "localhost:1/embed"], 3, "localhost:1/embed"),
-    (["index", "--train", "{train}", "--embedding-url", "http://"], 3, "'http://'"),
-    (["index", "--train", "{train}", "--embedding-url", "ftp://x/embed"], 3, "ftp://x/embed"),
-], ids=["label-train-dir", "label-config-dir", "generate-template-dir", "label-out-file",
-        "label-out-under-file", "index-url-no-scheme", "index-url-no-host", "index-url-ftp"])
-def test_bad_path_or_unusable_url_exits_without_a_traceback(data_dir, capsys, args, code, named):
-    # a directory given for a file, an output under a regular file: data
-    # errors; a URL that the HTTP client cannot use: a backend error
-    (data_dir / "adir").mkdir()
-    (data_dir / "afile").write_text("", encoding="utf-8")
-    paths = {"dir": data_dir / "adir", "file": data_dir / "afile", "train": data_dir / "train.jsonl"}
-    argv = [a.format(**paths) for a in args]
-    if "--out" not in argv:
-        argv += ["--out", str(data_dir / "out")]
-    assert run(argv) == code
-    err = capsys.readouterr().err
-    assert err.startswith("data error: " if code == 2 else "backend error: ")
-    assert named.format(**paths) in err
-
-
-def test_unknown_config_key_is_usage_error(tmp_path):
-    config = tmp_path / "bad.conf"
-    config.write_text("no_such_key=1\n", encoding="utf-8")
-    assert main(["label", "--config", str(config)]) == 1
 
 
 @pytest.mark.parametrize("command, key, default", [
@@ -580,46 +344,6 @@ def test_a_snapshot_read_back_as_config_writes_the_same_snapshot(data_dir):
     assert (out / "resolved_config_generate.txt").read_text() == snapshot
 
 
-INVALID_SETTINGS = [
-    (["--low-max", "0.5", "--high-min", "0.3"], None),
-    (["--infix-len", "0"], None),
-    (["--max-in-flight", "0"], None),
-    (["--retry-limit", "0"], None),
-    (["--timeout", "0"], None),
-    (["--timeout", "nan"], None),
-    (["--timeout", "inf"], None),
-    ([], "timeout=nan"),
-    (["--k", "0"], None),
-    (["--max-prompt-tokens", "0"], None),
-    ([], "seed=abc"),
-    ([], "strategy=bogus"),
-    ([], "query_class=extreme"),
-    ([], "exclude_self=bogus"),
-    ([], "data_format=xml"),
-    (["--high-min", "inf"], None),
-    ([], "high_min=inf"),
-]
-
-
-@pytest.mark.parametrize(
-    "flags, config_line", INVALID_SETTINGS,
-    ids=[" ".join(flags) or line for flags, line in INVALID_SETTINGS],
-)
-def test_invalid_setting_is_usage_error(data_dir, capsys, flags, config_line):
-    args = [
-        "generate", "--train", data_dir / "train.jsonl",
-        "--test", data_dir / "test.jsonl", "--out", data_dir / "out", *flags,
-    ]
-    if config_line is not None:
-        config = data_dir / "bad.conf"
-        config.write_text(config_line + "\n", encoding="utf-8")
-        args += ["--config", config]
-    assert run(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage error:")
-    assert "Traceback" not in err
-
-
 def test_zero_norm_query_vector_is_a_data_error(data_dir, capsys, monkeypatch):
     from paraprompt.backend import MockBackend
 
@@ -636,20 +360,6 @@ def test_zero_norm_query_vector_is_a_data_error(data_dir, capsys, monkeypatch):
         f"data error: {data_dir / 'test.jsonl'}: query id 'q1': zero-norm vector\n"
     )
     assert not (out / "generations.jsonl").exists()
-
-
-def test_query_index_dimension_mismatch_is_data_error(data_dir, capsys):
-    out = data_dir / "out"
-    assert run([
-        "index", "--train", data_dir / "train.jsonl", "--out", out,
-        "--embedding-url", "mock:hash?dim=8",
-    ]) == 0
-    capsys.readouterr()
-    assert _generate(data_dir, out, "rapt") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error:")
-    assert "embeddings.bin" in err
-    assert "index dimension 8 != query dimension 16" in err
 
 
 @pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
@@ -680,33 +390,6 @@ def test_url_flags_are_the_urls_that_run(data_dir, monkeypatch):
     assert {"generation_url=mock:echo", "embedding_url=mock:hash"} <= set(snapshot)
 
 
-@pytest.mark.parametrize("line, message", [
-    ("prefix Input:", "expected key=value, got 'prefix Input:'"),
-    ("infx=Rewrite:", "unknown template key 'infx'"),
-])
-def test_bad_template_line_is_a_usage_error(data_dir, capsys, line, message):
-    template = data_dir / "bad.template"
-    template.write_text(f"# comment\n{line}\n", encoding="utf-8")
-    out = data_dir / "out"
-    assert run([
-        "pipeline", "--train", data_dir / "train.jsonl", "--test", data_dir / "test.jsonl",
-        "--out", out, "--mode", "manual", "--template", template,
-    ]) == 1
-    assert capsys.readouterr().err == f"usage error: {template}:2: {message}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, flag", [("label", "--config"), ("generate", "--template")])
-def test_key_value_file_that_is_not_utf8_is_a_usage_error(data_dir, capsys, command, flag):
-    path = data_dir / "latin1.txt"
-    path.write_bytes(b"seed=caf\xe9\n")
-    out = data_dir / "out"
-    test = ["--test", data_dir / "test.jsonl"] if command == "generate" else []
-    assert run([command, "--train", data_dir / "train.jsonl", *test, "--out", out, flag, path]) == 1
-    assert capsys.readouterr().err == f"usage error: {path}: not UTF-8 text (invalid continuation byte)\n"
-    assert not out.exists()
-
-
 def test_template_file_is_parsed_once_per_run(data_dir, monkeypatch):
     from paraprompt import promptkit
 
@@ -717,24 +400,6 @@ def test_template_file_is_parsed_once_per_run(data_dir, monkeypatch):
     template.write_text("prefix=Q:\n", encoding="utf-8")
     assert _generate(data_dir, data_dir / "out", "manual", ["--template", template]) == 0
     assert calls == [str(template)]
-
-
-def test_mock_echo_repeats_the_query_under_any_template(data_dir):
-    template = data_dir / "q.template"
-    template.write_text("prefix=Q:\n", encoding="utf-8")
-    out = data_dir / "out"
-    assert _generate(data_dir, out, "manual", ["--template", template]) == 0
-    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
-    assert [(row["output"], row.get("error")) for row in rows] == [(r["source"], None) for r in TEST_ROWS]
-
-
-def test_generate_with_an_empty_infix_writes_outputs(data_dir):
-    template = data_dir / "empty-infix.template"
-    template.write_text("infix=\n", encoding="utf-8")
-    out = data_dir / "out"
-    assert _generate(data_dir, out, "manual", ["--template", template]) == 0
-    rows = [json.loads(line) for line in (out / "generations.jsonl").read_text().splitlines()]
-    assert [(row["output"], row.get("error")) for row in rows] == [(r["source"], None) for r in TEST_ROWS]
 
 
 def test_a_completion_that_repeats_an_infix_without_a_newline_is_read_whole(data_dir):
@@ -784,29 +449,6 @@ def test_http_generate_payloads_keep_their_bytes(data_dir, monkeypatch, flags, d
     body = "".join(json.dumps(p) + "\n" for p in sorted(sent, key=lambda p: p["request_id"]))
     assert len(sent) == len(TEST_ROWS)
     assert hashlib.sha256(body.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("flag, url", [
-    ("--generation-url", "mock:bogus"),
-    ("--generation-url", "mock:echo?seed=x"),
-    ("--embedding-url", "mock:hash?dim=0"),
-    ("--embedding-url", "mock:bogus?dim=4"),
-    ("--embedding-url", "mock:echo"),
-    ("--embedding-url", "mock:hash?dim=4&sede=3"),
-    ("--embedding-url", "mock:hash?text=hi"),
-    ("--generation-url", "mock:echo?sead=3"),
-    ("--generation-url", "mock:echo?dim=4"),
-    ("--generation-url", "mock://shuffle?seed=3"),
-    ("--embedding-url", "mock://bogus"),
-])
-def test_bad_mock_url_is_a_usage_error_before_any_stage_writes(data_dir, capsys, flag, url):
-    out = data_dir / "out"
-    assert run([
-        "pipeline", "--train", data_dir / "train.jsonl",
-        "--test", data_dir / "test.jsonl", "--out", out, flag, url,
-    ]) == 1
-    assert capsys.readouterr().err.startswith(f"usage error: bad mock URL {url!r}: ")
-    assert not out.exists()
 
 
 def test_prompt_over_budget_without_examples_is_an_error_row(data_dir, monkeypatch):
@@ -1002,25 +644,6 @@ def test_ncrapt_needs_no_labels(data_dir):
     assert (unlabeled / "generations.jsonl").read_bytes() == (labeled / "generations.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
-def test_an_indexed_pair_whose_source_is_blank_in_the_train_file_is_a_data_error(data_dir, capsys, mode):
-    # the index of one train file, its pairs read from another with the same ids
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    blanked = data_dir / "blanked.jsonl"
-    write_jsonl(blanked, [{**row, "source": " "} if row["id"] == "t0" else row for row in TRAIN_ROWS])
-    capsys.readouterr()
-    assert run([
-        "generate", "--train", blanked, "--test", data_dir / "test.jsonl", "--out", out,
-        "--mode", mode, "--k", 5,
-    ]) == 2
-    assert capsys.readouterr().err == (
-        f"data error: {blanked}: index id 't0': source normalizes to nothing; "
-        "run the index command on this file\n"
-    )
-    assert not (out / "generations.jsonl").exists()
-
-
 def test_pipeline_artifacts_get_the_umask_mode(data_dir):
     out = data_dir / "out"
     old = os.umask(0o027)
@@ -1051,15 +674,6 @@ def test_rapt_never_retrieves_a_train_pair_with_a_blank_source(data_dir, capsys)
     assert [row["id"] for row in rows] == [r["id"] for r in TEST_ROWS]
     for row in rows:
         assert sorted(row["examples"]) == ["t0", "t1", "t2", "t3"]
-
-
-def test_index_with_only_blank_sources_is_a_data_error(data_dir, capsys):
-    train = data_dir / "blank.jsonl"
-    write_jsonl(train, [{"id": "a", "source": " "}, {"id": "b", "source": "\t"}])
-    out = data_dir / "out"
-    assert run(["index", "--train", train, "--out", out]) == 2
-    assert capsys.readouterr().err == f"data error: {train}: no pairs to index\n"
-    assert not (out / "embeddings.bin").exists()
 
 
 BLANK_FIRST_ROWS = [{"id": "blank", "source": " \t", "target": "x"}] + TEST_ROWS
@@ -1095,47 +709,6 @@ def test_random_strategy_seeds_each_query_by_its_position_in_the_test_file(data_
     assert hashlib.sha256((out / "generations.jsonl").read_bytes()).hexdigest() == (
         "c50af5366719688784cb04ee18a699613f1638d5a869b00d053e948591cea3d7"
     )
-
-
-def test_rapt_with_only_blank_queries_still_needs_the_index(data_dir, capsys):
-    test = data_dir / "test_blank.jsonl"
-    write_jsonl(test, [{"id": "a", "source": " "}, {"id": "b", "source": "\t"}])
-    out = data_dir / "out"
-    assert run([
-        "generate", "--train", data_dir / "train.jsonl", "--test", test, "--out", out, "--mode", "rapt",
-    ]) == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'embeddings.ids.jsonl'}: missing; run the index command first\n"
-    )
-    assert not (out / "generations.jsonl").exists()
-
-
-def test_rapt_without_the_embedding_file_names_the_index_command(data_dir, capsys):
-    out = data_dir / "out"
-    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    (out / "embeddings.bin").unlink()
-    capsys.readouterr()
-    assert _generate(data_dir, out, "rapt") == 2
-    assert capsys.readouterr().err == (
-        f"data error: {out / 'embeddings.bin'}: missing; run the index command first\n"
-    )
-    assert not (out / "generations.jsonl").exists()
-
-
-def test_a_directory_in_place_of_an_artifact_is_a_data_error(data_dir, capsys):
-    # the writer's unlink of the old file fails; the directory and its
-    # contents stay, and the new file is removed
-    out = data_dir / "out"
-    gen_path = out / "generations.jsonl"
-    gen_path.mkdir(parents=True)
-    (gen_path / "kept").write_text("x", encoding="utf-8")
-    assert _generate(data_dir, out, "copy") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(gen_path) in err
-    assert "Traceback" not in err
-    assert [p.name for p in gen_path.iterdir()] == ["kept"]
-    assert (gen_path / "kept").read_text(encoding="utf-8") == "x"
-    assert list(out.glob(".*.tmp")) == []
 
 
 # Every subcommand's flags, written out: (option strings, dest, type, choices,
