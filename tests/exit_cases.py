@@ -11,8 +11,9 @@ where "*" stands for any text, and that never holds a traceback; and the
 files left must meet ``absent`` (glob patterns that match nothing),
 ``nonempty``, ``contains`` and ``lacks``.
 
-``tests/test_cli.py::test_exit_code_contract`` runs every case in process
-through ``paraprompt.cli.main``. Run as a script, this module runs every
+``tests/test_cli.py`` runs every case in process through
+``paraprompt.cli.main``: ``test_exit_code_contract`` runs each case that
+no older test id names. Run as a script, this module runs every
 case through the installed ``paraprompt`` console script and names each
 case that fails, with its exit code and stderr:
 
@@ -116,7 +117,7 @@ def in_process(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _slug(text: str) -> str:
+def slug(text: str) -> str:
     return re.sub(r"[^\w.=]+", "-", text).strip("-")
 
 
@@ -164,7 +165,7 @@ CASES = [
          stderr="data error: *nope.jsonl*"),
     Case(name="generate-unreachable-generation-url", prep=(INDEX,), code=3, stderr="backend error: *",
          argv=f"{GENERATE} --mode rapt --generation-url http://127.0.0.1:9/gen --timeout 0.1 --retry-limit 1"),
-    *(Case(name=f"params-{_slug(flags)}", argv=f"params {flags}", code=1, stderr=f"usage error: {message}\n")
+    *(Case(name=f"params-{slug(flags)}", argv=f"params {flags}", code=1, stderr=f"usage error: {message}\n")
       for flags, message in [
           ("--layers -1 --width 8", "layers must be >= 1"), ("--layers 0 --width 8", "layers must be >= 1"),
           ("--layers 2", "--layers and --width must be given together"),
@@ -314,7 +315,7 @@ CASES = [
     # settings from flags and config files
     Case(name="unknown-config-key", argv="label --config bad.conf", code=1, files={"bad.conf": "no_such_key=1\n"},
          stderr="usage error: bad.conf: unknown config key 'no_such_key'\n"),
-    *(Case(name=f"generate-{_slug(flags or 'config ' + line)}", code=1, stderr="usage error: *",
+    *(Case(name=f"generate-{slug(flags or 'config ' + line)}", code=1, stderr="usage error: *",
            argv=f"{GENERATE} {flags}" + (" --config bad.conf" if line else ""),
            files={"bad.conf": f"{line}\n"} if line else {})
       for flags, line in INVALID_SETTINGS),
@@ -324,7 +325,7 @@ CASES = [
          argv="label --train train.jsonl --out out --generation-url mock:echo"),
     Case(name="index-mock-bogus", argv=f"{INDEX} --embedding-url mock:bogus", code=1,
          stderr="usage error: bad mock URL 'mock:bogus': *"),
-    *(Case(name=f"pipeline-{_slug(flag + ' ' + url)}", argv=f"pipeline --train train.jsonl --test test.jsonl "
+    *(Case(name=f"pipeline-{slug(flag + ' ' + url)}", argv=f"pipeline --train train.jsonl --test test.jsonl "
            f"--out out {flag} {url}", code=1, stderr=f"usage error: bad mock URL {url!r}: *", absent=("out",))
       for flag, url in BAD_MOCK_URLS),
     Case(name="config-file-and-flag-override", argv="generate --config run.conf --out out", code=0,

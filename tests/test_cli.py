@@ -29,11 +29,59 @@ def run(args):
     return main([str(a) for a in args])
 
 
-@pytest.mark.parametrize("case", exit_cases.CASES, ids=lambda case: case.name)
-def test_exit_code_contract(case, tmp_path, monkeypatch):
+ROWS = {case.name: case for case in exit_cases.CASES}
+# Rows that keep the test ids they had before they joined the table: id -> row.
+INVALID_SETTINGS = {flags or line: f"generate-{exit_cases.slug(flags or 'config ' + line)}"
+                    for flags, line in exit_cases.INVALID_SETTINGS}
+BAD_MOCK_URLS = {f"{flag}-{url}": f"pipeline-{exit_cases.slug(flag + ' ' + url)}"
+                 for flag, url in exit_cases.BAD_MOCK_URLS}
+BAD_PATHS = {name: name for name in ["label-train-dir", "label-config-dir", "generate-template-dir", "label-out-file",
+                                     "label-out-under-file", "index-url-no-scheme", "index-url-no-host",
+                                     "index-url-ftp"]}
+EVAL_RULES = {kind: f"eval-{kind}" for kind in ["repeated-id", "true-id", "float-id", "number-mode", "null-mode",
+                                                 "list-mode", "two-line-mode"]}
+EVAL_OUTPUTS = {"None": "eval-output-null", "3": "eval-output-number", "output2": "eval-output-list"}
+KEPT_IDS = [INVALID_SETTINGS, BAD_MOCK_URLS, BAD_PATHS, EVAL_RULES, EVAL_OUTPUTS]
+
+
+def check_row(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    problems = exit_cases.check(case, tmp_path, exit_cases.in_process)
+    problems = exit_cases.check(ROWS[name], tmp_path, exit_cases.in_process)
     assert not problems, "; ".join(problems)
+
+
+def rows(kept):
+    return pytest.mark.parametrize("name", list(kept.values()), ids=list(kept))
+
+
+@pytest.mark.parametrize("name", [name for name in ROWS if all(name not in kept.values() for kept in KEPT_IDS)])
+def test_exit_code_contract(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
+
+
+@rows(INVALID_SETTINGS)
+def test_invalid_setting_is_usage_error(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
+
+
+@rows(BAD_MOCK_URLS)
+def test_bad_mock_url_is_a_usage_error_before_any_stage_writes(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
+
+
+@rows(BAD_PATHS)
+def test_bad_path_or_unusable_url_exits_without_a_traceback(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
+
+
+@rows(EVAL_RULES)
+def test_eval_reads_generations_under_the_dataset_rules(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
+
+
+@rows(EVAL_OUTPUTS)
+def test_eval_refuses_an_output_that_is_not_a_string(name, tmp_path, monkeypatch):
+    check_row(name, tmp_path, monkeypatch)
 
 
 def test_label_writes_histogram_and_is_idempotent(data_dir, capsys):
