@@ -32,11 +32,9 @@ if TYPE_CHECKING:
 # Allowed values of the enumerated run settings, read by both the argparse
 # choices and PipelineConfig's validation.
 CHOICES = {
-    "data_format": dataio.DATA_FORMATS,
     "mode": dataio.GENERATION_MODES,
     "strategy": ("knn", "random"),
     "query_class": tuple(c.label for c in novelty.NoveltyClass),
-    "exclude_self": ("auto", "always", "never"),
 }
 
 # GPT2 context is 1024; keep n + decode margin inside it by default.
@@ -62,14 +60,12 @@ class PipelineConfig:
     validation_path: str | None = None
     test_path: str | None = None
     dataset_name: str = "custom"
-    data_format: str | None = None
     out_dir: str = "out"
     seed: int = 0
     mode: str = "rapt"
     k: int = 2
     strategy: str = "knn"
     query_class: str = "high"
-    exclude_self: str = "auto"
     slots: promptkit.SlotSpec = field(default_factory=promptkit.SlotSpec)
     max_prompt_tokens: int = DEFAULT_MAX_PROMPT_TOKENS
     thresholds: novelty.NoveltyThresholds = field(default_factory=novelty.NoveltyThresholds)
@@ -81,7 +77,7 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for name, allowed in CHOICES.items():
             value = getattr(self, name)
-            if value not in allowed and not (name == "data_format" and value is None):
+            if value not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
@@ -152,7 +148,7 @@ def cmd_label(config: PipelineConfig) -> int:
     """Label the training pairs with TER-based novelty classes."""
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
-    split = dataio.load_pairs(train_path, config.data_format, "train")
+    split = dataio.load_pairs(train_path)
     rows, meta = novelty.label_dataset(split.pairs, config.normalization, config.thresholds)
     labeled_path = out_dir / novelty.LABELED_FILE
     dataio.write_jsonl(labeled_path, (dict(zip(novelty.LABELED_FIELDS, row)) for row in rows))
@@ -169,9 +165,10 @@ def cmd_index(config: PipelineConfig) -> int:
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
-    split = dataio.load_pairs(train_path, config.data_format, "train")
-    # a source that normalizes to nothing, which label rejects, is no example
-    pairs = [p for p in split.pairs if normalize(p.source, config.normalization)]
+    split = dataio.load_pairs(train_path)
+    # a blank source, which normalizes to nothing under every setting and
+    # which label rejects, is no example
+    pairs = [p for p in split.pairs if p.source.strip()]
     if not pairs:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
@@ -195,7 +192,7 @@ def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
     out_dir = Path(config.out_dir)
     emb_path = out_dir / retrieval.EMBEDDING_FILE
     ids, matrix = retrieval.load_embeddings_binary(emb_path, out_dir / dataio.EMBEDDING_IDS.name)
-    pair_of = dataio.index_pairs(train_path, config.data_format, ids, out_dir / "train_rows.jsonl", emb_path)
+    pair_of = dataio.index_pairs(train_path, ids, out_dir / "train_rows.jsonl", emb_path)
     return retrieval.RetrievalIndex(ids, matrix, pair_of)
 
 
@@ -220,10 +217,9 @@ def _retrieve(
             f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
             "index and generate need the same embedding backend",
         )
-    # "auto": the same file under any spelling; both were just read
-    exclude_self = config.exclude_self == "always" or (
-        config.exclude_self == "auto" and os.path.samefile(config.train_path, config.test_path)
-    )
+    # a query from the train file itself, under any spelling of its path,
+    # never retrieves its own row; both files were just read
+    exclude_self = os.path.samefile(config.train_path, config.test_path)
     excludes = [{pair.id} if exclude_self else set() for _, pair, _ in queries]
     # a query vector without a direction cannot be ranked against the index
     zero = next((pair.id for (_, pair, _), v in zip(queries, vectors) if not np.linalg.norm(v)), None)
@@ -319,7 +315,7 @@ def cmd_generate(config: PipelineConfig) -> int:
     test_path = _require(config, "test_path", "--test")
     out_dir = Path(config.out_dir)
     gen_path = out_dir / dataio.GENERATIONS.name
-    pairs = dataio.load_pairs(test_path, config.data_format, "test").pairs
+    pairs = dataio.load_pairs(test_path, "test").pairs
     if config.mode in ("copy", "ground-truth"):
         rows = [
             {"id": pair.id, "prompt_n": 0,
@@ -342,7 +338,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     out_dir = Path(config.out_dir)
     cfg_norm = config.normalization
     gen_path = out_dir / dataio.GENERATIONS.name
-    split = dataio.load_pairs(test_path, config.data_format, "test")
+    split = dataio.load_pairs(test_path, "test")
     generations = list(dataio.read_jsonl(gen_path, dataio.GENERATIONS))
     by_id = {p.id: p for p in split.pairs}
 
@@ -424,7 +420,7 @@ def cmd_validate(config: PipelineConfig) -> int:
         ("test", config.test_path),
     ):
         if path:
-            splits.append(dataio.load_pairs(path, config.data_format, name))
+            splits.append(dataio.load_pairs(path, name))
     if not splits:
         raise UsageError("give at least one of --train/--validation/--test")
     print(dataio.validate_split_sizes(splits, config.dataset_name), end="")
@@ -450,17 +446,15 @@ def _keys(*names: str) -> frozenset[str]:
 # besides --config, and its snapshot's lines. A config file may hold any
 # key; a stage ignores the ones outside its set.
 Stage = NamedTuple("Stage", [("run", Callable[[PipelineConfig], int]), ("keys", frozenset[str])])
-_INPUT = ("data_format", "out_dir", "normalization")
 _EMBEDDING = ("embedding_url", "embedding_model_name", "timeout", "retry_limit")
 STAGES = {
-    "label": Stage(cmd_label, _keys("train_path", *_INPUT, "thresholds")),
-    "index": Stage(cmd_index, _keys("train_path", *_INPUT, *_EMBEDDING)),
+    "label": Stage(cmd_label, _keys("train_path", "out_dir", "normalization", "thresholds")),
+    "index": Stage(cmd_index, _keys("train_path", "out_dir", *_EMBEDDING)),
     "generate": Stage(cmd_generate, _keys(
-        "train_path", "test_path", *_INPUT, "seed", "mode", "k", "strategy", "query_class",
-        "exclude_self", "slots", "max_prompt_tokens", "thresholds", "backend", "template_path")),
-    "eval": Stage(cmd_eval, _keys("test_path", *_INPUT, "mode", "semantic", *_EMBEDDING)),
-    "validate": Stage(cmd_validate, _keys("train_path", "validation_path", "test_path", "dataset_name",
-                                          "data_format")),
+        "train_path", "test_path", "out_dir", "normalization", "seed", "mode", "k", "strategy",
+        "query_class", "slots", "max_prompt_tokens", "thresholds", "backend", "template_path")),
+    "eval": Stage(cmd_eval, _keys("test_path", "out_dir", "normalization", "mode", "semantic", *_EMBEDDING)),
+    "validate": Stage(cmd_validate, _keys("train_path", "validation_path", "test_path", "dataset_name")),
 }
 # pipeline runs these in this order and reads what they read
 PIPELINE = ("label", "index", "generate", "eval")
@@ -473,7 +467,6 @@ _FLAG_NAMES = {
     "train_path": "train",
     "validation_path": "validation",
     "test_path": "test",
-    "data_format": "format",
     "out_dir": "out",
     "embedding_model_name": "embedding-model",
     "template_path": "template",

@@ -1,11 +1,14 @@
 """Dataset ingestion, split-size validation, and file emission.
 
 JSONL is the canonical format; TSV is accepted because public paraphrase
-corpora ship that way. Every file is written whole to a temp file, then
-the old file is unlinked and the new one renamed onto the free name, so
-no reader sees a partial file and a failed write keeps the old file;
-nothing is fsynced. Text is UTF-8; a BOM is tolerated on read and never
-written.
+corpora ship that way. A dataset file's name fixes its format: a name
+ending ``.tsv`` or ``.txt``, in any letter case, is TSV, and any other
+name is JSONL, so the files of one run may differ in format.
+
+Every file is written whole to a temp file, then the old file is
+unlinked and the new one renamed onto the free name, so no reader sees a
+partial file and a failed write keeps the old file; nothing is fsynced.
+Text is UTF-8; a BOM is tolerated on read and never written.
 
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
 ``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``
@@ -29,7 +32,6 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-DATA_FORMATS = ("jsonl", "tsv")
 # The modes of ``generate``, recorded in each row it writes
 GENERATION_MODES = ("manual", "rapt", "ncrapt", "copy", "ground-truth")
 
@@ -249,24 +251,20 @@ def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
             yield row
 
 
-def data_format(path: str | Path, fmt: str | None) -> str:
-    """``fmt``, or the format the file name implies when it is None."""
-    if fmt is None:
-        fmt = "tsv" if str(path).endswith((".tsv", ".txt")) else "jsonl"
-    if fmt not in DATA_FORMATS:
-        raise ValueError(f"unknown dataset format {fmt!r}")
-    return fmt
+def data_format(path: str | Path) -> str:
+    """The format a dataset file's name implies: "tsv" or "jsonl"."""
+    return "tsv" if str(path).lower().endswith((".tsv", ".txt")) else "jsonl"
 
 
-def load_pairs(path: str | Path, fmt: str | None = None, name: str = "train") -> DatasetSplit:
-    """Load paraphrase pairs from a JSONL or TSV file, preserving order.
+def load_pairs(path: str | Path, name: str = "train") -> DatasetSplit:
+    """Load paraphrase pairs from a JSONL or TSV file, as its name implies,
+    preserving order.
 
     JSONL rows are read under ``DATASET``. TSV rows carry either
     source<TAB>target or id<TAB>source<TAB>target, the first kind named by
     position as "0", "1", ... Duplicate ids are rejected.
     """
-    fmt = data_format(path, fmt)
-    if fmt == "jsonl":
+    if data_format(path) == "jsonl":
         pairs = [ParaphrasePair(row["id"], row["source"], row["target"]) for row in read_jsonl(path, DATASET)]
         return DatasetSplit(name=name, pairs=pairs)
     by_id: dict[str, ParaphrasePair] = {}
@@ -387,22 +385,21 @@ _TRAIN_ROWS_VERSION = b"paraprompt train_rows 1"
 
 
 def index_pairs(
-    train_path: str | Path, fmt: str | None, ids: Sequence[str], cache_path: str | Path, emb_path: Path
+    train_path: str | Path, ids: Sequence[str], cache_path: str | Path, emb_path: Path
 ) -> Callable[[int], ParaphrasePair]:
     """Row -> pair for an index whose rows, those of ``emb_path``, have the
     train ids ``ids``, read through the cache file ``cache_path``.
 
     The cache's first line is its seal: the hex sha256 over the layout
-    version, the data format, the sha256 of the train file and of the
-    parsed ids, and the body, which holds one ASCII-escaped ``[source,
-    target]`` array per index row. While the seal holds, only the rows
+    version, the train file's data format, the sha256 of the train file
+    and of the parsed ids, and the body, which holds one ASCII-escaped
+    ``[source, target]`` array per index row. While the seal holds, only the rows
     asked for are parsed; otherwise ``load_pairs`` reads the train file,
     every id is looked up in it, and the cache is rewritten.
     """
-    fmt = data_format(train_path, fmt)
     # hashed before it is parsed, so a file changed in between has another digest
     train_sha256 = file_sha256(train_path)
-    key = hashlib.sha256(b"%s\0%s\0" % (_TRAIN_ROWS_VERSION, fmt.encode()))
+    key = hashlib.sha256(b"%s\0%s\0" % (_TRAIN_ROWS_VERSION, data_format(train_path).encode()))
     key.update(train_sha256)
     key.update(hashlib.sha256(json.dumps(ids).encode()).digest())
     try:
@@ -419,7 +416,7 @@ def index_pairs(
             return ParaphrasePair(ids[row], source, target)
 
         return pair_of
-    by_id = {pair.id: pair for pair in load_pairs(train_path, fmt, "train").pairs}
+    by_id = {pair.id: pair for pair in load_pairs(train_path).pairs}
     pairs = list(map(by_id.get, ids))
     if None in pairs:
         raise DataFormatError(emb_path, None, "embeddings reference unknown train ids "

@@ -145,7 +145,7 @@ INVALID_SETTINGS = [  # (flags, config line)
     ("--low-max 0.5 --high-min 0.3", None), ("--infix-len 0", None), ("--max-in-flight 0", None),
     ("--retry-limit 0", None), ("--timeout 0", None), ("--timeout nan", None), ("--timeout inf", None),
     ("", "timeout=nan"), ("--k 0", None), ("--max-prompt-tokens 0", None), ("", "seed=abc"),
-    ("", "strategy=bogus"), ("", "query_class=extreme"), ("", "exclude_self=bogus"), ("", "data_format=xml"),
+    ("", "strategy=bogus"), ("", "query_class=extreme"),
     ("--high-min inf", None), ("", "high_min=inf"),
 ]
 BAD_MOCK_URLS = [
@@ -185,8 +185,16 @@ CASES = [
           ("generate-test-missing", "generate --mode copy --test nope.jsonl --out out", "nope.jsonl"),
           ("validate-test-dir", "validate --test adir", "adir"),
           ("validate-test-missing", "validate --test nope.jsonl", "nope.jsonl"),
+          ("index-train-missing", "index --train nope.jsonl --out out", "No such file or directory: 'nope.jsonl'"),
+          ("index-train-dir", "index --train adir --out out", "Is a directory: 'adir'"),
+          ("eval-test-missing", "eval --test nope.jsonl --out out", "No such file or directory: 'nope.jsonl'"),
+          ("eval-test-dir", "eval --test adir --out out", "Is a directory: 'adir'"),
+          ("validate-train-missing", "validate --train nope.jsonl", "No such file or directory: 'nope.jsonl'"),
+          ("validate-validation-dir", "validate --validation adir", "Is a directory: 'adir'"),
           ("label-out-file", "label --train train.jsonl --out afile", "afile"),
           ("label-out-under-file", "label --train train.jsonl --out afile/sub", "afile/sub"),
+          ("index-out-file", "index --train train.jsonl --out afile", "File exists: 'afile'"),
+          ("generate-out-file", "generate --mode copy --test test.jsonl --out afile", "File exists: 'afile'"),
           ("eval-out-file", "eval --test test.jsonl --out afile", "afile"),
           ("eval-out-under-file", "eval --test test.jsonl --out afile/sub", "afile/sub"),
           ("params-out-file", "params --out afile", "afile"),
@@ -323,6 +331,15 @@ CASES = [
          stderr="usage error: *"),
     Case(name="label-with-a-flag-it-does-not-read", code=1, stderr="usage error: *--generation-url*",
          argv="label --train train.jsonl --out out --generation-url mock:echo"),
+    # the file names fix each file's format, and --test naming the train
+    # file fixes self-exclusion: neither is a setting
+    *(Case(name=f"generate-{flag[2:]}-flag", argv=f"{GENERATE} --mode copy {flag} {value}", code=1,
+           stderr=f"usage error: unrecognized arguments: {flag} {value}\n", absent=("out",))
+      for flag, value in [("--format", "tsv"), ("--exclude-self", "never")]),
+    *(Case(name=f"generate-config-{key}", argv=f"{GENERATE} --mode copy --config old.conf", code=1,
+           files={"old.conf": f"{key}={value}\n"}, absent=("out",),
+           stderr=f"usage error: old.conf: unknown config key {key!r}\n")
+      for key, value in [("data_format", "xml"), ("exclude_self", "bogus")]),
     Case(name="index-mock-bogus", argv=f"{INDEX} --embedding-url mock:bogus", code=1,
          stderr="usage error: bad mock URL 'mock:bogus': *"),
     *(Case(name=f"pipeline-{slug(flag + ' ' + url)}", argv=f"pipeline --train train.jsonl --test test.jsonl "

@@ -183,13 +183,56 @@ def test_a_mutated_artifact_is_a_data_error_naming_its_line(complete_run, schema
         assert _snapshot(root) == before
 
 
+@pytest.fixture(scope="module")
+def small_index(tmp_path_factory):
+    """A run directory holding a 4-row, 16-d index (272 bytes) and a warm
+    ``train_rows.jsonl``, with the rapt ``generate`` argv that reads them."""
+    root = tmp_path_factory.mktemp("small_index")
+    rows = [row for row in TRAIN_ROWS if row["source"].strip()]
+    _write_jsonl(root / "train.jsonl", rows + [{"id": "t4", "source": "why do cats purr", "target": "cats purr"}])
+    _write_jsonl(root / "test.jsonl", [{"id": "q0", "source": "how do i learn java", "target": "learn java"}])
+    assert main(_argv(root, ["index", "--train", "{train}", "--out", "{out}"])) == 0
+    generate = _argv(root, ["generate", "--mode", "rapt", "--train", "{train}", "--test", "{test}", "--out", "{out}"])
+    assert main(generate) == 0
+    return root / "out" / "embeddings.bin", generate
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_a_damaged_embedding_file_exits_0_or_2(small_index, data):
+    """One byte of ``embeddings.bin``, header or body, changed to another
+    value, or the file cut short: rapt ``generate`` either runs or exits 2
+    with a data error, and no exception escapes ``main``."""
+    path, generate = small_index
+    intact = path.read_bytes()
+    assert len(intact) == 272
+    at = data.draw(st.integers(0, len(intact) - 1), label="at")
+    if data.draw(st.booleans(), label="truncate"):
+        damaged = intact[:at]
+    else:
+        damaged = bytearray(intact)
+        damaged[at] ^= data.draw(st.integers(1, 255), label="xor")
+    stderr = io.StringIO()
+    try:
+        # a fresh file: truncating one in place makes ext4 flush it on close
+        path.unlink()
+        path.write_bytes(damaged)
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(generate)
+    finally:
+        path.unlink()
+        path.write_bytes(intact)
+    err = stderr.getvalue()
+    assert (code, err) == (0, "") or code == 2 and err.startswith("data error: "), (code, err)
+
+
 # A valid value, other than the default, for every config key; the paths
 # are files of the run below ({root} is its input directory)
 OTHER_VALUES = {
     "train_path": "{root}/other.jsonl", "validation_path": "{root}/other.jsonl",
-    "test_path": "{root}/other.jsonl", "dataset_name": "qqp-50k", "data_format": "tsv",
+    "test_path": "{root}/other.jsonl", "dataset_name": "qqp-50k",
     "out_dir": "{root}/work/elsewhere", "seed": "7", "mode": "manual", "k": "1", "strategy": "random",
-    "query_class": "low", "exclude_self": "never", "global_prefix_len": "3", "class_prefix_len": "2",
+    "query_class": "low", "global_prefix_len": "3", "class_prefix_len": "2",
     "infix_len": "2", "max_prompt_tokens": "300", "low_max": "0.1", "high_min": "0.9",
     "lowercase": "false", "unicode_normalize": "false", "punctuation_split": "false",
     "generation_url": "mock:shuffle?seed=3", "embedding_url": "mock:hash?seed=1",

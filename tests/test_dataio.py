@@ -44,7 +44,7 @@ def test_pair_requires_source():
 def test_load_tsv_three_rows(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("a\tb\nc\td\ne\tf\n", encoding="utf-8")
-    split = load_pairs(path, "tsv")
+    split = load_pairs(path)
     assert len(split) == 3
     assert split.pairs[0] == ParaphrasePair(id="0", source="a", target="b")
 
@@ -52,7 +52,7 @@ def test_load_tsv_three_rows(tmp_path):
 def test_load_tsv_with_ids(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("p1\thello there\tgoodbye\n", encoding="utf-8")
-    split = load_pairs(path, "tsv")
+    split = load_pairs(path)
     assert split.pairs[0].id == "p1"
 
 
@@ -60,7 +60,7 @@ def test_load_tsv_wrong_column_count(tmp_path):
     path = tmp_path / "pairs.tsv"
     path.write_text("a\tb\nonly-one-column\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match=r":2: expected 2 or 3"):
-        load_pairs(path, "tsv")
+        load_pairs(path)
 
 
 def test_load_jsonl_auto_ids(tmp_path):
@@ -69,7 +69,7 @@ def test_load_jsonl_auto_ids(tmp_path):
         '{"source": "a", "target": "b"}\n{"source": "c", "target": "d"}\n',
         encoding="utf-8",
     )
-    split = load_pairs(path, "jsonl")
+    split = load_pairs(path)
     assert [p.id for p in split.pairs] == ["0", "1"]
 
 
@@ -77,7 +77,7 @@ def test_load_jsonl_malformed_line_numbered(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_text('{"source": "a"}\nnot json\n', encoding="utf-8")
     with pytest.raises(DataFormatError, match=r":2: invalid JSON"):
-        load_pairs(path, "jsonl")
+        load_pairs(path)
 
 
 def test_load_jsonl_duplicate_ids(tmp_path):
@@ -236,7 +236,7 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
     """A dataset file and an artifact are read as the former json.loads-per-line
     readers read them, or the same message is raised on the same line."""
     readers = [
-        (lambda p: load_pairs(p, "jsonl").pairs, _pairs_per_line),
+        (lambda p: load_pairs(p).pairs, _pairs_per_line),
         (_ids, _ids_per_line),
     ]
     rng = random.Random(20240607)
@@ -271,10 +271,10 @@ def test_the_table_lists_every_schema():
 
 @pytest.mark.parametrize("schema", [*TABLE.values(), None], ids=[*TABLE, "tsv pairs"])
 def test_readers_refuse_bytes_that_are_not_utf8(tmp_path, schema):
-    path = tmp_path / "rows.jsonl"
+    path = tmp_path / ("rows.jsonl" if schema else "rows.tsv")
     path.write_bytes(b'{"id": "a", "source": "s", "output": "o"}\n{"id": "caf\xe9"}\n')
     with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
-        list(read_jsonl(path, schema)) if schema else load_pairs(path, "tsv")
+        list(read_jsonl(path, schema)) if schema else load_pairs(path)
 
 
 @pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
@@ -340,6 +340,13 @@ def test_load_infers_format_from_suffix(tmp_path):
     assert len(load_pairs(path)) == 1
 
 
+@pytest.mark.parametrize("name", ["pairs.TSV", "pairs.TXT", "pairs.Tsv", "pairs.jsonl.txt"])
+def test_a_tsv_suffix_in_any_letter_case_is_read_as_tsv(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("p1\thello there\tgoodbye\n", encoding="utf-8")
+    assert load_pairs(path).pairs == [ParaphrasePair("p1", "hello there", "goodbye")]
+
+
 def test_bom_tolerated(tmp_path):
     path = tmp_path / "pairs.jsonl"
     path.write_bytes(b'\xef\xbb\xbf{"source": "a", "target": "b"}\n')
@@ -366,7 +373,7 @@ pair_strategy = st.builds(
 def test_pairs_round_trip(tmp_path_factory, pairs):
     path = tmp_path_factory.mktemp("data") / "pairs.jsonl"
     write_pairs(path, pairs)
-    loaded = load_pairs(path, "jsonl")
+    loaded = load_pairs(path)
     assert loaded.pairs == pairs
 
 

@@ -1,3 +1,5 @@
+import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -33,6 +35,18 @@ def test_normalize_unicode_composition():
 def test_punctuation_split_off():
     cfg = NormalizationConfig(punctuation_split=False)
     assert normalize("learn?", cfg) == ("learn?",)
+
+
+# every code point that str.split() splits on, and every setting
+_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+_SETTINGS = [NormalizationConfig(*flags) for flags in itertools.product([False, True], repeat=3)]
+
+
+@given(st.text(st.one_of(st.sampled_from(_WHITESPACE), st.characters())))
+def test_a_text_normalizes_to_no_token_exactly_when_it_is_blank(text):
+    # index drops a blank source without reading the normalization settings
+    for cfg in _SETTINGS:
+        assert (normalize(text, cfg) == ()) == (not text.strip())
 
 
 def test_tokens_have_no_whitespace():
