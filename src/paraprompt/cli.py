@@ -15,7 +15,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,16 +183,19 @@ def cmd_index(config: PipelineConfig) -> int:
     return 0
 
 
-def _load_index(config: PipelineConfig) -> retrieval.RetrievalIndex:
+def _load_index(config: PipelineConfig) -> tuple[retrieval.RetrievalIndex, bytes]:
     """The index over ``embeddings.bin``, its pairs read from the train file
-    through ``train_rows.jsonl`` (see ``dataio.index_pairs``)."""
+    through ``train_rows.jsonl`` (``dataio.index_pairs``), and that file's sha256."""
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
     emb_path = out_dir / retrieval.EMBEDDING_FILE
     ids, matrix = retrieval.load_embeddings_binary(emb_path, out_dir / dataio.EMBEDDING_IDS.name)
-    pair_of = dataio.index_pairs(train_path, ids, out_dir / "train_rows.jsonl", emb_path)
-    return retrieval.RetrievalIndex(ids, matrix, pair_of)
+    if not ids:  # index refuses to write such a file
+        raise _artifact_error(config, emb_path, "holds no vectors")
+    train_sha256 = dataio.file_sha256(train_path)
+    pair_of = dataio.index_pairs(train_path, train_sha256, ids, out_dir / "train_rows.jsonl", emb_path)
+    return retrieval.RetrievalIndex(ids, matrix, pair_of), train_sha256
 
 
 def _retrieve(
@@ -206,7 +208,7 @@ def _retrieve(
     the random strategy."""
     import numpy as np
     from . import retrieval
-    index = _load_index(config)
+    index, train_sha256 = _load_index(config)
     if not queries:
         return []
     embedder = backend_mod.make_embedding_backend(config.backend)
@@ -217,9 +219,9 @@ def _retrieve(
             f"index dimension {index.dim} != query dimension {len(vectors[0])}; "
             "index and generate need the same embedding backend",
         )
-    # a query from the train file itself, under any spelling of its path,
-    # never retrieves its own row; both files were just read
-    exclude_self = os.path.samefile(config.train_path, config.test_path)
+    # a query from the train file itself, under any path or as a copy,
+    # never retrieves its own row
+    exclude_self = dataio.file_sha256(config.test_path) == train_sha256
     excludes = [{pair.id} if exclude_self else set() for _, pair, _ in queries]
     # a query vector without a direction cannot be ranked against the index
     zero = next((pair.id for (_, pair, _), v in zip(queries, vectors) if not np.linalg.norm(v)), None)
@@ -348,9 +350,7 @@ def cmd_eval(config: PipelineConfig) -> int:
     for row in generations:
         pair = by_id.get(row["id"])
         if pair is None:
-            raise dataio.DataFormatError(
-                gen_path, None, f"generation id {row['id']!r} not present in {test_path}"
-            )
+            raise dataio.DataFormatError(gen_path, None, f"generation id {row['id']!r} not present in {test_path}")
         if not pair.target:
             skipped_no_reference += 1
             continue
@@ -413,14 +413,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 def cmd_validate(config: PipelineConfig) -> int:
     """Check loaded split sizes against the published table."""
-    splits = []
-    for name, path in (
-        ("train", config.train_path),
-        ("validation", config.validation_path),
-        ("test", config.test_path),
-    ):
-        if path:
-            splits.append(dataio.load_pairs(path, name))
+    paths = {"train": config.train_path, "validation": config.validation_path, "test": config.test_path}
+    splits = [dataio.load_pairs(path, name) for name, path in paths.items() if path]
     if not splits:
         raise UsageError("give at least one of --train/--validation/--test")
     print(dataio.validate_split_sizes(splits, config.dataset_name), end="")
@@ -442,23 +436,38 @@ def _keys(*names: str) -> frozenset[str]:
     return frozenset(key for key, (section, _) in config_keys().items() if key in names or section in names)
 
 
-# A data subcommand's runner and the config keys it reads: its flags,
-# besides --config, and its snapshot's lines. A config file may hold any
-# key; a stage ignores the ones outside its set.
-Stage = NamedTuple("Stage", [("run", Callable[[PipelineConfig], int]), ("keys", frozenset[str])])
+# A data subcommand's runner, the config keys it reads (its flags, besides
+# --config, and its snapshot's lines) and the run-directory files it may
+# write. A config file may hold any key; a stage ignores the ones outside its set.
+Stage = NamedTuple("Stage", [("run", Callable[[PipelineConfig], int]), ("keys", frozenset[str]),
+                             ("writes", tuple[str, ...])])
 _EMBEDDING = ("embedding_url", "embedding_model_name", "timeout", "retry_limit")
 STAGES = {
-    "label": Stage(cmd_label, _keys("train_path", "out_dir", "normalization", "thresholds")),
-    "index": Stage(cmd_index, _keys("train_path", "out_dir", *_EMBEDDING)),
+    "label": Stage(cmd_label, _keys("train_path", "out_dir", "normalization", "thresholds"),
+                   ("labeled.jsonl", "labeled_meta.json", "resolved_config_label.txt")),
+    "index": Stage(cmd_index, _keys("train_path", "out_dir", *_EMBEDDING),
+                   ("embeddings.bin", "embeddings.ids.jsonl", "resolved_config_index.txt")),
     "generate": Stage(cmd_generate, _keys(
         "train_path", "test_path", "out_dir", "normalization", "seed", "mode", "k", "strategy",
-        "query_class", "slots", "max_prompt_tokens", "thresholds", "backend", "template_path")),
-    "eval": Stage(cmd_eval, _keys("test_path", "out_dir", "normalization", "mode", "semantic", *_EMBEDDING)),
-    "validate": Stage(cmd_validate, _keys("train_path", "validation_path", "test_path", "dataset_name")),
+        "query_class", "slots", "max_prompt_tokens", "thresholds", "backend", "template_path"),
+        ("generations.jsonl", "train_rows.jsonl", "resolved_config_generate.txt")),
+    "eval": Stage(cmd_eval, _keys("test_path", "out_dir", "normalization", "mode", "semantic", *_EMBEDDING),
+                  ("report.txt", "report.csv", "resolved_config_eval.txt")),
+    "validate": Stage(cmd_validate, _keys("train_path", "validation_path", "test_path", "dataset_name"), ()),
 }
-# pipeline runs these in this order and reads what they read
+# pipeline runs these in this order, and reads and writes what they do
 PIPELINE = ("label", "index", "generate", "eval")
-STAGES["pipeline"] = Stage(cmd_pipeline, frozenset().union(*(STAGES[name].keys for name in PIPELINE)))
+STAGES["pipeline"] = Stage(cmd_pipeline, frozenset().union(*(STAGES[name].keys for name in PIPELINE)),
+                           sum((STAGES[name].writes for name in PIPELINE), ()))
+
+
+def _artifact_error(config: PipelineConfig, path: str | Path, problem: str) -> dataio.DataFormatError | None:
+    """``problem`` with ``path``, naming the stage that writes it, if it is
+    a file that a stage writes into ``config``'s run directory; else None."""
+    path = Path(path)
+    for name in PIPELINE if path.parent == Path(config.out_dir) else ():
+        if path.name in STAGES[name].writes:
+            return dataio.DataFormatError(path, None, f"{problem}; run the {name} command first")
 
 
 # A key's flag is "--" + the key with dashes for underscores, after a
@@ -519,17 +528,20 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    config = None
     try:
         args = parser.parse_args(argv)
         if args.command == "params":
             return cmd_params(args)
-        return STAGES[args.command].run(resolve_config(args))
+        return STAGES[args.command].run(config := resolve_config(args))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (dataio.DataFormatError, dataio.IndexBuildError, OSError) as err:
-        # an OSError names its path: a missing file, a directory given
-        # for a file, an output under a regular file
+        # an OSError names its path: a missing file (and the stage that
+        # writes it), a directory given for a file, an output under a regular file
+        if isinstance(err, FileNotFoundError) and config and err.filename:
+            err = _artifact_error(config, err.filename, "missing") or err
         print(f"data error: {err}", file=sys.stderr)
         return 2
     except backend_mod.BackendError as err:

@@ -13,7 +13,8 @@ Text is UTF-8; a BOM is tolerated on read and never written.
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
 ``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``
 and ``GENERATIONS``. It accepts exactly what
-``json.loads`` accepts on each line and raises its messages.
+``json.loads`` accepts on each line and raises its messages. A missing
+file is a ``FileNotFoundError``; the CLI's stage table names its writer.
 
 Text that is not UTF-8, or a ``\\u`` escape of a lone surrogate, is a
 ``DataFormatError``, so every text read can be written back.
@@ -157,23 +158,22 @@ class Field:
 
 @dataclass(frozen=True)
 class Schema:
-    """A kind of JSONL file: its name in the run directory, the stage that
-    writes it (both None for a dataset, which the user names), and its
-    fields, the id first; an absent optional id reads as the row's position."""
+    """A kind of JSONL file: its name in the run directory (None for a
+    dataset, which the user names) and its fields, the id first; an absent
+    optional id reads as the row's position."""
 
     name: str | None
-    stage: str | None
     fields: tuple[Field, ...]
 
 
-DATASET = Schema(None, None, (
+DATASET = Schema(None, (
     Field("id", ID, required=False),
     Field("source", STRING, nonempty=True),
     Field("target", STRING, required=False, default=""),
 ))
-EMBEDDING_IDS = Schema("embeddings.ids.jsonl", "index", (Field("id", ID),))
+EMBEDDING_IDS = Schema("embeddings.ids.jsonl", (Field("id", ID),))
 # other keys of a generation row are kept unchecked
-GENERATIONS = Schema("generations.jsonl", "generate", (
+GENERATIONS = Schema("generations.jsonl", (
     Field("id", ID),
     Field("output", STRING),
     Field("mode", one_of(GENERATION_MODES), required=False),
@@ -183,8 +183,7 @@ GENERATIONS = Schema("generations.jsonl", "generate", (
 def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
     """The rows of a JSONL file under ``schema``, one object per non-blank
     line, in order: its id as text, its absent fields' defaults filled in
-    and every other key as read. A missing artifact names the stage that
-    writes it.
+    and every other key as read. A missing file is a ``FileNotFoundError``.
 
     A line is blank when it is empty or holds only whitespace
     (``str.isspace``). Any other line must parse as ``json.loads`` parses
@@ -202,13 +201,7 @@ def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
     """
     shape = "expected an object with " + ", ".join(f.name for f in schema.fields if f.required)
     seen: set[str] = set()
-    try:
-        fh = _open_text(path)
-    except FileNotFoundError:
-        if schema.stage is None:
-            raise
-        raise DataFormatError(path, None, f"missing; run the {schema.stage} command first") from None
-    with fh:
+    with _open_text(path) as fh:
         for lineno, line in _numbered_lines(path, fh):
             text = line.strip(_JSON_SPACE)
             try:
@@ -220,7 +213,7 @@ def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
                     continue
                 try:
                     # a dataset line is parsed as it stands, an artifact line stripped
-                    row = json.loads(line.strip() if schema.stage else line.rstrip("\n"))
+                    row = json.loads(line.rstrip("\n") if schema.name is None else line.strip())
                 except (ValueError, RecursionError) as err:
                     raise DataFormatError(path, lineno, f"invalid JSON: {getattr(err, 'msg', err)}") from err
             # only a \u escape can decode to a surrogate
@@ -385,20 +378,20 @@ _TRAIN_ROWS_VERSION = b"paraprompt train_rows 1"
 
 
 def index_pairs(
-    train_path: str | Path, ids: Sequence[str], cache_path: str | Path, emb_path: Path
+    train_path: str | Path, train_sha256: bytes, ids: Sequence[str], cache_path: str | Path, emb_path: Path
 ) -> Callable[[int], ParaphrasePair]:
     """Row -> pair for an index whose rows, those of ``emb_path``, have the
     train ids ``ids``, read through the cache file ``cache_path``.
 
     The cache's first line is its seal: the hex sha256 over the layout
-    version, the train file's data format, the sha256 of the train file
-    and of the parsed ids, and the body, which holds one ASCII-escaped
-    ``[source, target]`` array per index row. While the seal holds, only the rows
-    asked for are parsed; otherwise ``load_pairs`` reads the train file,
-    every id is looked up in it, and the cache is rewritten.
+    version, the train file's data format, ``train_sha256`` (its
+    ``file_sha256``, taken before it is parsed, so a file changed in
+    between has another digest), the sha256 of the parsed ids, and the
+    body, which holds one ASCII-escaped ``[source, target]`` array per
+    index row. While the seal holds, only the rows asked for are parsed;
+    otherwise ``load_pairs`` reads the train file, every id is looked up
+    in it, and the cache is rewritten.
     """
-    # hashed before it is parsed, so a file changed in between has another digest
-    train_sha256 = file_sha256(train_path)
     key = hashlib.sha256(b"%s\0%s\0" % (_TRAIN_ROWS_VERSION, data_format(train_path).encode()))
     key.update(train_sha256)
     key.update(hashlib.sha256(json.dumps(ids).encode()).digest())

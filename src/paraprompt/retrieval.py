@@ -340,14 +340,11 @@ def write_embeddings_binary(
 
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
     """The sidecar ids, read first, and a read-only (count, dim) float32
-    view of the file, mapped read-only. A file missing or of no vectors names ``index``."""
+    view of the file, mapped read-only. A missing file is a
+    ``FileNotFoundError``; the CLI's stage table names its writer."""
     ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
     header_end = len(EMBEDDING_MAGIC) + 8
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise DataFormatError(path, None, f"missing; run the {EMBEDDING_IDS.stage} command first") from None
-    with fh:
+    with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         header = fh.read(header_end)
         if header[: len(EMBEDDING_MAGIC)] != EMBEDDING_MAGIC:
@@ -362,6 +359,4 @@ def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list
     matrix = np.frombuffer(mapped, dtype="<f4", offset=header_end).reshape(count, dim)
     if len(ids) != count:
         raise DataFormatError(ids_path, None, f"sidecar has {len(ids)} ids for {count} vectors")
-    if not count:  # index refuses to write one
-        raise DataFormatError(path, None, f"holds no vectors; run the {EMBEDDING_IDS.stage} command first")
     return ids, matrix

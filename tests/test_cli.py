@@ -2,7 +2,10 @@ import argparse
 import hashlib
 import json
 import os
+import re
+import shutil
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import pytest
 import exit_cases
 from exit_cases import TEST_ROWS, TRAIN_ROWS, jsonl
 from paraprompt import novelty
-from paraprompt.cli import build_parser, main
+from paraprompt.cli import PIPELINE, STAGES, PipelineConfig, build_parser, main
 from paraprompt.textcore import normalize
 
 
@@ -157,18 +160,72 @@ def test_generate_on_training_file_excludes_self(data_dir):
         assert len(row["examples"]) == 2
 
 
-def test_generate_auto_excludes_self_under_another_path_spelling(data_dir):
+@pytest.mark.parametrize("test_name", ["./train.jsonl", "copy.jsonl"], ids=["same-file", "byte-identical-copy"])
+def test_generate_auto_excludes_self_under_another_path_spelling(data_dir, test_name):
     out = data_dir / "out"
+    shutil.copyfile(data_dir / "train.jsonl", data_dir / "copy.jsonl")
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
-    # "./" names the same file, so every row must still skip itself
+    # "./" names the same file and a copy has the same contents, so every
+    # row must still skip itself
     assert run([
         "generate", "--train", data_dir / "train.jsonl",
-        "--test", f"{data_dir}/./train.jsonl", "--out", out, "--mode", "rapt", "--k", "1",
+        "--test", f"{data_dir}/{test_name}", "--out", out, "--mode", "rapt", "--k", "1",
     ]) == 0
     rows = [json.loads(l) for l in (out / "generations.jsonl").read_text().splitlines()]
     assert len(rows) == len(TRAIN_ROWS)
     for row in rows:
         assert row["examples"] and row["id"] not in row["examples"]
+
+
+def test_each_stage_writes_exactly_the_files_the_stage_table_names(data_dir):
+    def run_into(out, names):
+        config = PipelineConfig(train_path=str(data_dir / "train.jsonl"), test_path=str(data_dir / "test.jsonl"),
+                                out_dir=str(out), mode="ncrapt")
+        for name in names:
+            before = set(os.listdir(out)) if out.exists() else set()
+            assert STAGES[name].run(config) == 0
+            assert set(os.listdir(out)) - before == set(STAGES[name].writes), name
+
+    run_into(data_dir / "staged", PIPELINE)
+    run_into(data_dir / "piped", ["pipeline"])
+
+
+@pytest.mark.parametrize("mode", ["copy", "manual"])
+def test_generate_without_retrieval_writes_some_of_its_files(data_dir, mode):
+    out = data_dir / "out"
+    assert _generate(data_dir, out, mode) == 0
+    assert set(os.listdir(out)) <= set(STAGES["generate"].writes)
+
+
+# A run-directory file that one stage writes and another reads -> the reader
+READERS = {
+    "embeddings.ids.jsonl": ["generate", "--mode", "rapt"],
+    "embeddings.bin": ["generate", "--mode", "rapt"],
+    "generations.jsonl": ["eval"],
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_missing_artifact_names_the_stage_that_writes_it(data_dir, capsys, name):
+    train, test, out = data_dir / "train.jsonl", data_dir / "test.jsonl", data_dir / "out"
+    assert run(["pipeline", "--train", train, "--test", test, "--out", out, "--mode", "rapt"]) == 0
+    (out / name).unlink()
+    capsys.readouterr()
+    train_flag = ["--train", train] if READERS[name][0] == "generate" else []
+    assert run([*READERS[name], *train_flag, "--test", test, "--out", out]) == 2
+    (writer,) = [stage for stage in PIPELINE if name in STAGES[stage].writes]
+    assert capsys.readouterr().err == f"data error: {out / name}: missing; run the {writer} command first\n"
+
+
+def test_the_readme_names_the_writer_of_each_file_as_the_stage_table_does():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    for name in [*PIPELINE, "validate"]:
+        (cells,) = re.findall(rf"^\| `{name}` \| (.*) \|$", text, re.MULTILINE)
+        assert re.findall(r"`([^`]+)`", cells) == list(STAGES[name].writes), name
+    # the "Written by" column of the schema table
+    written_by = re.findall(r"^\| `([\w.]+)` \| `(\w+)` \|", text, re.MULTILINE)
+    assert written_by == [("embeddings.ids.jsonl", "index"), ("generations.jsonl", "generate")]
+    assert all(name in STAGES[writer].writes for name, writer in written_by)
 
 
 def test_index_rejects_out_of_range_embedding_as_backend_error(data_dir, capsys, monkeypatch):
@@ -225,7 +282,8 @@ def test_generate_index_shares_memory_with_the_loaded_file(data_dir, monkeypatch
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
     assert _generate(data_dir, out, "rapt") == 0
     _, matrix = returned["loaded"]
-    assert np.shares_memory(returned["index"]._matrix, matrix)
+    index, _ = returned["index"]
+    assert np.shares_memory(index._matrix, matrix)
 
 
 def test_generate_rapt_creates_records_only_for_hits(data_dir, monkeypatch):

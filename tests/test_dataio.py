@@ -311,14 +311,11 @@ def test_json_past_a_python_limit_is_a_data_error(tmp_path, schema, value, messa
 
 
 @pytest.mark.parametrize("schema", TABLE.values(), ids=TABLE)
-def test_a_missing_artifact_names_the_stage_that_writes_it(tmp_path, schema):
-    path = tmp_path / "missing.jsonl"
-    if schema.stage is None:
-        with pytest.raises(FileNotFoundError):
-            list(read_jsonl(path, schema))
-        return
-    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: missing; run the {schema.stage} command"):
-        list(read_jsonl(path, schema))
+def test_a_missing_file_is_not_found_under_every_schema(tmp_path, schema):
+    # the command line names the stage that writes a missing artifact
+    # (test_cli::test_a_missing_artifact_names_the_stage_that_writes_it)
+    with pytest.raises(FileNotFoundError):
+        list(read_jsonl(tmp_path / "missing.jsonl", schema))
 
 
 def test_write_jsonl_matches_json_dumps_per_row(tmp_path):

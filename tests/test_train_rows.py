@@ -169,7 +169,8 @@ def test_a_warm_read_returns_the_pairs_of_a_full_load(case, monkeypatch):
     by_id = {pair.id: pair for pair in dataio.load_pairs(run.train).pairs}
     # a warm read parses nothing but the cache
     monkeypatch.setattr(dataio, "load_pairs", None)
-    pair_of = dataio.index_pairs(run.train, ids, run.cache, run.out / "embeddings.bin")
+    train_sha256 = dataio.file_sha256(run.train)
+    pair_of = dataio.index_pairs(run.train, train_sha256, ids, run.cache, run.out / "embeddings.bin")
     assert [pair_of(row) for row in range(len(ids))] == [by_id[pair_id] for pair_id in ids]
 
 
