@@ -2,28 +2,39 @@
 
 The index keeps the (n, dim) rows exactly as given (``generate`` passes
 the read-only float32 view of ``embeddings.bin``, never copied) and one
-float64 norm per row, equal bit for bit to
-``float(np.linalg.norm(row.astype(np.float64)))``. A row's unit vector,
+screened float64 norm per row (below). A row's unit vector,
 ``row.astype(float64) / norm``, is formed only when the row is rescored
-or returned. Search is exact: corpora here are at most ~134K rows, where a
-brute-force scan is cheap and, unlike approximate structures,
-deterministic. Cosine similarity is the dot product of unit vectors; ties
-break by insertion order, and a query may exclude ids (a training item
-must not retrieve itself, or the prompt would contain its own answer).
+or returned, and its norm then is the exact one, equal bit for bit to
+``float(np.linalg.norm(row.astype(np.float64)))``. Search is exact:
+corpora here are at most ~134K rows, where a brute-force scan is cheap
+and, unlike approximate structures, deterministic. Cosine similarity is
+the dot product of unit vectors; ties break by insertion order, and a
+query may exclude ids (a training item must not retrieve itself, or the
+prompt would contain its own answer).
+
+Let u be the unit roundoff of the rows' dtype (eps / 2). The screen sums
+each row's squares in that dtype, which is within about dim * u of the
+exact sum in any summation order (Higham, Accuracy and Stability of
+Numerical Algorithms, 3.1), so its square root is within about
+dim * u / 2 of the norm. A sum that is not a normal number at least a
+factor 4 inside the dtype's range (or every sum, when dim * eps > 1/2)
+is replaced by the exact norm. So a screened row is neither zero, nor
+non-finite, nor guarded (below), by the exact norm too, and every
+verdict is the exact norm's.
 
 Queries are scored in blocks: one ``fl(Q_block) @ M.T`` product in the
 rows' dtype per block of at most ``SCORE_BLOCK_BYTES`` of scores, divided
-by the norms. That score only draws a shortlist. Let u be the unit
-roundoff of the rows' dtype (eps / 2). Rounding the unit query to that
-dtype moves a score by at most u, and any summation order keeps the
-product within about dim * u of its exact value (Higham, Accuracy and
-Stability of Numerical Algorithms, 3.1); BLAS also rounds a row by where
-it sits in the operand, so identical rows can score apart. A score is
-thus within about (dim + 1) * u of the row's cosine, and the float64
-similarity it stands for (below) within as much at most. A row of the
-exact top m, m = k + |exclude|, therefore trails the m-th largest score by
-at most about 4 * (dim + 1) * u, and the shortlist keeps every row within
-``4 * dim * eps`` (8 * dim * u) of it.
+in place by the screened norms. That score only draws a shortlist.
+Rounding the unit query to the dtype moves a score by at most u, the
+product stays within about dim * u of its exact value, the screened norm
+adds about dim * u / 2 and the division's rounding u; BLAS also rounds a
+row by where it sits in the operand, so identical rows can score apart.
+A score is thus within about (3 * dim / 2 + 2) * u of the row's cosine,
+and the float64 similarity it stands for (below) within (dim + 1) * u. A
+row of the exact top m, m = k + |exclude|, therefore trails the m-th
+largest score by at most about (5 * dim + 6) * u, and the threshold,
+rounded to the dtype, moves by u more; the shortlist keeps every row
+within ``4 * (dim + 1) * eps`` (8 * (dim + 1) * u) of it.
 
 The bound assumes no product underflows or overflows, which holds when a
 row's norm lies in [sqrt(tiny), sqrt(max)] of its dtype. Rows outside
@@ -32,26 +43,30 @@ are scored -inf for the threshold and always shortlisted.
 
 Each shortlisted row is rescored as a full scan would score it: its
 float64 unit vector times the float64 unit query, reduced along the row,
-a value that depends only on the row's values. Those are the returned similarities, and a stable
-sort on them gives the top k with ties in insertion order, identical
-vectors included.
+a value that depends only on the row's values. Those are the returned
+similarities, and a stable sort on them gives the top k with ties in
+insertion order, identical vectors included.
 
 Embedding files are binary (magic "RAPTEMB1", u32-LE count, u32-LE dim,
-then count*dim f32-LE values) with ids in a JSONL sidecar. The writer
-converts and writes ``_WRITE_CHUNK_ROWS`` rows at a time. The reader maps
-the file read-only and views its rows in place, so ``generate`` holds no
-copy of them; while a ``generate`` runs, the file must be replaced, never
-rewritten in place, or the mapped rows change under the index. This
-package's writer replaces it: the new file is written whole (never a
-partial file at the name, no fsync), the old one is unlinked, and the new
-one is renamed onto the free name. A mapping of the old file keeps its
-rows, and a failed write keeps the old file.
+then count*dim f32-LE values) with ids in a JSONL sidecar. The reader
+parses a sidecar spelled exactly as the writer spells it in one pass, and
+any other through ``read_jsonl``, which returns the same ids; a repeated
+id or a lone surrogate sends it there too, for its line-numbered message.
+The writer converts and writes ``_WRITE_CHUNK_ROWS`` rows at a time. The
+reader maps the file read-only and views its rows in place, so
+``generate`` holds no copy of them; while a ``generate`` runs, the file
+must be replaced, never rewritten in place, or the mapped rows change
+under the index. This package's writer replaces it: the new file is
+written whole (never a partial file at the name, no fsync), the old one
+is unlinked, and the new one is renamed onto the free name. A mapping of
+the old file keeps its rows, and a failed write keeps the old file.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import mmap
 import os
 import random
@@ -74,7 +89,7 @@ EMBEDDING_FILE = "embeddings.bin"
 # at least one query.
 SCORE_BLOCK_BYTES = 64 * 2**20
 
-# Rows upcast to float64 at a time while the norms are computed.
+# Rows upcast to float64 at a time while exact norms are computed.
 _NORM_CHUNK_ROWS = 256
 
 # Rows converted to float32 at a time while an embedding file is written.
@@ -90,7 +105,7 @@ class ExampleRecord:
 
 class RetrievalIndex:
     """Immutable exact-kNN store: the row ids, their (n, dim) rows as given,
-    one float64 norm per row and a row -> pair lookup.
+    one screened float64 norm per row and a row -> pair lookup.
 
     ``pair_of(row)`` makes a row's pair when the row is returned. ``matrix``
     is kept, not copied, when it is a C-contiguous float32 or float64
@@ -116,13 +131,14 @@ class RetrievalIndex:
             )
         if self._ids and matrix.shape[1] == 0:
             raise IndexBuildError(f"id {self._ids[0]!r}: vector has dimension 0")
-        seen: set[str] = set()
-        for rid in self._ids:
-            if rid in seen:
-                raise IndexBuildError(f"duplicate id {rid!r}")
-            seen.add(rid)
+        if len(set(self._ids)) != len(self._ids):
+            seen: set[str] = set()
+            for rid in self._ids:
+                if rid in seen:
+                    raise IndexBuildError(f"duplicate id {rid!r}")
+                seen.add(rid)
         self._matrix = matrix
-        self._norms = _row_norms(matrix)
+        self._norms = _screened_norms(matrix)
         bad = (self._norms == 0.0) | ~np.isfinite(self._norms)
         if bad.any():
             row = int(np.argmax(bad))
@@ -158,7 +174,7 @@ class RetrievalIndex:
 
     def _unit_rows(self, rows: np.ndarray | slice) -> np.ndarray:
         units = self._matrix[rows].astype(np.float64)
-        units /= self._norms[rows, None]
+        units /= _exact_norms(units)[:, None]
         return units
 
     def _record(self, row: int, unit: np.ndarray) -> ExampleRecord:
@@ -167,15 +183,31 @@ class RetrievalIndex:
         return ExampleRecord(id=self._ids[row], pair=self._pair_of(row), vector=vector)
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
+def _exact_norms(rows: np.ndarray) -> np.ndarray:
     """``float(np.linalg.norm(row.astype(np.float64)))`` for each row, bit
     for bit: a stacked vector @ vector matmul takes the same BLAS dot per
     row as ``linalg.norm``, whereas ``norm(axis=1)`` sums differently."""
-    squares = np.empty(matrix.shape[0])
-    for lo in range(0, matrix.shape[0], _NORM_CHUNK_ROWS):
-        rows = matrix[lo : lo + _NORM_CHUNK_ROWS].astype(np.float64)
-        np.matmul(rows[:, None, :], rows[:, :, None], out=squares[lo : lo + len(rows), None, None])
+    squares = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _NORM_CHUNK_ROWS):
+        chunk = rows[lo : lo + _NORM_CHUNK_ROWS].astype(np.float64, copy=False)
+        np.matmul(chunk[:, None, :], chunk[:, :, None], out=squares[lo : lo + len(chunk), None, None])
     return np.sqrt(squares, out=squares)
+
+
+def _screened_norms(matrix: np.ndarray) -> np.ndarray:
+    """Each row's float64 norm: the square root of its sum of squares in
+    the rows' dtype where that sum is at least 4 * tiny and at most max / 4,
+    and ``_exact_norms`` for every other row, or for every row when
+    dim * eps > 1/2; see the module docstring."""
+    finfo = np.finfo(matrix.dtype)
+    if matrix.shape[1] * finfo.eps > 0.5:
+        return _exact_norms(matrix)
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", matrix, matrix)
+    norms = np.sqrt(squares, dtype=np.float64)
+    rows = np.flatnonzero(~((squares >= 4 * finfo.tiny) & (squares <= finfo.max / 4)))
+    norms[rows] = _exact_norms(matrix[rows])
+    return norms
 
 
 def unit_normalize(vector: Sequence[float]) -> np.ndarray:
@@ -244,8 +276,10 @@ def query_knn_batch(
         block = np.stack(units[start : start + per_block])
         # only guarded rows can overflow, and their scores are not used
         with np.errstate(over="ignore"):
-            products = block.astype(matrix.dtype) @ matrix.T
-        for unit, row, exclude in zip(block, products, excludes[start : start + per_block]):
+            scores = block.astype(matrix.dtype) @ matrix.T
+            scores /= index._norms
+        scores[:, index._guarded] = -np.inf
+        for unit, row, exclude in zip(block, scores, excludes[start : start + per_block]):
             out.append(_top_k(index, unit, row, k, exclude))
     return out
 
@@ -253,19 +287,17 @@ def query_knn_batch(
 def _top_k(
     index: RetrievalIndex,
     unit: np.ndarray,
-    products: np.ndarray,
+    scores: np.ndarray,
     k: int,
     exclude: frozenset[str] | set[str],
 ) -> list[tuple[ExampleRecord, float]]:
-    """Exact top-k from one row of product scores; see the module docstring."""
+    """Exact top-k from one row of scores; see the module docstring."""
     m = k + len(exclude)
     if m >= len(index):
         candidates = np.arange(len(index))
     else:
-        scores = products / index._norms
-        scores[index._guarded] = -np.inf
         threshold = np.partition(scores, -m)[-m]
-        delta = 4 * index.dim * np.finfo(index._matrix.dtype).eps
+        delta = 4 * (index.dim + 1) * np.finfo(index._matrix.dtype).eps
         shortlist = scores >= threshold - delta
         shortlist[index._guarded] = True
         candidates = np.flatnonzero(shortlist)
@@ -338,11 +370,42 @@ def write_embeddings_binary(
     atomic_write_text(ids_path, sidecar)
 
 
+def _writer_spelled_ids(ids_path: str | Path) -> list[str] | None:
+    """The sidecar's ids in one pass when every row is spelled as
+    ``write_embeddings_binary`` spells it, no id repeats and none holds a
+    lone surrogate, for which ``read_jsonl`` returns the same ids; None
+    for any other file."""
+    text = Path(ids_path).read_bytes().decode("latin-1")
+    # the writer's rows, joined: head, the ids joined by sep, tail
+    head, sep, tail = '{"id": ', '}\n{"id": ', '}\n'
+    if not (text.isascii() and text.startswith(head) and text.endswith(tail)):
+        return None
+    body = text[len(head) : -len(tail)]
+    try:
+        ids = json.loads("[" + body.replace(sep, ",") + "]")
+        # a non-str id is a TypeError
+        if not ids or sep.join(map(encode_basestring_ascii, ids)) != body:
+            return None
+    except (ValueError, RecursionError, TypeError):
+        return None
+    if len(set(ids)) != len(ids):
+        return None
+    # the writer spells a surrogate, paired or not, as a \ud... escape
+    if "\\ud" in body:
+        try:
+            "".join(ids).encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    return ids
+
+
 def load_embeddings_binary(path: str | Path, ids_path: str | Path) -> tuple[list[str], np.ndarray]:
     """The sidecar ids, read first, and a read-only (count, dim) float32
     view of the file, mapped read-only. A missing file is a
     ``FileNotFoundError``; the CLI's stage table names its writer."""
-    ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
+    ids = _writer_spelled_ids(ids_path)
+    if ids is None:
+        ids = [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)]
     header_end = len(EMBEDDING_MAGIC) + 8
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size

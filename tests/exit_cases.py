@@ -302,6 +302,20 @@ CASES = [
          after={"out/embeddings.ids.jsonl": jsonl([{"id": "t0"}, {"id": None}, {"id": "t2"}, {"id": "t3"},
                                                    {"id": "t4"}])},
          stderr='data error: out/embeddings.ids.jsonl:2: "id" must be a string or an integer*'),
+    # the writer's spelling, whose fast read must still refuse a lone surrogate
+    Case(name="rapt-on-a-writer-spelled-sidecar-with-a-lone-surrogate-id", argv=f"{GENERATE} --mode rapt",
+         code=2, prep=(INDEX,), after=_ids("t0", "\\ud800", "t2", "t3", "t4"), absent=("out/generations.jsonl",),
+         stderr="data error: out/embeddings.ids.jsonl:2: a \\u escape names a lone surrogate, which is not text\n"),
+    # sidecars the writer would not spell, which read_jsonl accepts
+    *(Case(name=f"rapt-on-a-sidecar-{kind}", argv=f"{GENERATE} --mode rapt --k 1", code=0, prep=(INDEX,),
+           files=files, after={"out/embeddings.ids.jsonl": sidecar}, nonempty=("out/generations.jsonl",))
+      for kind, files, sidecar in [
+          ("without-a-space", {}, "".join(f'{{"id":"t{i}"}}\n' for i in range(5))),
+          ("with-crlf-line-ends", {}, "".join(f'{{"id": "t{i}"}}\r\n' for i in range(5))),
+          ("with-an-integer-id", {"train.jsonl": jsonl([{**TRAIN_ROWS[0], "id": 7}, *TRAIN_ROWS[1:]])},
+           '{"id": 7}\n' + "".join(f'{{"id": "t{i}"}}\n' for i in range(1, 5))),
+          ("with-a-blank-line", {}, "".join(f'{{"id": "t{i}"}}\n' for i in range(5)).replace("\n", "\n\n", 1)),
+      ]),
     Case(name="rapt-query-dimension-differs-from-the-index", argv=f"{GENERATE} --mode rapt", code=2,
          prep=(f"{INDEX} --embedding-url mock:hash?dim=8",),
          stderr="data error: *embeddings.bin*index dimension 8 != query dimension 16*"),

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 from paraprompt import retrieval
-from paraprompt.dataio import ParaphrasePair
+from paraprompt.dataio import EMBEDDING_IDS, DataFormatError, ParaphrasePair, read_jsonl
 from paraprompt.retrieval import (
     EMBEDDING_MAGIC,
     IndexBuildError,
@@ -98,13 +99,56 @@ def test_index_keeps_the_rows_as_given():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_norms_equal_per_row_linalg_norm(dtype):
+    # the exact norms, which every unit row (rescored, returned or in
+    # records) is divided by
     rng = np.random.default_rng(5)
     for dim in (1, 2, 7, 16, 17, 768):
         rows = rng.normal(size=(300, dim)) * 10.0 ** rng.integers(-30, 30, size=(300, 1))
         rows = rows.astype(dtype)
         index = build_index(entries_from(rows))
-        want = [float(np.linalg.norm(row.astype(np.float64))) for row in rows]
-        assert np.array_equal(index._norms, want)
+        want = np.array([float(np.linalg.norm(row.astype(np.float64))) for row in rows])
+        assert np.array_equal(retrieval._exact_norms(rows), want)
+        picked = rng.permutation(300)[:40]
+        assert np.array_equal(index._unit_rows(picked), rows[picked].astype(np.float64) / want[picked, None])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_the_norm_screen_gives_the_verdicts_of_the_exact_norms(dtype):
+    # zero, non-finite and guarded (outside [sqrt(tiny), sqrt(max)]) rows,
+    # judged on the screened norms and on the exact ones
+    finfo = np.finfo(dtype)
+    rng = np.random.default_rng(6)
+    for dim in (1, 2, 7, 768):
+        exponents = [-30, 30, *(finfo.minexp // 2 + np.arange(-3, 4)), *(finfo.maxexp // 2 + np.arange(-3, 4))]
+        scales = 10.0 ** rng.integers(-30, 31, size=200) * rng.choice([1.0, 1e-10, 1e10], size=200)
+        scales = np.concatenate([scales, 2.0 ** rng.choice(exponents, size=200)])
+        with np.errstate(over="ignore", under="ignore"):
+            rows = (rng.normal(size=(400, dim)) * scales[:, None]).astype(dtype)
+        # subnormal rows, a zero row and non-finite values
+        rows[:20] = rng.integers(-3, 4, size=(20, dim)) * finfo.smallest_subnormal
+        rows[20:30] = rng.normal(size=(10, dim)).astype(dtype) * finfo.smallest_normal
+        rows[30] = 0.0
+        rows[31, 0], rows[32, -1], rows[33, 0] = np.inf, -np.inf, np.nan
+        if dim > 1:
+            # a sum of squares that rounds up to tiny from just below it
+            tiny, eps = float(finfo.tiny), float(finfo.eps)
+            rows[34, :2] = [np.sqrt(tiny) * (1 - eps / 2), np.sqrt(0.75 * eps * tiny)]
+
+        def verdicts(norms):
+            return (norms == 0.0, ~np.isfinite(norms),
+                    (norms < np.sqrt(finfo.tiny)) | (norms > np.sqrt(finfo.max)))
+
+        with np.errstate(over="ignore"):
+            screened, exact = verdicts(retrieval._screened_norms(rows)), verdicts(retrieval._exact_norms(rows))
+        for got, want in zip(screened, exact):
+            assert np.array_equal(got, want)
+        assert all(want.any() for want in exact)
+
+
+def test_rows_too_long_for_the_screen_take_exact_norms():
+    # past dim * eps = 1/2 a float32 sum of squares may be off by half
+    rows = np.random.default_rng(7).normal(size=(1, 2**22 + 1)).astype(np.float32)
+    assert np.array_equal(retrieval._screened_norms(rows), retrieval._exact_norms(rows))
 
 
 @pytest.mark.parametrize("query", [query_knn, query_random])
@@ -401,6 +445,64 @@ def test_binary_sidecar_matches_json_dumps(tmp_path):
     write_embeddings_binary(tmp_path / "vectors.bin", ids_path, [(i, [1.0]) for i in ids])
     assert ids_path.read_bytes() == "".join(json.dumps({"id": i}) + "\n" for i in ids).encode("utf-8")
     assert load_embeddings_binary(tmp_path / "vectors.bin", ids_path)[0] == ids
+
+
+# ids a sidecar may hold: quotes, backslashes, non-ASCII, lone surrogates,
+# the writer's row separator and JSON punctuation
+SIDECAR_IDS = ["t0", "7", "", 'say "hi"', "back\\slash", "café", "\U0001f600", " \x85", "tab\tnew\nline",
+               "\ud800", "x\udc00", '}\n{"id": ', '"}\n{"id": "t0', "a, b", "[", "]", "\\u0041"]
+SIDECAR_SPELLINGS = [
+    lambda i: '{"id": %s}\n' % json.dumps(i),
+    lambda i: json.dumps({"id": i}, separators=(",", ":")) + "\n",
+    lambda i: json.dumps({"id": i}, ensure_ascii=False) + "\n",
+    lambda i: json.dumps({"id": i}) + "\r\n",
+    lambda i: "\n" + json.dumps({"id": i}) + "\n",
+    lambda i: re.sub(r"(?<=\\u)[0-9a-f]{4}", lambda hex4: hex4[0].upper(), json.dumps({"id": i})) + "\n",
+    lambda i: json.dumps({"id": int(i) if i.isdigit() else i}) + "\n",
+    lambda i: json.dumps({"id": i, "x": 1}) + "\n",
+    lambda i: json.dumps({"id": i}) + " \n",
+    lambda i: json.dumps({"id": i}),
+    lambda i: json.dumps({"id": i})[:-1] + "\n",
+]
+
+
+def test_the_sidecar_reads_as_read_jsonl_reads_it(tmp_path):
+    # A derandomized sample of sidecars, mostly in the writer's spelling:
+    # the same ids as read_jsonl, or its message.
+    def outcome(read):
+        try:
+            return read()
+        except DataFormatError as err:
+            return str(err)
+
+    rng = random.Random(39)
+    path, ids_path = tmp_path / "vectors.bin", tmp_path / "vectors.ids.jsonl"
+    fast = 0
+    for trial in range(600):
+        ids = [rng.choice(SIDECAR_IDS) for _ in range(rng.randint(1, 5))]
+        spellings = [SIDECAR_SPELLINGS[0] if trial % 2 else rng.choice(SIDECAR_SPELLINGS) for _ in ids]
+        text = "".join(spell(i) for spell, i in zip(spellings, ids))
+        ids_path.write_bytes(text.encode("utf-8", "surrogatepass"))
+        want = outcome(lambda: [row["id"] for row in read_jsonl(ids_path, EMBEDDING_IDS)])
+        count = len(want) if isinstance(want, list) else 0
+        path.write_bytes(EMBEDDING_MAGIC + np.array([count, 1], "<u4").tobytes() + bytes(4 * count))
+        assert outcome(lambda: load_embeddings_binary(path, ids_path)[0]) == want, text
+        fast += retrieval._writer_spelled_ids(ids_path) is not None
+    assert 100 < fast < 300
+
+
+def test_the_writers_sidecar_is_read_in_one_pass(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read_jsonl called")
+
+    monkeypatch.setattr(retrieval, "read_jsonl", refuse)
+    rng = random.Random(40)
+    path, ids_path = tmp_path / "vectors.bin", tmp_path / "vectors.ids.jsonl"
+    valid = [i for i in SIDECAR_IDS if "\ud800" not in i and "\udc00" not in i]
+    for _ in range(50):
+        ids = rng.sample(valid, rng.randint(1, len(valid)))
+        write_embeddings_binary(path, ids_path, [(i, [1.0]) for i in ids])
+        assert load_embeddings_binary(path, ids_path)[0] == ids
 
 
 def test_a_mapped_index_keeps_its_rows_when_the_file_is_rewritten(tmp_path):
