@@ -14,7 +14,7 @@ Of the names exported here, only the four from ``retrieval``
 (``RetrievalIndex``, ``build_index``, ``query_knn``, ``query_random``)
 need numpy, and only ``index`` and ``generate`` use them. They load
 ``retrieval`` on first access and are then cached, so ``import
-paraprompt`` loads neither numpy nor ``requests`` and each CLI stage
+paraprompt`` loads neither numpy nor ``http.client`` and each CLI stage
 pays start-up only for the modules it runs.
 """
 

@@ -22,34 +22,29 @@ embeddings. Transport failures are retried up to the configured limit;
 malformed responses never are. A completion is the text the service
 returned; ``parse_completion`` reads it.
 
-numpy loads on the first ``embed`` and ``requests`` on the first HTTP
-request, so a command that uses neither does not pay to import them.
+Each HTTP attempt is one ``http.client`` connection; proxies are not
+read and redirects are not followed. numpy loads on the first ``embed``
+and ``http.client`` on the first HTTP request, so a command that uses
+neither does not pay to import them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import json as jsonlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Protocol, Sequence
-from urllib.parse import parse_qs
+from urllib.parse import parse_qs, urlsplit, urlunsplit
 
 from .textcore import DEFAULT_NORMALIZATION, NormalizationConfig, TokenSeq, normalize, render
 from .promptkit import DECODE_MARGIN, SegmentKind
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def __getattr__(name: str):
-    # ``paraprompt.backend.requests`` stays reachable, so ``requests.post``
-    # can be patched through this module without an eager import
-    if name == "requests":
-        import requests
-        return requests
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BackendError(RuntimeError):
@@ -176,18 +171,17 @@ class HttpBackend:
         self.config = config
 
     def _post(self, url: str, payload: dict) -> dict:
-        import requests
+        import http.client
         last_error: Exception | None = None
         for _ in range(self.config.retry_limit):
             try:
                 response = requests.post(url, json=payload, timeout=self.config.timeout)
-            except (requests.ConnectionError, requests.Timeout) as err:
+            except (ValueError, http.client.InvalidURL) as err:
+                # an unusable URL, never retried; InvalidURL is an HTTPException
+                raise BackendError(f"request to {url!r} failed: {err}") from None
+            except (OSError, http.client.HTTPException) as err:
                 last_error = err
                 continue
-            except requests.RequestException as err:
-                # an unusable URL and the like; main would read requests'
-                # errors, which are OSErrors, as data errors
-                raise BackendError(f"request to {url!r} failed: {err}") from None
             body = _json_object(response)
             if response.status_code == 413 or (
                 response.status_code >= 400 and (body or {}).get("error") == "prompt_too_long"
@@ -195,7 +189,7 @@ class HttpBackend:
                 # a count that is not a JSON integer (true is a bool) is unknown
                 count = (body or {}).get("token_count")
                 raise PromptBudgetError(count if type(count) is int else None)
-            if response.status_code >= 400:
+            if response.status_code >= 300:  # redirects are not followed
                 raise BackendError(
                     f"{url} answered HTTP {response.status_code}: {response.text[:200]}"
                 )
@@ -247,6 +241,47 @@ class HttpBackend:
         if not -limit <= matrix.min() <= matrix.max() <= limit:
             raise BackendError("embedding values must be finite and in float32 range")
         return list(matrix)
+
+
+@dataclass(frozen=True)
+class _Reply:
+    status_code: int
+    content: bytes
+
+    @property
+    def text(self) -> str:
+        return self.content.decode("utf-8", "replace")
+
+    def json(self):
+        return jsonlib.loads(self.content)
+
+
+def _http_post(url: str, json: dict, timeout: float) -> _Reply:
+    """POST ``json`` to ``url`` on a connection of its own. An unusable URL raises
+    ``ValueError`` or ``InvalidURL``; a failed transport, another ``OSError`` or ``HTTPException``."""
+    import http.client
+    import ssl
+    parts = urlsplit(url)  # a broken IPv6 literal is a ValueError
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError("not an http or https URL with a host")
+    https = parts.scheme == "https"
+    kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    port = kind.default_port if parts.port is None else parts.port  # a bad port is a ValueError
+    conn = kind(parts.hostname, port, timeout=timeout,
+                **({"context": ssl.create_default_context()} if https else {}))
+    try:
+        conn.request("POST", urlunsplit(("", "", parts.path or "/", parts.query, "")),
+                     body=jsonlib.dumps(json, allow_nan=False).encode(),
+                     headers={"Content-Type": "application/json", "Connection": "close"})
+        response = conn.getresponse()
+        return _Reply(response.status, response.read())
+    finally:
+        conn.close()
+
+
+# ``_post`` calls the attempt here, where the benchmark's tracer wraps it and tests
+# patch it; the name stays until that tracer is retired (ROADMAP item 2b).
+requests = SimpleNamespace(post=_http_post)
 
 
 def _json_object(response) -> dict | None:

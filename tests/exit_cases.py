@@ -217,6 +217,11 @@ CASES = [
            stderr=f"backend error: *{named}*")
       for kind, url, named in [("no-scheme", "localhost:1/embed", "localhost:1/embed"),
                                ("no-host", "http://", "'http://'"), ("ftp", "ftp://x/embed", "ftp://x/embed")]),
+    # ... also when only http.client would find the fault; none is retried
+    *(Case(name=f"index-url-{kind}", argv=f"index --train train.jsonl --out out --embedding-url '{url}'", code=3,
+           stderr=f"backend error: request to '{url}' failed: *")
+      for kind, url in [("bad-port", "http://x:abc/embed"), ("broken-ipv6", "http://[::1/embed"),
+                        ("space", "http://x/em bed")]),
     # input files: text that is not UTF-8, fields of the wrong type, JSON past a Python limit
     Case(name="label-train-not-utf8", argv="label --train latin1.jsonl --out out", code=2,
          stderr="data error: latin1.jsonl: not UTF-8 text*", absent=("out/labeled.jsonl",),

@@ -1,4 +1,7 @@
 import json
+import socket
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -144,13 +147,11 @@ class _FakeResponse:
 
 
 def test_http_transport_error_after_retries(monkeypatch):
-    import requests as requests_lib
-
     calls = {"n": 0}
 
     def failing_post(*args, **kwargs):
         calls["n"] += 1
-        raise requests_lib.ConnectionError("refused")
+        raise ConnectionRefusedError("refused")
 
     monkeypatch.setattr("paraprompt.backend.requests.post", failing_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
@@ -324,3 +325,104 @@ def test_config_validation():
     for timeout in (0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="timeout must be > 0 and finite"):
             BackendConfig(timeout=timeout)
+
+
+# The real transport against a loopback server. Each path answers as
+# REPLIES says; "/drop-once" closes its first connection with no reply.
+REPLIES = {
+    "/ok": (200, {}, b'{"text": "hi", "token_count": 1}'),
+    "/over": (413, {}, b'{"token_count": 4096}'),
+    "/fail": (500, {}, b"boom " * 100),
+    "/moved": (302, {"Location": "/ok"}, b""),
+}
+
+
+class _Loopback(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):  # noqa: A002 - quiet access log
+        pass
+
+    def do_POST(self):
+        seen = self.server.seen
+        seen.append((self.path, self.headers, self.rfile.read(int(self.headers["Content-Length"]))))
+        path = self.path.partition("?")[0]
+        if path == "/drop-once" and [p for p, _, _ in seen].count(self.path) == 1:
+            self.close_connection = True
+            return
+        status, headers, body = REPLIES.get(path, REPLIES["/ok"])
+        self.send_response(status)
+        for name, value in {**headers, "Content-Length": str(len(body))}.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture(scope="module")
+def _loopback_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Loopback)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def loopback(_loopback_server):
+    """The loopback server's base URL and the (path, headers, body) of
+    every request it gets during the test."""
+    _loopback_server.seen = []
+    return f"http://127.0.0.1:{_loopback_server.server_port}", _loopback_server.seen
+
+
+def _http(url, retry_limit=2):
+    return HttpBackend(BackendConfig(generation_url=url, retry_limit=retry_limit, timeout=5))
+
+
+def test_loopback_first_attempt_closed_with_no_reply_is_retried(loopback):
+    base, seen = loopback
+    assert _http(f"{base}/drop-once").generate(_manual("p")) == "hi"
+    assert [path for path, _, _ in seen] == ["/drop-once", "/drop-once"]
+
+
+def test_loopback_budget_rejection_surfaces_n(loopback):
+    base, _ = loopback
+    with pytest.raises(PromptBudgetError) as err:
+        _http(f"{base}/over").generate(_manual("p"))
+    assert err.value.prompt_tokens == 4096
+
+
+def test_loopback_server_error_quotes_the_body(loopback):
+    base, seen = loopback
+    with pytest.raises(BackendError, match=f"^{base}/fail answered HTTP 500: (boom ){{40}}$"):
+        _http(f"{base}/fail").generate(_manual("p"))
+    assert len(seen) == 1
+
+
+def test_loopback_redirect_is_a_backend_error_and_not_followed(loopback):
+    base, seen = loopback
+    with pytest.raises(BackendError, match="answered HTTP 302"):
+        _http(f"{base}/moved").generate(_manual("p"))
+    assert [path for path, _, _ in seen] == ["/moved"]
+
+
+def test_loopback_refused_port_is_unreachable_after_retries():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]  # free, and nothing listens once closed
+    with pytest.raises(BackendError, match="unreachable after 3 attempts: .*refused"):
+        _http(f"http://127.0.0.1:{port}/gen", retry_limit=3).generate(_manual("p"))
+
+
+def test_loopback_wire_bytes_headers_and_query(loopback):
+    base, seen = loopback
+    request = _manual("p é", request_id="q1")
+    _http(f"{base}/ok?model=m&x=1").generate(request)
+    [(path, headers, body)] = seen
+    assert path == "/ok?model=m&x=1"
+    assert body == json.dumps({"prompt": request.prompt, "max_new_tokens": 100, "stop": ["\n"],
+                               "request_id": "q1", "layout": request.layout_json},
+                              allow_nan=False).encode()
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"

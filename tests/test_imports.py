@@ -1,4 +1,4 @@
-"""Import layering: the stages that need neither numpy nor ``requests``
+"""Import layering: the stages that need neither numpy nor ``http.client``
 must not load them. pytest itself has numpy loaded, so each check that
 a module is absent runs in a fresh interpreter."""
 
@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-import requests
 
 import paraprompt
 from paraprompt import backend, dataio, novelty, promptkit, retrieval, textcore
@@ -17,7 +16,7 @@ from paraprompt.cli import main
 from test_cli import TEST_ROWS, TRAIN_ROWS, write_jsonl
 
 SRC = Path(paraprompt.__file__).resolve().parents[1]
-HEAVY = ("numpy", "requests")
+HEAVY = ("numpy", "http.client")
 
 
 def _python(*args, cwd=None):
@@ -80,7 +79,7 @@ def test_every_public_name_is_its_submodule_object():
 
 
 def test_lazy_attributes_keep_their_objects():
-    assert backend.requests is requests
+    assert backend.requests.post is backend._http_post
     assert retrieval.IndexBuildError is dataio.IndexBuildError
     with pytest.raises(AttributeError):
         backend.not_a_name
