@@ -16,6 +16,8 @@ slots; text-only backends ignore the key. Prompts that exceed the
 backend's budget come back as HTTP 413 (or a "prompt_too_long" error
 body) and surface as ``PromptBudgetError`` carrying the token count.
 
+``embed_all`` sends at most ``EMBED_BATCH`` texts per embedding request,
+one after another, so a service must give a text the same vector in any batch.
 URLs with the "mock:" scheme select the in-process deterministic mock,
 e.g. "mock:echo?seed=1" for generation or "mock:hash?dim=16" for
 embeddings. Transport failures are retried up to the configured limit;
@@ -23,7 +25,7 @@ malformed responses never are. A completion is the text the service
 returned; ``parse_completion`` reads it.
 
 Each HTTP attempt is one ``http.client`` connection; proxies are not
-read and redirects are not followed. numpy loads on the first ``embed``
+read and redirects are not followed. numpy loads on the first embedding
 and ``http.client`` on the first HTTP request, so a command that uses
 neither does not pay to import them.
 """
@@ -331,6 +333,29 @@ def generate_batch(
         return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(backend.generate, requests_list))
+
+
+# Texts per embedding request: a stage holds one batch's reply, not the corpus's.
+EMBED_BATCH = 64
+
+
+def embed_all(embedder: EmbeddingBackend, texts: Sequence[str], dtype="float64") -> np.ndarray:
+    """The texts' vectors as one ``(len(texts), dim)`` matrix of ``dtype``, from one
+    ``embed`` call per ``EMBED_BATCH`` texts in order, each reply copied in as it comes."""
+    import numpy as np
+    matrix = None
+    for lo in range(0, max(len(texts), 1), EMBED_BATCH):  # no texts: embed's ValueError
+        batch = texts[lo : lo + EMBED_BATCH]
+        vectors = embedder.embed(batch)
+        if len(vectors) != len(batch):
+            raise BackendError(f"{len(vectors)} vectors for {len(batch)} texts")
+        if matrix is None:
+            matrix = np.empty((len(texts), len(vectors[0])), dtype)
+        dim = next((len(v) for v in vectors if len(v) != matrix.shape[1]), None)
+        if dim is not None:
+            raise BackendError(f"embedding batches differ in dim: {matrix.shape[1]} then {dim}")
+        matrix[lo : lo + len(batch)] = vectors
+    return matrix
 
 
 def parse_completion(completion: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> TokenSeq:

@@ -171,7 +171,8 @@ def cmd_index(config: PipelineConfig) -> int:
     if not pairs:
         raise dataio.DataFormatError(train_path, None, "no pairs to index")
     embedder = backend_mod.make_embedding_backend(config.backend)
-    vectors = embedder.embed([p.source for p in pairs])
+    # float32 as the file stores them, so index refuses what generate would
+    vectors = backend_mod.embed_all(embedder, [p.source for p in pairs], "float32")
     index = retrieval.RetrievalIndex([p.id for p in pairs], vectors, pairs.__getitem__)
     emb_path = out_dir / retrieval.EMBEDDING_FILE
     entries = [(p.id, vector) for p, vector in zip(pairs, vectors)]
@@ -212,7 +213,7 @@ def _retrieve(
     if not queries:
         return []
     embedder = backend_mod.make_embedding_backend(config.backend)
-    vectors = embedder.embed([pair.source for _, pair, _ in queries])
+    vectors = backend_mod.embed_all(embedder, [pair.source for _, pair, _ in queries])
     if len(vectors[0]) != index.dim:
         raise dataio.DataFormatError(
             Path(config.out_dir) / retrieval.EMBEDDING_FILE, None,
@@ -368,10 +369,9 @@ def cmd_eval(config: PipelineConfig) -> int:
     vector_pairs = None
     if config.semantic:
         embedder = backend_mod.make_embedding_backend(config.backend)
-        # One request, sources first, so the backend's shape check covers
-        # every vector. Empty predictions have no meaningful embedding; an
-        # all-zero vector stands in, so the metric excludes and tallies them.
-        vectors = embedder.embed([src for src, _ in texts] + [pred for _, pred in texts if pred])
+        # Sources, then the non-empty predictions; an empty prediction has no meaningful
+        # embedding, so an all-zero vector stands in and the metric excludes and tallies it.
+        vectors = backend_mod.embed_all(embedder, [s for s, _ in texts] + [p for _, p in texts if p])
         embedded = iter(vectors[len(texts):])
         zero = vectors[0] * 0.0
         vector_pairs = [(v, next(embedded) if pred else zero) for v, (_, pred) in zip(vectors, texts)]

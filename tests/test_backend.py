@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from paraprompt.backend import (
+    EMBED_BATCH,
     BackendConfig,
     BackendError,
     CompletionParseError,
@@ -14,6 +15,7 @@ from paraprompt.backend import (
     HttpBackend,
     MockBackend,
     PromptBudgetError,
+    embed_all,
     generate_batch,
     make_embedding_backend,
     make_generation_backend,
@@ -247,6 +249,110 @@ def test_http_embed_accepts_float32_extremes(monkeypatch):
     assert backend.embed(["a"])[0].tolist() == [big, -big, 1e-45]
 
 
+def _text_vector(text, dim=3):
+    """A vector that depends on the text alone, so any batching gives the same rows."""
+    return [float(len(text)), float(sum(map(ord, text)) % 97)] + [0.5] * (dim - 2)
+
+
+def _batch_post(sent, dim_of=lambda batch_number: 3):
+    """A patched transport that records each request's texts and answers each
+    text with ``_text_vector`` at the dim ``dim_of`` gives its request."""
+    def post(url, json, timeout):
+        sent.append(json["texts"])
+        dim = dim_of(len(sent) - 1)
+        return _FakeResponse(body={"vectors": [_text_vector(text, dim) for text in json["texts"]]})
+    return post
+
+
+def test_embed_all_sends_bounded_batches_in_order(monkeypatch):
+    sent = []
+    monkeypatch.setattr("paraprompt.backend.requests.post", _batch_post(sent))
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH + 1)]
+    matrix = embed_all(backend, texts)
+    assert EMBED_BATCH == 64
+    assert sent == [texts[:64], texts[64:128], texts[128:]]
+    assert matrix.dtype == np.float64 and matrix.shape == (len(texts), 3)
+    sent.clear()
+    assert np.array_equal(matrix, np.array([backend.embed([text])[0] for text in texts]))
+    assert len(sent) == len(texts)
+    assert embed_all(backend, texts, "float32").tobytes() == matrix.astype(np.float32).tobytes()
+
+
+def test_embed_all_later_batch_of_another_dim_is_a_backend_error(monkeypatch):
+    sent = []
+    monkeypatch.setattr("paraprompt.backend.requests.post",
+                        _batch_post(sent, lambda batch_number: 3 if batch_number == 0 else 5))
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    with pytest.raises(BackendError, match="^embedding batches differ in dim: 3 then 5$"):
+        embed_all(backend, [f"t{i}" for i in range(EMBED_BATCH + 1)])
+    assert [len(texts) for texts in sent] == [64, 1]
+
+
+def test_index_exits_3_when_a_later_batch_has_another_dim(tmp_path, monkeypatch, capsys):
+    from paraprompt.cli import main
+
+    monkeypatch.setattr("paraprompt.backend.requests.post",
+                        _batch_post([], lambda batch_number: 3 if batch_number == 0 else 4))
+    train = tmp_path / "train.jsonl"
+    train.write_text("".join(json.dumps({"id": f"r{i}", "source": f"row {i}", "target": "t"}) + "\n"
+                             for i in range(EMBED_BATCH + 1)))
+    out = tmp_path / "out"
+    assert main(["index", "--train", str(train), "--out", str(out),
+                 "--embedding-url", "http://x/emb"]) == 3
+    assert capsys.readouterr().err == "backend error: embedding batches differ in dim: 3 then 4\n"
+    assert not (out / "embeddings.bin").exists()
+
+
+def test_embed_all_batch_with_the_wrong_vector_count_is_a_backend_error(monkeypatch):
+    # HttpBackend checks each reply's row count itself ...
+    monkeypatch.setattr("paraprompt.backend.requests.post",
+                        lambda url, json, timeout: _FakeResponse(body={"vectors": [[1.0]]}))
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    with pytest.raises(BackendError, match=r"^vectors of shape \(1, 1\) for 2 texts$"):
+        embed_all(backend, ["a", "b"])
+
+    # ... and embed_all checks any other embedder's batches
+    class Short:
+        def embed(self, texts):
+            return [np.ones(2)] * (len(texts) - (len(texts) < EMBED_BATCH))
+
+    with pytest.raises(BackendError, match="^0 vectors for 1 texts$"):
+        embed_all(Short(), ["x"] * (EMBED_BATCH + 1))
+
+
+def test_embed_all_holds_one_batch_reply_at_a_time(monkeypatch):
+    import tracemalloc
+
+    dim, n = 768, 16 * EMBED_BATCH
+    row = json.dumps([round(0.1 + i / 7919, 9) for i in range(dim)]).encode()
+
+    class Reply:
+        status_code = 200
+
+        def __init__(self, count):
+            self.content = b'{"vectors": [' + b", ".join([row] * count) + b"]}"
+
+        def json(self):
+            return json.loads(self.content)
+
+    monkeypatch.setattr("paraprompt.backend.requests.post",
+                        lambda url, json, timeout: Reply(len(json["texts"])))
+    backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
+    texts = [f"t{i}" for i in range(n)]
+    embed_all(backend, texts[:1])  # imports numpy and http.client outside the measurement
+    tracemalloc.start()
+    try:
+        matrix = embed_all(backend, texts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (n, dim)
+    # one batch's reply and its decoded lists take about 3 MB; decoding one
+    # whole reply at once would take about 38 MB
+    assert peak < matrix.nbytes + 5 * 2**20
+
+
 # Replies that parse as JSON but not as the agreed shape, each with the kind
 # of error it must raise: a PromptBudgetError, whose unusable token count
 # becomes None, or, for any other malformed response, a plain BackendError.
@@ -335,6 +441,7 @@ REPLIES = {
     "/fail": (500, {}, b"boom " * 100),
     "/moved": (302, {"Location": "/ok"}, b""),
 }
+# "/embed" answers each text with _text_vector.
 
 
 class _Loopback(BaseHTTPRequestHandler):
@@ -351,6 +458,9 @@ class _Loopback(BaseHTTPRequestHandler):
             self.close_connection = True
             return
         status, headers, body = REPLIES.get(path, REPLIES["/ok"])
+        if path == "/embed":
+            texts = json.loads(seen[-1][2])["texts"]
+            body = json.dumps({"vectors": [_text_vector(text) for text in texts]}).encode()
         self.send_response(status)
         for name, value in {**headers, "Content-Length": str(len(body))}.items():
             self.send_header(name, value)
@@ -426,3 +536,12 @@ def test_loopback_wire_bytes_headers_and_query(loopback):
                               allow_nan=False).encode()
     assert headers["Content-Type"] == "application/json"
     assert headers["Connection"] == "close"
+
+
+def test_loopback_embed_all_sends_one_request_per_batch(loopback):
+    base, seen = loopback
+    backend = HttpBackend(BackendConfig(embedding_url=f"{base}/embed", timeout=5))
+    texts = [f"text {i}" for i in range(2 * EMBED_BATCH + 1)]
+    matrix = embed_all(backend, texts)
+    assert [json.loads(body)["texts"] for _, _, body in seen] == [texts[:64], texts[64:128], texts[128:]]
+    assert matrix.tolist() == [_text_vector(text) for text in texts]

@@ -468,6 +468,22 @@ def test_zero_norm_query_vector_is_a_data_error(data_dir, capsys, monkeypatch):
     assert not (out / "generations.jsonl").exists()
 
 
+def test_index_refuses_a_vector_that_is_zero_in_float32(data_dir, capsys, monkeypatch):
+    # 1e-46 is not 0 in float64 but rounds to 0 in the float32 file, which
+    # generate would refuse; index refuses it first and writes no file
+    from paraprompt.backend import MockBackend
+
+    embed = MockBackend.embed
+    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: [
+        np.full_like(vector, 1e-46) if text == TRAIN_ROWS[1]["source"] else vector
+        for text, vector in zip(texts, embed(self, texts))
+    ])
+    out = data_dir / "out"
+    assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 2
+    assert capsys.readouterr().err == "data error: id 't1': zero-norm vector\n"
+    assert not (out / "embeddings.bin").exists()
+
+
 @pytest.mark.parametrize("mode", ["rapt", "ncrapt"])
 def test_generate_retrieval_mode_on_empty_test_file(data_dir, capsys, mode):
     out = data_dir / "out"
