@@ -24,7 +24,8 @@ embeddings. Transport failures are retried up to the configured limit;
 malformed responses never are. A completion is the text the service
 returned; ``parse_completion`` reads it.
 
-Each HTTP attempt is one ``http.client`` connection; proxies are not
+Each HTTP attempt is one ``http.client`` connection, read as its status
+and body bytes; https attempts share one TLS context, proxies are not
 read and redirects are not followed. numpy loads on the first embedding
 and ``http.client`` on the first HTTP request, so a command that uses
 neither does not pay to import them.
@@ -32,6 +33,7 @@ neither does not pay to import them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json as jsonlib
@@ -105,7 +107,7 @@ class GenerationBackend(Protocol):
 
 
 class EmbeddingBackend(Protocol):
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]: ...
+    def embed(self, texts: Sequence[str]) -> np.ndarray: ...  # (len(texts), dim) float64
 
 
 class MockBackend:
@@ -152,7 +154,7 @@ class MockBackend:
             random.Random(int(digest[:16], 16)).shuffle(tokens)
         return render(tokens)
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             raise ValueError("embed needs at least one text")
         import numpy as np
@@ -163,7 +165,7 @@ class MockBackend:
             vec = np.array([rng.gauss(0.0, 1.0) for _ in range(self.dim)])
             norm = float(np.linalg.norm(vec))
             out.append(vec / norm if norm else vec + 1.0 / self.dim**0.5)
-        return out
+        return np.array(out)
 
 
 class HttpBackend:
@@ -177,25 +179,26 @@ class HttpBackend:
         last_error: Exception | None = None
         for _ in range(self.config.retry_limit):
             try:
-                response = requests.post(url, json=payload, timeout=self.config.timeout)
+                status, content = requests.post(url, json=payload, timeout=self.config.timeout)
             except (ValueError, http.client.InvalidURL) as err:
                 # an unusable URL, never retried; InvalidURL is an HTTPException
                 raise BackendError(f"request to {url!r} failed: {err}") from None
             except (OSError, http.client.HTTPException) as err:
                 last_error = err
                 continue
-            body = _json_object(response)
-            if response.status_code == 413 or (
-                response.status_code >= 400 and (body or {}).get("error") == "prompt_too_long"
-            ):
+            try:
+                body = jsonlib.loads(content)
+            except (ValueError, RecursionError):  # RecursionError: nested past the parser's limit
+                body = None
+            fields = body if isinstance(body, dict) else {}
+            if status == 413 or (status >= 400 and fields.get("error") == "prompt_too_long"):
                 # a count that is not a JSON integer (true is a bool) is unknown
-                count = (body or {}).get("token_count")
+                count = fields.get("token_count")
                 raise PromptBudgetError(count if type(count) is int else None)
-            if response.status_code >= 300:  # redirects are not followed
-                raise BackendError(
-                    f"{url} answered HTTP {response.status_code}: {response.text[:200]}"
-                )
-            if body is None:
+            if status >= 300:  # redirects are not followed
+                text = content.decode("utf-8", "replace")
+                raise BackendError(f"{url} answered HTTP {status}: {text[:200]}")
+            if not isinstance(body, dict):
                 raise BackendError(f"{url} returned a body that is not a JSON object")
             return body
         raise BackendError(f"{url} unreachable after {self.config.retry_limit} attempts: {last_error}")
@@ -215,7 +218,7 @@ class HttpBackend:
             )
         return body["text"]
 
-    def embed(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             raise ValueError("embed needs at least one text")
         body = self._post(
@@ -242,27 +245,20 @@ class HttpBackend:
         limit = np.finfo(np.float32).max
         if not -limit <= matrix.min() <= matrix.max() <= limit:
             raise BackendError("embedding values must be finite and in float32 range")
-        return list(matrix)
+        return matrix
 
 
-@dataclass(frozen=True)
-class _Reply:
-    status_code: int
-    content: bytes
-
-    @property
-    def text(self) -> str:
-        return self.content.decode("utf-8", "replace")
-
-    def json(self):
-        return jsonlib.loads(self.content)
-
-
-def _http_post(url: str, json: dict, timeout: float) -> _Reply:
-    """POST ``json`` to ``url`` on a connection of its own. An unusable URL raises
-    ``ValueError`` or ``InvalidURL``; a failed transport, another ``OSError`` or ``HTTPException``."""
-    import http.client
+@functools.cache
+def _tls_context():
+    """The one verifying TLS context of every https attempt: building one loads the CA store."""
     import ssl
+    return ssl.create_default_context()
+
+
+def _http_post(url: str, json: dict, timeout: float) -> tuple[int, bytes]:
+    """``(status, body)`` of a POST of ``json`` to ``url`` on a connection of its own. An unusable
+    URL raises ``ValueError`` or ``InvalidURL``; a failed transport, ``OSError`` or ``HTTPException``."""
+    import http.client
     parts = urlsplit(url)  # a broken IPv6 literal is a ValueError
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError("not an http or https URL with a host")
@@ -270,28 +266,20 @@ def _http_post(url: str, json: dict, timeout: float) -> _Reply:
     kind = http.client.HTTPSConnection if https else http.client.HTTPConnection
     port = kind.default_port if parts.port is None else parts.port  # a bad port is a ValueError
     conn = kind(parts.hostname, port, timeout=timeout,
-                **({"context": ssl.create_default_context()} if https else {}))
+                **({"context": _tls_context()} if https else {}))
     try:
         conn.request("POST", urlunsplit(("", "", parts.path or "/", parts.query, "")),
                      body=jsonlib.dumps(json, allow_nan=False).encode(),
                      headers={"Content-Type": "application/json", "Connection": "close"})
         response = conn.getresponse()
-        return _Reply(response.status, response.read())
+        return response.status, response.read()
     finally:
         conn.close()
 
 
-# ``_post`` calls the attempt here, where the benchmark's tracer wraps it and tests
-# patch it; the name stays until that tracer is retired (ROADMAP item 2b).
+# ``_post`` calls the attempt here, where the benchmark's tracer wraps it and tests patch
+# it with ``(status, body)`` fakes; the name stays until that tracer is retired (ROADMAP item 2b).
 requests = SimpleNamespace(post=_http_post)
-
-
-def _json_object(response) -> dict | None:
-    try:
-        body = response.json()
-    except ValueError:
-        return None
-    return body if isinstance(body, dict) else None
 
 
 def _mock_options(url: str, modes: Sequence[str], names: Sequence[str]) -> tuple[str, dict]:
@@ -329,8 +317,6 @@ def generate_batch(
     max_in_flight: int,
 ) -> list[str]:
     """Run requests concurrently (bounded), returning completions in order."""
-    if not requests_list:
-        return []
     with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
         return list(pool.map(backend.generate, requests_list))
 
@@ -349,10 +335,10 @@ def embed_all(embedder: EmbeddingBackend, texts: Sequence[str], dtype="float64")
         vectors = embedder.embed(batch)
         if len(vectors) != len(batch):
             raise BackendError(f"{len(vectors)} vectors for {len(batch)} texts")
+        dim = vectors.shape[1]
         if matrix is None:
-            matrix = np.empty((len(texts), len(vectors[0])), dtype)
-        dim = next((len(v) for v in vectors if len(v) != matrix.shape[1]), None)
-        if dim is not None:
+            matrix = np.empty((len(texts), dim), dtype)
+        elif dim != matrix.shape[1]:
             raise BackendError(f"embedding batches differ in dim: {matrix.shape[1]} then {dim}")
         matrix[lo : lo + len(batch)] = vectors
     return matrix

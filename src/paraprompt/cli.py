@@ -36,8 +36,7 @@ CHOICES = {
     "query_class": tuple(c.label for c in novelty.NoveltyClass),
 }
 
-# GPT2 context is 1024; keep n + decode margin inside it by default.
-DEFAULT_MAX_PROMPT_TOKENS = 1024 - promptkit.DECODE_MARGIN
+DEFAULT_MAX_PROMPT_TOKENS = paramcount.POSITIONS - promptkit.DECODE_MARGIN
 
 
 class UsageError(ValueError):

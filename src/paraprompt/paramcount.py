@@ -26,7 +26,7 @@ from .novelty import NoveltyClass
 from .promptkit import SlotSpec
 
 VOCAB = 50_257  # GPT2's token vocabulary; the tied head reuses its embedding
-POSITIONS = 1_024
+POSITIONS = 1_024  # GPT2's context length; a prompt and its decode margin fit inside it
 ADAPTER_BOTTLENECK = 512
 LORA_RANK = 8
 LORA_TARGETS = 2  # the query and value projections

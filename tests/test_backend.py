@@ -136,16 +136,9 @@ def test_empty_prompt_rejected():
         GenerationRequest(prompt="", layout_json={})
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no json")
-        return self._body
+def _reply(body, status=200):
+    """What a patched transport returns: the status and the body as JSON bytes."""
+    return status, json.dumps(body).encode()
 
 
 def test_http_transport_error_after_retries(monkeypatch):
@@ -167,7 +160,7 @@ def test_http_malformed_response_not_retried(monkeypatch):
 
     def bad_post(*args, **kwargs):
         calls["n"] += 1
-        return _FakeResponse(body={"unexpected": 1})
+        return _reply({"unexpected": 1})
 
     monkeypatch.setattr("paraprompt.backend.requests.post", bad_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", retry_limit=3))
@@ -184,7 +177,7 @@ def test_http_success_and_stop_truncation(monkeypatch):
 
     def ok_post(url, json=None, timeout=None, headers=None):
         sent.append(json)
-        return _FakeResponse(body={"text": "abc\ndef", "token_count": 2})
+        return _reply({"text": "abc\ndef", "token_count": 2})
 
     monkeypatch.setattr("paraprompt.backend.requests.post", ok_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
@@ -199,7 +192,7 @@ def test_http_success_and_stop_truncation(monkeypatch):
 def test_http_text_that_is_not_a_string_is_a_backend_error(monkeypatch, text):
     monkeypatch.setattr(
         "paraprompt.backend.requests.post",
-        lambda *args, **kwargs: _FakeResponse(body={"text": text, "token_count": 3}),
+        lambda *args, **kwargs: _reply({"text": text, "token_count": 3}),
     )
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
     with pytest.raises(BackendError, match='needs a string "text"'):
@@ -208,7 +201,7 @@ def test_http_text_that_is_not_a_string_is_a_backend_error(monkeypatch, text):
 
 def test_http_budget_rejection_surfaces_n(monkeypatch):
     def over_post(*args, **kwargs):
-        return _FakeResponse(status_code=413, body={"token_count": 2048})
+        return _reply({"token_count": 2048}, 413)
 
     monkeypatch.setattr("paraprompt.backend.requests.post", over_post)
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen"))
@@ -219,7 +212,7 @@ def test_http_budget_rejection_surfaces_n(monkeypatch):
 
 def test_http_embed_batch_dimension_check(monkeypatch):
     def mixed_post(*args, **kwargs):
-        return _FakeResponse(body={"vectors": [[1.0, 2.0], [1.0]]})
+        return _reply({"vectors": [[1.0, 2.0], [1.0]]})
 
     monkeypatch.setattr("paraprompt.backend.requests.post", mixed_post)
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
@@ -231,7 +224,7 @@ def test_http_embed_batch_dimension_check(monkeypatch):
 def test_http_embed_rejects_values_outside_float32(monkeypatch, value):
     # embedding files store float32: 1e39 would become inf, NaN a NaN index
     def post(*args, **kwargs):
-        return _FakeResponse(body={"vectors": [[1.0, 2.0], [0.5, value]]})
+        return _reply({"vectors": [[1.0, 2.0], [0.5, value]]})
 
     monkeypatch.setattr("paraprompt.backend.requests.post", post)
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
@@ -243,7 +236,7 @@ def test_http_embed_accepts_float32_extremes(monkeypatch):
     big = float(np.finfo(np.float32).max)
     monkeypatch.setattr(
         "paraprompt.backend.requests.post",
-        lambda *args, **kwargs: _FakeResponse(body={"vectors": [[big, -big, 1e-45]]}),
+        lambda *args, **kwargs: _reply({"vectors": [[big, -big, 1e-45]]}),
     )
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
     assert backend.embed(["a"])[0].tolist() == [big, -big, 1e-45]
@@ -260,7 +253,7 @@ def _batch_post(sent, dim_of=lambda batch_number: 3):
     def post(url, json, timeout):
         sent.append(json["texts"])
         dim = dim_of(len(sent) - 1)
-        return _FakeResponse(body={"vectors": [_text_vector(text, dim) for text in json["texts"]]})
+        return _reply({"vectors": [_text_vector(text, dim) for text in json["texts"]]})
     return post
 
 
@@ -307,7 +300,7 @@ def test_index_exits_3_when_a_later_batch_has_another_dim(tmp_path, monkeypatch,
 def test_embed_all_batch_with_the_wrong_vector_count_is_a_backend_error(monkeypatch):
     # HttpBackend checks each reply's row count itself ...
     monkeypatch.setattr("paraprompt.backend.requests.post",
-                        lambda url, json, timeout: _FakeResponse(body={"vectors": [[1.0]]}))
+                        lambda url, json, timeout: _reply({"vectors": [[1.0]]}))
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
     with pytest.raises(BackendError, match=r"^vectors of shape \(1, 1\) for 2 texts$"):
         embed_all(backend, ["a", "b"])
@@ -315,7 +308,7 @@ def test_embed_all_batch_with_the_wrong_vector_count_is_a_backend_error(monkeypa
     # ... and embed_all checks any other embedder's batches
     class Short:
         def embed(self, texts):
-            return [np.ones(2)] * (len(texts) - (len(texts) < EMBED_BATCH))
+            return np.ones((len(texts) - (len(texts) < EMBED_BATCH), 2))
 
     with pytest.raises(BackendError, match="^0 vectors for 1 texts$"):
         embed_all(Short(), ["x"] * (EMBED_BATCH + 1))
@@ -327,17 +320,10 @@ def test_embed_all_holds_one_batch_reply_at_a_time(monkeypatch):
     dim, n = 768, 16 * EMBED_BATCH
     row = json.dumps([round(0.1 + i / 7919, 9) for i in range(dim)]).encode()
 
-    class Reply:
-        status_code = 200
+    def post(url, json, timeout):
+        return 200, b'{"vectors": [' + b", ".join([row] * len(json["texts"])) + b"]}"
 
-        def __init__(self, count):
-            self.content = b'{"vectors": [' + b", ".join([row] * count) + b"]}"
-
-        def json(self):
-            return json.loads(self.content)
-
-    monkeypatch.setattr("paraprompt.backend.requests.post",
-                        lambda url, json, timeout: Reply(len(json["texts"])))
+    monkeypatch.setattr("paraprompt.backend.requests.post", post)
     backend = HttpBackend(BackendConfig(embedding_url="http://x/emb"))
     texts = [f"t{i}" for i in range(n)]
     embed_all(backend, texts[:1])  # imports numpy and http.client outside the measurement
@@ -380,11 +366,32 @@ MALFORMED_REPLIES = [
 ]
 
 
+# A body the JSON parser gives up on with a RecursionError, not a ValueError.
+TOO_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("call", ["generate", "embed"])
+@pytest.mark.parametrize("status, message", [
+    (200, "returned a body that is not a JSON object$"),
+    (500, r"answered HTTP 500: \[{200}$"),
+])
+def test_http_reply_nested_too_deeply_is_malformed(monkeypatch, call, status, message):
+    calls = []
+    monkeypatch.setattr("paraprompt.backend.requests.post",
+                        lambda *args, **kwargs: calls.append(args) or (status, TOO_DEEP))
+    backend = HttpBackend(BackendConfig(generation_url="http://x/generate",
+                                        embedding_url="http://x/embed", retry_limit=3))
+    with pytest.raises(BackendError, match=f"^http://x/{call} {message}") as err:
+        backend.generate(_manual("p")) if call == "generate" else backend.embed(["a"])
+    assert type(err.value) is BackendError
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("call, status, body, error", MALFORMED_REPLIES)
 def test_http_malformed_reply_is_a_backend_error(monkeypatch, call, status, body, error):
     monkeypatch.setattr(
         "paraprompt.backend.requests.post",
-        lambda *args, **kwargs: _FakeResponse(status_code=status, body=body),
+        lambda *args, **kwargs: _reply(body, status),
     )
     backend = HttpBackend(BackendConfig(generation_url="http://x/gen", embedding_url="http://x/emb"))
     with pytest.raises(BackendError) as err:
@@ -440,6 +447,7 @@ REPLIES = {
     "/over": (413, {}, b'{"token_count": 4096}'),
     "/fail": (500, {}, b"boom " * 100),
     "/moved": (302, {"Location": "/ok"}, b""),
+    "/deep": (200, {}, TOO_DEEP),
 }
 # "/embed" answers each text with _text_vector.
 
@@ -517,12 +525,44 @@ def test_loopback_redirect_is_a_backend_error_and_not_followed(loopback):
     assert [path for path, _, _ in seen] == ["/moved"]
 
 
-def test_loopback_refused_port_is_unreachable_after_retries():
+def _closed_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
-        port = sock.getsockname()[1]  # free, and nothing listens once closed
+        return sock.getsockname()[1]  # free, and nothing listens once closed
+
+
+def test_loopback_refused_port_is_unreachable_after_retries():
     with pytest.raises(BackendError, match="unreachable after 3 attempts: .*refused"):
-        _http(f"http://127.0.0.1:{port}/gen", retry_limit=3).generate(_manual("p"))
+        _http(f"http://127.0.0.1:{_closed_port()}/gen", retry_limit=3).generate(_manual("p"))
+
+
+def test_https_attempts_share_one_tls_context(monkeypatch):
+    import ssl
+
+    from paraprompt import backend
+
+    made = []
+    create = ssl.create_default_context
+    monkeypatch.setattr(ssl, "create_default_context", lambda: made.append(1) or create())
+    backend._tls_context.cache_clear()
+    url = f"https://127.0.0.1:{_closed_port()}/"
+    with pytest.raises(BackendError, match=f"^{url} unreachable after 2 attempts: .*refused"):
+        _http(url).generate(_manual("p"))
+    assert made == [1]
+
+
+def test_loopback_index_on_a_reply_nested_too_deeply_exits_3(loopback, tmp_path, capsys):
+    from paraprompt.cli import main
+
+    base, seen = loopback
+    train = tmp_path / "train.jsonl"
+    train.write_text(json.dumps({"id": "a", "source": "a b", "target": "c"}) + "\n")
+    assert main(["index", "--train", str(train), "--out", str(tmp_path / "out"),
+                 "--embedding-url", f"{base}/deep"]) == 3
+    assert capsys.readouterr().err == (
+        f"backend error: {base}/deep returned a body that is not a JSON object\n"
+    )
+    assert len(seen) == 1
 
 
 def test_loopback_wire_bytes_headers_and_query(loopback):

@@ -231,13 +231,8 @@ def test_the_readme_names_the_writer_of_each_file_as_the_stage_table_does():
 def test_index_rejects_out_of_range_embedding_as_backend_error(data_dir, capsys, monkeypatch):
     from paraprompt.backend import requests as requests_lib
 
-    class Response:
-        status_code = 200
-
-        def json(self):
-            return {"vectors": [[1e39, 0.0]] * len(TRAIN_ROWS)}
-
-    monkeypatch.setattr(requests_lib, "post", lambda *args, **kwargs: Response())
+    reply = json.dumps({"vectors": [[1e39, 0.0]] * len(TRAIN_ROWS)}).encode()
+    monkeypatch.setattr(requests_lib, "post", lambda *args, **kwargs: (200, reply))
     out = data_dir / "out"
     assert run([
         "index", "--train", data_dir / "train.jsonl", "--out", out,
@@ -456,10 +451,10 @@ def test_zero_norm_query_vector_is_a_data_error(data_dir, capsys, monkeypatch):
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
     embed = MockBackend.embed
-    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: [
+    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: np.array([
         vector * 0.0 if text == TEST_ROWS[1]["source"] else vector
         for text, vector in zip(texts, embed(self, texts))
-    ])
+    ]))
     capsys.readouterr()
     assert _generate(data_dir, out, "rapt") == 2
     assert capsys.readouterr().err == (
@@ -474,10 +469,10 @@ def test_index_refuses_a_vector_that_is_zero_in_float32(data_dir, capsys, monkey
     from paraprompt.backend import MockBackend
 
     embed = MockBackend.embed
-    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: [
+    monkeypatch.setattr(MockBackend, "embed", lambda self, texts: np.array([
         np.full_like(vector, 1e-46) if text == TRAIN_ROWS[1]["source"] else vector
         for text, vector in zip(texts, embed(self, texts))
-    ])
+    ]))
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 2
     assert capsys.readouterr().err == "data error: id 't1': zero-norm vector\n"
@@ -553,14 +548,8 @@ def test_http_generate_payloads_keep_their_bytes(data_dir, monkeypatch, flags, d
     from paraprompt.backend import requests as requests_lib
 
     sent = []
-
-    class Response:
-        status_code = 200
-
-        def json(self):
-            return {"text": " x y", "token_count": 2}
-
-    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or Response())
+    reply = b'{"text": " x y", "token_count": 2}'
+    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or (200, reply))
     out = data_dir / "out"
     if flags[1] != "manual":
         assert run(["label", "--train", data_dir / "train.jsonl", "--out", out]) == 0
@@ -627,17 +616,17 @@ def test_eval_with_no_scorable_source_leaves_self_ter_blank(data_dir, mode, flag
 
 
 def test_eval_embeds_sources_and_outputs_in_one_request(data_dir, monkeypatch):
-    from types import SimpleNamespace
-
     from paraprompt.backend import requests as requests_lib
 
     sent = []
+
+    dumps = json.dumps
 
     def post(url, json, timeout):
         sent.append(json["texts"])
         # each request's vectors are one component longer than the last's
         vectors = [[1.0] * (len(sent) + 1)] * len(json["texts"])
-        return SimpleNamespace(status_code=200, json=lambda: {"vectors": vectors})
+        return 200, dumps({"vectors": vectors}).encode()
 
     monkeypatch.setattr(requests_lib, "post", post)
     out = data_dir / "out"
@@ -684,14 +673,8 @@ def _ncrapt_layouts(data_dir, monkeypatch, out, extra=()):
     from paraprompt.backend import requests as requests_lib
 
     sent = []
-
-    class Response:
-        status_code = 200
-
-        def json(self):
-            return {"text": " x y", "token_count": 2}
-
-    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or Response())
+    reply = b'{"text": " x y", "token_count": 2}'
+    monkeypatch.setattr(requests_lib, "post", lambda url, json, timeout: sent.append(json) or (200, reply))
     assert _generate(data_dir, out, "ncrapt", [
         "--k", 5, "--generation-url", "http://gen.invalid/generate", *extra,
     ]) == 0

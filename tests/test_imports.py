@@ -88,13 +88,8 @@ def test_lazy_attributes_keep_their_objects():
 
 
 def test_index_build_error_exits_2(tmp_path, capsys, monkeypatch):
-    class Response:
-        status_code = 200
-
-        def json(self):
-            return {"vectors": [[0.0, 0.0]] * len(TRAIN_ROWS)}
-
-    monkeypatch.setattr(backend.requests, "post", lambda *args, **kwargs: Response())
+    reply = json.dumps({"vectors": [[0.0, 0.0]] * len(TRAIN_ROWS)}).encode()
+    monkeypatch.setattr(backend.requests, "post", lambda *args, **kwargs: (200, reply))
     write_jsonl(tmp_path / "train.jsonl", TRAIN_ROWS)
     assert main([
         "index", "--train", str(tmp_path / "train.jsonl"), "--out", str(tmp_path / "out"),
