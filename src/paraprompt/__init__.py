@@ -3,12 +3,13 @@
 The pieces, bottom up: ``textcore`` normalizes and tokenizes text;
 ``metrics`` scores paraphrases (BLEU, self-BLEU, TER, iBLEU, SARI,
 embedding cosine); ``novelty`` buckets pairs into low/medium/high
-novelty by TER; ``retrieval`` does exact kNN over sentence embeddings;
-``promptkit`` assembles manual, exemplar, retrieval-augmented, and
-novelty-conditioned prompt layouts; ``paramcount`` counts trainable
-parameters for adaptation methods; ``backend`` talks to generation and
-embedding services (or a deterministic mock); ``dataio`` loads and
-writes the file formats; ``cli`` wires it all into commands.
+novelty by TER; ``retrieval`` does exact kNN over sentence embeddings
+and returns the rows it finds; ``promptkit`` assembles manual,
+exemplar, retrieval-augmented, and novelty-conditioned prompt layouts;
+``paramcount`` counts trainable parameters for adaptation methods;
+``backend`` talks to generation and embedding services (or a
+deterministic mock); ``dataio`` loads and writes the file formats;
+``cli`` wires it all into commands.
 
 Of the names exported here, only the four from ``retrieval``
 (``RetrievalIndex``, ``build_index``, ``query_knn``, ``query_random``)

@@ -214,7 +214,7 @@ class HttpBackend:
         body = self._post(self.config.generation_url, payload)
         if type(body.get("text")) is not str or type(body.get("token_count")) is not int:
             raise BackendError(
-                f'generation response needs a string "text" and an integer "token_count": {body}'
+                f'generation response needs a string "text" and an integer "token_count": {str(body)[:200]}'
             )
         return body["text"]
 
@@ -226,7 +226,7 @@ class HttpBackend:
             {"texts": list(texts), "model": self.config.embedding_model_name},
         )
         if "vectors" not in body:
-            raise BackendError(f'embedding response missing "vectors": {body}')
+            raise BackendError(f'embedding response missing "vectors": {str(body)[:200]}')
         import numpy as np
         try:
             # numpy would take "1.5" or true as numbers; JSON numbers only

@@ -172,7 +172,7 @@ def cmd_index(config: PipelineConfig) -> int:
     embedder = backend_mod.make_embedding_backend(config.backend)
     # float32 as the file stores them, so index refuses what generate would
     vectors = backend_mod.embed_all(embedder, [p.source for p in pairs], "float32")
-    index = retrieval.RetrievalIndex([p.id for p in pairs], vectors, pairs.__getitem__)
+    index = retrieval.RetrievalIndex([p.id for p in pairs], vectors)
     emb_path = out_dir / retrieval.EMBEDDING_FILE
     entries = [(p.id, vector) for p, vector in zip(pairs, vectors)]
     retrieval.write_embeddings_binary(emb_path, out_dir / dataio.EMBEDDING_IDS.name, entries)
@@ -183,9 +183,11 @@ def cmd_index(config: PipelineConfig) -> int:
     return 0
 
 
-def _load_index(config: PipelineConfig) -> tuple[retrieval.RetrievalIndex, bytes]:
-    """The index over ``embeddings.bin``, its pairs read from the train file
-    through ``train_rows.jsonl`` (``dataio.index_pairs``), and that file's sha256."""
+def _load_index(
+    config: PipelineConfig,
+) -> tuple[retrieval.RetrievalIndex, Callable[[int], dataio.ParaphrasePair], bytes]:
+    """The index over ``embeddings.bin``, its row -> train pair lookup through
+    ``train_rows.jsonl`` (``dataio.index_pairs``), and the train file's sha256."""
     from . import retrieval
     train_path = _require(config, "train_path", "--train")
     out_dir = Path(config.out_dir)
@@ -195,7 +197,7 @@ def _load_index(config: PipelineConfig) -> tuple[retrieval.RetrievalIndex, bytes
         raise _artifact_error(config, emb_path, "holds no vectors")
     train_sha256 = dataio.file_sha256(train_path)
     pair_of = dataio.index_pairs(train_path, train_sha256, ids, out_dir / "train_rows.jsonl", emb_path)
-    return retrieval.RetrievalIndex(ids, matrix, pair_of), train_sha256
+    return retrieval.RetrievalIndex(ids, matrix), pair_of, train_sha256
 
 
 def _retrieve(
@@ -208,7 +210,7 @@ def _retrieve(
     the random strategy."""
     import numpy as np
     from . import retrieval
-    index, train_sha256 = _load_index(config)
+    index, pair_of, train_sha256 = _load_index(config)
     if not queries:
         return []
     embedder = backend_mod.make_embedding_backend(config.backend)
@@ -234,24 +236,25 @@ def _retrieve(
         ]
     else:
         found = retrieval.query_knn_batch(index, vectors, config.k, excludes)
-    # each distinct row is normalized, and in ncrapt classified, once
-    texts: dict[str, tuple[TokenSeq, TokenSeq, novelty.NoveltyClass | None]] = {}
+    # each distinct hit row is read, normalized, and in ncrapt classified, once
+    texts: dict[int, tuple[str, TokenSeq, TokenSeq, novelty.NoveltyClass | None]] = {}
 
-    def example(record: retrieval.ExampleRecord, sim: float) -> promptkit.PromptExample:
-        if record.id not in texts:
-            source = normalize(record.pair.source, config.normalization)
+    def example(row: int, sim: float) -> promptkit.PromptExample:
+        if row not in texts:
+            pair = pair_of(row)
+            source = normalize(pair.source, config.normalization)
             if not source:  # index leaves such a pair out; --train is another file
-                raise dataio.DataFormatError(config.train_path, None, f"index id {record.id!r}: source "
+                raise dataio.DataFormatError(config.train_path, None, f"index id {pair.id!r}: source "
                                              "normalizes to nothing; run the index command on this file")
-            target = normalize(record.pair.target, config.normalization)
-            texts[record.id] = source, target, (
+            target = normalize(pair.target, config.normalization)
+            texts[row] = pair.id, source, target, (
                 novelty.classify(novelty.ter(target, source), config.thresholds)
                 if config.mode == "ncrapt" else None
             )
-        source, target, novelty_class = texts[record.id]
-        return promptkit.PromptExample(source, target, sim, novelty_class, record.id)
+        pair_id, source, target, novelty_class = texts[row]
+        return promptkit.PromptExample(source, target, sim, novelty_class, pair_id)
 
-    return [[example(record, sim) for record, sim in reversed(hits)] for hits in found]
+    return [[example(row, sim) for row, sim in reversed(hits)] for hits in found]
 
 
 def _generate_rows(config: PipelineConfig, pairs: Sequence[dataio.ParaphrasePair]) -> list[dict]:

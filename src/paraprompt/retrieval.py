@@ -1,5 +1,7 @@
 """Exact kNN retrieval over sentence-embedding vectors.
 
+Search returns ``(row, similarity)`` pairs: the index holds only the row
+ids and vectors, and mapping a row to its training pair is the caller's.
 The index keeps the (n, dim) rows exactly as given (``generate`` passes
 the read-only float32 view of ``embeddings.bin``, never copied) and one
 screened float64 norm per row (below). A row's unit vector,
@@ -74,7 +76,7 @@ import struct
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,34 +101,29 @@ _WRITE_CHUNK_ROWS = 4096
 @dataclass(frozen=True)
 class ExampleRecord:
     id: str
-    pair: ParaphrasePair
     vector: np.ndarray
 
 
 class RetrievalIndex:
-    """Immutable exact-kNN store: the row ids, their (n, dim) rows as given,
-    one screened float64 norm per row and a row -> pair lookup.
+    """Immutable exact-kNN store: the row ids, their (n, dim) rows as given
+    and one screened float64 norm per row.
 
-    ``pair_of(row)`` makes a row's pair when the row is returned. ``matrix``
-    is kept, not copied, when it is a C-contiguous float32 or float64
-    array; the caller must not write to it afterwards. A duplicate id, or
-    a row of dimension 0, zero norm or a non-finite value, raises
+    ``matrix`` is kept, not copied, when it is a C-contiguous float32 or
+    float64 array; the caller must not write to it afterwards. A duplicate
+    id, or a row of dimension 0, zero norm or a non-finite value, raises
     ``IndexBuildError`` naming the first such id.
     """
 
-    def __init__(
-        self, ids: Sequence[str], matrix: np.ndarray, pair_of: Callable[[int], ParaphrasePair]
-    ) -> None:
+    def __init__(self, ids: Sequence[str], matrix: np.ndarray) -> None:
         matrix = np.asarray(matrix)
         if matrix.dtype not in (np.float32, np.float64):
             matrix = matrix.astype(np.float64)
         matrix = np.ascontiguousarray(matrix).view()
         matrix.setflags(write=False)
         self._ids = list(ids)
-        self._pair_of = pair_of
         if matrix.ndim != 2 or matrix.shape[0] != len(self._ids):
             raise IndexBuildError(
-                f"{len(self._ids)} pairs need an ({len(self._ids)}, dim) matrix, "
+                f"{len(self._ids)} ids need an ({len(self._ids)}, dim) matrix, "
                 f"got shape {matrix.shape}"
             )
         if self._ids and matrix.shape[1] == 0:
@@ -154,10 +151,6 @@ class RetrievalIndex:
         return len(self._ids)
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(self._ids)
-
-    @property
     def dim(self) -> int:
         return int(self._matrix.shape[1])
 
@@ -167,20 +160,12 @@ class RetrievalIndex:
         first use."""
         units = self._unit_rows(slice(None))
         units.setflags(write=False)
-        return tuple(
-            ExampleRecord(id=rid, pair=self._pair_of(row), vector=unit)
-            for row, (rid, unit) in enumerate(zip(self._ids, units))
-        )
+        return tuple(map(ExampleRecord, self._ids, units))
 
     def _unit_rows(self, rows: np.ndarray | slice) -> np.ndarray:
         units = self._matrix[rows].astype(np.float64)
         units /= _exact_norms(units)[:, None]
         return units
-
-    def _record(self, row: int, unit: np.ndarray) -> ExampleRecord:
-        vector = unit.copy()
-        vector.setflags(write=False)
-        return ExampleRecord(id=self._ids[row], pair=self._pair_of(row), vector=vector)
 
 
 def _exact_norms(rows: np.ndarray) -> np.ndarray:
@@ -230,9 +215,8 @@ def build_index(
             raise IndexBuildError(f"id {pair.id!r}: " + (
                 f"dimension {arr.shape[0]} != index dimension {vectors[0].shape[0]}"
                 if arr.ndim == 1 else "vector must be 1-dimensional"))
-    pairs = [pair for pair, _ in entries]
     matrix = np.stack(vectors) if vectors else np.empty((0, 0))
-    return RetrievalIndex([pair.id for pair in pairs], matrix, pairs.__getitem__)
+    return RetrievalIndex([pair.id for pair, _ in entries], matrix)
 
 
 def _unit_query(index: RetrievalIndex, query: Sequence[float], k: int) -> np.ndarray | None:
@@ -253,8 +237,12 @@ def query_knn(
     k: int,
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[tuple[ExampleRecord, float]]:
-    """Top-k records by cosine similarity, descending; insertion order on ties."""
-    return query_knn_batch(index, [query], k, [exclude])[0]
+    """Top-k records by cosine similarity, descending; insertion order on ties.
+    Only the hits' unit rows are formed."""
+    hits = query_knn_batch(index, [query], k, [exclude])[0]
+    units = index._unit_rows(np.array([row for row, _ in hits], dtype=np.intp))
+    units.setflags(write=False)
+    return [(ExampleRecord(index._ids[row], unit), sim) for (row, sim), unit in zip(hits, units)]
 
 
 def query_knn_batch(
@@ -262,8 +250,9 @@ def query_knn_batch(
     queries: Sequence[Sequence[float]],
     k: int,
     excludes: Sequence[frozenset[str] | set[str]],
-) -> list[list[tuple[ExampleRecord, float]]]:
-    """``query_knn`` for each query, with ``excludes[i]`` for query i."""
+) -> list[list[tuple[int, float]]]:
+    """Each query's top-k ``(row, similarity)`` pairs, ranked as ``query_knn``
+    ranks its records, with ``excludes[i]`` for query i."""
     if len(excludes) != len(queries):
         raise ValueError(f"{len(excludes)} exclude sets for {len(queries)} queries")
     units = [_unit_query(index, query, k) for query in queries]
@@ -271,7 +260,7 @@ def query_knn_batch(
         return [[] for _ in queries]
     matrix = index._matrix
     per_block = max(1, SCORE_BLOCK_BYTES // (len(index) * matrix.itemsize))
-    out: list[list[tuple[ExampleRecord, float]]] = []
+    out: list[list[tuple[int, float]]] = []
     for start in range(0, len(units), per_block):
         block = np.stack(units[start : start + per_block])
         # only guarded rows can overflow, and their scores are not used
@@ -290,7 +279,7 @@ def _top_k(
     scores: np.ndarray,
     k: int,
     exclude: frozenset[str] | set[str],
-) -> list[tuple[ExampleRecord, float]]:
+) -> list[tuple[int, float]]:
     """Exact top-k from one row of scores; see the module docstring."""
     m = k + len(exclude)
     if m >= len(index):
@@ -311,22 +300,14 @@ def _ranked(
     rows: np.ndarray,
     k: int,
     exclude: frozenset[str] | set[str],
-) -> list[tuple[ExampleRecord, float]]:
+) -> list[tuple[int, float]]:
     """The first k of ``rows`` not excluded, by similarity descending; a
     stable sort keeps the order of ``rows`` among ties."""
     units = index._unit_rows(rows)
     # Not units @ unit: BLAS rounds each row by its position.
     sims = np.multiply(units, unit).sum(axis=1)
-    order = np.argsort(-sims, kind="stable")
-    out: list[tuple[ExampleRecord, float]] = []
-    for i in order:
-        row = int(rows[i])
-        if index._ids[row] in exclude:
-            continue
-        out.append((index._record(row, units[i]), float(sims[i])))
-        if len(out) == k:
-            break
-    return out
+    order = (i for i in np.argsort(-sims, kind="stable") if index._ids[rows[i]] not in exclude)
+    return [(int(rows[i]), float(sims[i])) for i in itertools.islice(order, min(k, len(rows)))]
 
 
 def query_random(
@@ -335,7 +316,7 @@ def query_random(
     k: int,
     exclude: frozenset[str] | set[str] = frozenset(),
     seed: int = 0,
-) -> list[tuple[ExampleRecord, float]]:
+) -> list[tuple[int, float]]:
     """Uniform sample without replacement, the ablation counterpart of kNN,
     ranked as ``query_knn`` ranks its hits; ties keep the sample's order."""
     unit = _unit_query(index, query, k)

@@ -31,16 +31,17 @@ class NormalizationConfig:
 DEFAULT_NORMALIZATION = NormalizationConfig()
 
 
-def _split_punctuation(text: str) -> str:
-    out: list[str] = []
-    for ch in text:
-        if unicodedata.category(ch).startswith("P"):
-            out.append(" ")
-            out.append(ch)
-            out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+class _PunctuationSpacing(dict):
+    """``str.translate`` map: a space on each side of each punctuation character
+    (category P*), every other kept; a code point's category is read once."""
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        self[code] = value = f" {ch} " if unicodedata.category(ch).startswith("P") else ch
+        return value
+
+
+_PUNCTUATION_SPACING = _PunctuationSpacing()
 
 
 def normalize(text: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> TokenSeq:
@@ -55,7 +56,7 @@ def normalize(text: str, cfg: NormalizationConfig = DEFAULT_NORMALIZATION) -> To
     if cfg.lowercase:
         text = text.lower()
     if cfg.punctuation_split:
-        text = _split_punctuation(text)
+        text = text.translate(_PUNCTUATION_SPACING)
     return tuple(text.split())
 
 

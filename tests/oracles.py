@@ -5,9 +5,10 @@ implementation it validates: recursive edit distance with memoization,
 the row-by-row edit-distance DP and the greedy shift search built on it
 (the library's former TER engine, kept verbatim), breadth-first search
 over block moves for minimum TER, a string-keyed SARI port,
-window-by-window BLEU counting, a no-numpy kNN sort, a shortlist-free
-kNN scan, the library's former per-row packing of embedding files, and
-its former JSONL readers, which call ``json.loads`` once per line. The
+window-by-window BLEU counting, the library's former per-character
+punctuation split, a no-numpy kNN sort, a shortlist-free kNN scan, the
+library's former per-row packing of embedding files, and its former
+JSONL readers, which call ``json.loads`` once per line. The
 prompt-layout grammar check and the JSON-to-layout reader serve only the
 tests, so they live here too.
 """
@@ -18,6 +19,7 @@ import json
 import math
 import re
 import struct
+import unicodedata
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
@@ -168,6 +170,20 @@ def exhaustive_min_ter(hyp: tuple[str, ...], ref: tuple[str, ...]) -> float:
                 next_frontier.append(moved)
         frontier = next_frontier
     return best / len(ref)
+
+
+def split_punctuation_per_char(text: str) -> str:
+    """Each punctuation character (Unicode category P*) padded with a space
+    on each side, one character at a time: the library's former loop."""
+    out: list[str] = []
+    for ch in text:
+        if unicodedata.category(ch).startswith("P"):
+            out.append(" ")
+            out.append(ch)
+            out.append(" ")
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 def brute_knn(

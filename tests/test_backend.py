@@ -199,6 +199,19 @@ def test_http_text_that_is_not_a_string_is_a_backend_error(monkeypatch, text):
         backend.generate(_manual("p"))
 
 
+@pytest.mark.parametrize("call", ["generate", "embed"])
+def test_http_malformed_reply_is_quoted_in_200_characters(monkeypatch, call):
+    # a 1 MB reply without the fields asked for is named, not echoed whole
+    body = {"text": 7, "padding": "x" * 2**20}
+    monkeypatch.setattr("paraprompt.backend.requests.post", lambda *args, **kwargs: _reply(body))
+    backend = HttpBackend(BackendConfig(generation_url="http://x/gen", embedding_url="http://x/emb"))
+    with pytest.raises(BackendError) as err:
+        backend.generate(_manual("p")) if call == "generate" else backend.embed(["a"])
+    message = str(err.value)
+    assert message.endswith(": " + str(body)[:200])
+    assert len(message) < 300
+
+
 def test_http_budget_rejection_surfaces_n(monkeypatch):
     def over_post(*args, **kwargs):
         return _reply({"token_count": 2048}, 413)

@@ -277,25 +277,31 @@ def test_generate_index_shares_memory_with_the_loaded_file(data_dir, monkeypatch
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
     assert _generate(data_dir, out, "rapt") == 0
     _, matrix = returned["loaded"]
-    index, _ = returned["index"]
+    index, _, _ = returned["index"]
     assert np.shares_memory(index._matrix, matrix)
 
 
-def test_generate_rapt_creates_records_only_for_hits(data_dir, monkeypatch):
-    from paraprompt import retrieval
+def test_generate_reads_pairs_only_for_hit_rows(data_dir, monkeypatch):
+    from paraprompt import cli
 
-    made = []
-    record = retrieval.ExampleRecord
+    read = []
+    index_pairs = cli.dataio.index_pairs
 
-    def counting(**fields):
-        made.append(fields["id"])
-        return record(**fields)
+    def counting_index_pairs(*args):
+        pair_of = index_pairs(*args)
 
-    monkeypatch.setattr(retrieval, "ExampleRecord", counting)
+        def counting(row):
+            read.append(row)
+            return pair_of(row)
+        return counting
+
+    monkeypatch.setattr(cli.dataio, "index_pairs", counting_index_pairs)
     out = data_dir / "out"
     assert run(["index", "--train", data_dir / "train.jsonl", "--out", out]) == 0
     assert _generate(data_dir, out, "rapt", ["--k", "2"]) == 0
-    assert 0 < len(made) <= 2 * len(TEST_ROWS)
+    # each distinct hit row once
+    assert len(read) == len(set(read))
+    assert 0 < len(read) <= 2 * len(TEST_ROWS)
 
 
 def test_generate_on_test_file_keeps_id_collisions(data_dir):

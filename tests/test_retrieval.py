@@ -32,6 +32,11 @@ def entries_from(vectors):
     return [(pair(i), v) for i, v in enumerate(vectors)]
 
 
+def by_id(index, hits):
+    """``(row, similarity)`` hits as ``(id, similarity)``."""
+    return [(index._ids[row], sim) for row, sim in hits]
+
+
 def test_build_and_size():
     index = build_index(entries_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     assert len(index) == 3
@@ -76,21 +81,21 @@ def test_non_finite_vector_rejected(dtype, bad):
     with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
         build_index(entries_from(rows))
     with pytest.raises(IndexBuildError, match="id '2': vector is not finite"):
-        RetrievalIndex([str(i) for i in range(5)], rows, pair)
+        RetrievalIndex([str(i) for i in range(5)], rows)
 
 
 def test_index_from_a_matrix_names_faulty_ids():
     rows = np.ones((4, 2))
     rows[3] = 0.0
     with pytest.raises(IndexBuildError, match="id '3': zero-norm"):
-        RetrievalIndex(["0", "1", "2", "3"], rows, pair)
+        RetrievalIndex(["0", "1", "2", "3"], rows)
     with pytest.raises(IndexBuildError, match="duplicate id '1'"):
-        RetrievalIndex(["0", "1", "1", "3"], rows, pair)
+        RetrievalIndex(["0", "1", "1", "3"], rows)
 
 
 def test_index_keeps_the_rows_as_given():
     rows = np.random.default_rng(4).normal(size=(6, 5)).astype(np.float32)
-    index = RetrievalIndex([str(i) for i in range(6)], rows, pair)
+    index = RetrievalIndex([str(i) for i in range(6)], rows)
     assert index._matrix.dtype == np.float32
     assert np.shares_memory(index._matrix, rows)
     assert build_index(entries_from(rows))._matrix.dtype == np.float32
@@ -186,6 +191,9 @@ def test_k_larger_than_index_truncates():
     index = build_index(entries_from([[1.0, 0.0], [0.0, 1.0]]))
     hits = query_knn(index, [1.0, 0.0], k=10)
     assert len(hits) == 2
+    # a k past sys.maxsize, which the CLI accepts
+    assert len(query_knn_batch(index, [[1.0, 0.0]], 2**63, [set()])[0]) == 2
+    assert len(query_random(index, [1.0, 0.0], k=2**63, seed=0)) == 2
 
 
 def test_exclusion_never_returned():
@@ -254,8 +262,9 @@ def test_duplicate_rows_tie_in_insertion_order(n):
         index = build_index(entries_from(rows))
         batch = query_knn_batch(index, queries, 2, [frozenset()] * len(queries))
         for query, batch_hits in zip(queries, batch):
-            for hits in (query_knn(index, query, k=2), batch_hits):
-                assert [h[0].id for h in hits] == ["0", str(copy_at)]
+            single = [(record.id, sim) for record, sim in query_knn(index, query, k=2)]
+            for hits in (single, by_id(index, batch_hits)):
+                assert [h[0] for h in hits] == ["0", str(copy_at)]
                 assert hits[0][1] == hits[1][1]
 
 
@@ -333,9 +342,28 @@ def test_batched_knn_matches_full_scan_fuzz(kind, monkeypatch):
                 expected = knn_full_scan(
                     units, unit_normalize(query), k, {int(e) for e in exclude}
                 )
-                assert [(h[0].id, h[1]) for h in hits] == [(str(i), sim) for i, sim in expected]
+                assert by_id(index, hits) == [(str(i), sim) for i, sim in expected]
                 single = query_knn(index, query, k, exclude)
-                assert [(h[0].id, h[1]) for h in single] == [(h[0].id, h[1]) for h in hits]
+                assert [(h[0].id, h[1]) for h in single] == by_id(index, hits)
+
+
+def test_query_knn_is_the_batch_hits_mapped_to_ids():
+    # the single-query records: the batch's rows as ids, its similarities,
+    # and read-only unit vectors equal to those of records
+    rng = np.random.default_rng(14)
+    rows = rng.normal(size=(50, 16)).astype(np.float32)
+    rows[40:] = rows[:10]
+    index = build_index(entries_from(rows))
+    units = {record.id: record.vector for record in index.records}
+    queries = list(rng.normal(size=(6, 16)))
+    excludes = [{"3"}, set(), {"0", "41"}, set(), {"7"}, set()]
+    for query, exclude, hits in zip(queries, excludes, query_knn_batch(index, queries, 5, excludes)):
+        assert all(type(row) is int and type(sim) is float for row, sim in hits)
+        single = query_knn(index, query, 5, exclude)
+        assert [(record.id, sim) for record, sim in single] == by_id(index, hits)
+        for record, _ in single:
+            assert np.array_equal(record.vector, units[record.id])
+            assert not record.vector.flags.writeable
 
 
 def test_rows_outside_the_float32_product_range_are_guarded():
@@ -366,13 +394,13 @@ def test_random_retrieval_deterministic():
     index = build_index(entries_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
     first = query_random(index, [1.0, 0.0], k=2, seed=42)
     second = query_random(index, [1.0, 0.0], k=2, seed=42)
-    assert [(h[0].id, h[1]) for h in first] == [(h[0].id, h[1]) for h in second]
+    assert by_id(index, first) == by_id(index, second)
 
 
 def test_random_retrieval_full_permutation():
     index = build_index(entries_from([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
     hits = query_random(index, [1.0, 0.0], k=3, seed=1)
-    assert sorted(h[0].id for h in hits) == ["0", "1", "2"]
+    assert sorted(rid for rid, _ in by_id(index, hits)) == ["0", "1", "2"]
 
 
 def test_random_retrieval_everything_excluded():
@@ -383,6 +411,7 @@ def test_random_retrieval_everything_excluded():
 def test_random_reports_similarities():
     index = build_index(entries_from([[1.0, 0.0]]))
     hits = query_random(index, [1.0, 0.0], k=1, seed=9)
+    assert [(type(row), type(sim)) for row, sim in hits] == [(int, float)]
     assert hits[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -399,7 +428,7 @@ def test_random_hits_rank_as_a_full_scan_ranks_them():
         hits = query_random(index, query, k=25, seed=seed)
         chosen = random.Random(seed).sample(range(40), 25)
         expected = knn_full_scan(units[chosen], unit_normalize(query), 25)
-        assert [(h[0].id, h[1]) for h in hits] == [(str(chosen[i]), sim) for i, sim in expected]
+        assert by_id(index, hits) == [(str(chosen[i]), sim) for i, sim in expected]
 
 
 def test_empty_index_returns_no_hits():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from paraprompt import textcore
 from paraprompt.textcore import (
     DEFAULT_NORMALIZATION,
     NormalizationConfig,
@@ -12,6 +13,8 @@ from paraprompt.textcore import (
     normalize,
     render,
 )
+
+from oracles import split_punctuation_per_char
 
 
 def test_normalize_all_rules():
@@ -35,6 +38,15 @@ def test_normalize_unicode_composition():
 def test_punctuation_split_off():
     cfg = NormalizationConfig(punctuation_split=False)
     assert normalize("learn?", cfg) == ("learn?",)
+
+
+def test_punctuation_map_pads_as_the_per_character_loop_on_every_code_point():
+    # a map of the test's own, so the module's memo stays small; each chunk
+    # puts every code point between two others, surrogates included
+    table = textcore._PunctuationSpacing()
+    for lo in range(0, sys.maxunicode + 1, 0x10000):
+        text = "".join(map(chr, range(lo, lo + 0x10000)))
+        assert text.translate(table) == split_punctuation_per_char(text), hex(lo)
 
 
 # every code point that str.split() splits on, and every setting
