@@ -8,7 +8,9 @@ name is JSONL, so the files of one run may differ in format.
 Every file is written whole to a temp file, then the old file is
 unlinked and the new one renamed onto the free name, so no reader sees a
 partial file and a failed write keeps the old file; nothing is fsynced.
-Text is UTF-8; a BOM is tolerated on read and never written.
+Text is UTF-8; a BOM is tolerated on read and never written. A pair file
+is encoded a chunk of a few thousand rows at a time, from one row
+template, in the bytes ``write_jsonl`` gives each row.
 
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
 ``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``
@@ -26,6 +28,7 @@ keeps them, validated, under a seal over the digests of their inputs.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -355,10 +358,24 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
     atomic_write(path, (f"{_encode_row(row)}\n".encode("utf-8") for row in rows))
 
 
-def write_pairs(path: str | Path, pairs: Sequence[ParaphrasePair]) -> None:
-    write_jsonl(
-        path, ({"id": p.id, "source": p.source, "target": p.target} for p in pairs)
-    )
+# ``write_jsonl``'s row of a pair, and the pairs encoded into one chunk
+_PAIR_ROW = '{"id": %s, "source": %s, "target": %s}\n'
+_PAIRS_PER_CHUNK = 2048
+
+
+def write_pairs(path: str | Path, pairs: Iterable[ParaphrasePair]) -> None:
+    """The bytes ``write_jsonl`` writes for each pair's id, source and
+    target, with no dict or encoder per row: each field is encoded alone
+    into ``_PAIR_ROW``, and ``atomic_write`` gets one UTF-8 chunk per
+    ``_PAIRS_PER_CHUNK`` pairs."""
+    atomic_write(path, _pair_chunks(iter(pairs)))
+
+
+def _pair_chunks(pairs: Iterator[ParaphrasePair]) -> Iterator[bytes]:
+    while chunk := list(itertools.islice(pairs, _PAIRS_PER_CHUNK)):
+        yield "".join([
+            _PAIR_ROW % (_encode_row(p.id), _encode_row(p.source), _encode_row(p.target)) for p in chunk
+        ]).encode("utf-8")
 
 
 def file_sha256(path: str | Path) -> bytes:

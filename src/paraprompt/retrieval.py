@@ -329,6 +329,10 @@ def query_random(
     return _ranked(index, unit, np.array(chosen, dtype=np.intp), k, exclude)
 
 
+# The writer's sidecar: the head, the ids joined by the separator, the tail
+_SIDECAR_HEAD, _SIDECAR_SEP, _SIDECAR_TAIL = '{"id": ', '}\n{"id": ', '}\n'
+
+
 def write_embeddings_binary(
     path: str | Path,
     ids_path: str | Path,
@@ -340,8 +344,9 @@ def write_embeddings_binary(
     dims = {len(vector) for _, vector in entries}
     if len(dims) > 1:
         raise ValueError(f"mixed vector dimensions: {sorted(dims)}")
-    # json.dumps({"id": record_id}) for a str id
-    sidecar = "".join('{"id": %s}\n' % encode_basestring_ascii(record_id) for record_id, _ in entries)
+    # json.dumps({"id": record_id}) per row, for str ids
+    ids = _SIDECAR_SEP.join([encode_basestring_ascii(record_id) for record_id, _ in entries])
+    sidecar = _SIDECAR_HEAD + ids + _SIDECAR_TAIL if entries else ""
     header = EMBEDDING_MAGIC + struct.pack("<II", len(entries), dims.pop() if dims else 0)
     rows = (
         np.asarray([vector for _, vector in entries[lo : lo + _WRITE_CHUNK_ROWS]], dtype="<f4").data
@@ -357,8 +362,7 @@ def _writer_spelled_ids(ids_path: str | Path) -> list[str] | None:
     lone surrogate, for which ``read_jsonl`` returns the same ids; None
     for any other file."""
     text = Path(ids_path).read_bytes().decode("latin-1")
-    # the writer's rows, joined: head, the ids joined by sep, tail
-    head, sep, tail = '{"id": ', '}\n{"id": ', '}\n'
+    head, sep, tail = _SIDECAR_HEAD, _SIDECAR_SEP, _SIDECAR_TAIL
     if not (text.isascii() and text.startswith(head) and text.endswith(tail)):
         return None
     body = text[len(head) : -len(tail)]

@@ -3,12 +3,13 @@
 Each oracle is deliberately written along a different path than the
 implementation it validates: recursive edit distance with memoization,
 the row-by-row edit-distance DP and the greedy shift search built on it
-(the library's former TER engine, kept verbatim), breadth-first search
-over block moves for minimum TER, a string-keyed SARI port,
-window-by-window BLEU counting, the library's former per-character
-punctuation split, a no-numpy kNN sort, a shortlist-free kNN scan, the
-library's former per-row packing of embedding files, and its former
-JSONL readers, which call ``json.loads`` once per line. The
+(the library's former TER engine, whose candidates now resume the DP
+from the row of the prefix they share), breadth-first search over block
+moves for minimum TER, a string-keyed SARI port, window-by-window BLEU
+counting, the library's former per-character punctuation split, a
+no-numpy kNN sort, a shortlist-free kNN scan, the library's former
+per-row packing of embedding files, its former per-row pair writer, and
+its former JSONL readers, which call ``json.loads`` once per line. The
 prompt-layout grammar check and the JSON-to-layout reader serve only the
 tests, so they live here too.
 """
@@ -23,11 +24,11 @@ import unicodedata
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from paraprompt.dataio import DataFormatError, ParaphrasePair
+from paraprompt.dataio import DataFormatError, ParaphrasePair, write_jsonl
 from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
 from paraprompt.novelty import NoveltyClass
 from paraprompt.promptkit import (
@@ -102,12 +103,26 @@ def _apply_shift(hyp: list[str], start: int, length: int, dest: int) -> list[str
     return rest[:dest] + block + rest[dest:]
 
 
+def _dp_resume(row: list[int], i: int, tokens: Sequence[str], ref: Sequence[str]) -> list[int]:
+    """The edit-distance DP row after ``tokens`` more hypothesis tokens,
+    resumed from ``row``, the row of the first ``i``."""
+    for i, tok in enumerate(tokens, start=i + 1):
+        cur = [i] + [0] * len(ref)
+        for j, tok_ref in enumerate(ref, start=1):
+            cur[j] = min(row[j] + 1, cur[j - 1] + 1, row[j - 1] + (tok != tok_ref))
+        row = cur
+    return row
+
+
 def greedy_ter_dp(
     hypothesis: Sequence[str],
     reference: Sequence[str],
     max_block: int = MAX_SHIFT_BLOCK,
 ) -> TerResult:
-    """Greedy-shift TER re-running the full DP for every shift candidate."""
+    """Greedy-shift TER scoring every shift candidate with the row-by-row
+    DP. It once re-ran the whole DP per candidate; now each candidate
+    resumes from the DP row of the prefix it shares with the current
+    hypothesis, which gives the same distances."""
     if len(reference) == 0:
         raise ValueError("TER is undefined against an empty reference")
     cur = list(hypothesis)
@@ -115,6 +130,10 @@ def greedy_ter_dp(
     dist = levenshtein_dp(cur, ref)
     shifts = 0
     while dist > 0:
+        # rows[i] is the DP row of cur[:i]
+        rows = [list(range(len(ref) + 1))]
+        for i, tok in enumerate(cur):
+            rows.append(_dp_resume(rows[i], i, [tok], ref))
         # (reduction, -start, length, -dest): max picks the largest
         # reduction, then leftmost start, longest block, leftmost dest.
         best_key = None
@@ -122,7 +141,11 @@ def greedy_ter_dp(
         best_dist = None
         for start, dest, length in _matching_blocks(cur, ref, max_block):
             cand = _apply_shift(cur, start, length, dest)
-            cand_dist = levenshtein_dp(cand, ref)
+            # the shift leaves cur[:min(start, dest)] in place
+            shared = min(start, dest)
+            while shared < len(cur) and cand[shared] == cur[shared]:
+                shared += 1
+            cand_dist = _dp_resume(rows[shared], shared, cand[shared:], ref)[-1]
             if cand_dist >= dist:
                 continue
             key = (dist - cand_dist, -start, length, -dest)
@@ -227,6 +250,12 @@ def pack_embeddings_per_row(magic: bytes, vectors: list[Sequence[float]]) -> byt
     for vector in vectors:
         payload += struct.pack(f"<{dim}f", *[float(v) for v in vector])
     return bytes(payload)
+
+
+def write_pairs_per_row(path: str | Path, pairs: Iterable[ParaphrasePair]) -> None:
+    """The library's former ``write_pairs``: one dict per pair through
+    ``write_jsonl``."""
+    write_jsonl(path, ({"id": p.id, "source": p.source, "target": p.target} for p in pairs))
 
 
 def load_pairs_per_line(path: str | Path) -> list[ParaphrasePair]:

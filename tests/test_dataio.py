@@ -3,11 +3,12 @@ import os
 import random
 import re
 import stat
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import load_jsonl_objects_per_line, load_pairs_per_line
+from oracles import load_jsonl_objects_per_line, load_pairs_per_line, write_pairs_per_row
 from paraprompt import dataio, novelty
 from paraprompt.dataio import (
     DATASET,
@@ -372,6 +373,62 @@ def test_pairs_round_trip(tmp_path_factory, pairs):
     write_pairs(path, pairs)
     loaded = load_pairs(path)
     assert loaded.pairs == pairs
+
+
+# Characters JSON escapes, or one escaper escapes and the other does not:
+# the quote, the backslash, C0 controls, DEL (U+007F, which ensure_ascii
+# escapes and ensure_ascii=False keeps), NEL, the line separator, and
+# non-ASCII and astral text.
+_ESCAPED = '"\\' + "".join(map(chr, range(0x20))) + "\x7f\x85\u2028\u2029\u00e9\u4e2d\U0001f600"
+_field_text = st.text(st.one_of(st.sampled_from(_ESCAPED), st.characters(codec="utf-8")), max_size=12)
+_written_pair = st.builds(
+    ParaphrasePair,
+    id=st.one_of(_field_text, st.integers(-(10**20), 10**20)),
+    source=_field_text.filter(bool),
+    target=_field_text,
+)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, dataio._PAIRS_PER_CHUNK])
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(pairs=st.lists(_written_pair, max_size=10), as_generator=st.booleans())
+@example(pairs=[], as_generator=False)
+@example(pairs=[ParaphrasePair("\x7f", "\x7f", "\x7f")], as_generator=False)
+def test_write_pairs_writes_the_bytes_of_a_dict_per_row(tmp_path_factory, chunk, pairs, as_generator):
+    root = tmp_path_factory.mktemp("pairs")
+    with mock.patch.object(dataio, "_PAIRS_PER_CHUNK", chunk):
+        write_pairs(root / "chunked.jsonl", iter(pairs) if as_generator else pairs)
+    write_pairs_per_row(root / "per_row.jsonl", pairs)
+    assert (root / "chunked.jsonl").read_bytes() == (root / "per_row.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("writer", [write_pairs, write_pairs_per_row])
+def test_a_lone_surrogate_in_the_last_chunk_keeps_the_old_pair_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "pairs.jsonl"
+    path.write_bytes(b"old")
+    monkeypatch.setattr(dataio, "_PAIRS_PER_CHUNK", 2)
+    pairs = [ParaphrasePair(str(i), "a", "b") for i in range(5)] + [ParaphrasePair("5", "a", "\ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        writer(path, pairs)
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+    assert path.read_bytes() == b"old"
+
+
+def test_write_pairs_holds_a_few_chunks_at_a_time(tmp_path):
+    import tracemalloc
+
+    chunks = 16
+    pairs = [ParaphrasePair(f"p{i}", f"{i:<150}", f"{-i:<150}") for i in range(chunks * dataio._PAIRS_PER_CHUNK)]
+    path = tmp_path / "pairs.jsonl"
+    write_pairs(path, pairs[:1])
+    tracemalloc.start()
+    try:
+        write_pairs(path, pairs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk's rows, joined text and bytes; the whole file would be 16 chunks
+    assert peak < 3 * path.stat().st_size / chunks
 
 
 def test_generation_records_round_trip(tmp_path):
