@@ -365,6 +365,10 @@ def cmd_eval(config: PipelineConfig) -> int:
             )
         )
         texts.append((pair.source, row["output"]))
+    # generate writes a row per test pair, so a missing one is another test file's
+    generated = {row["id"] for row in generations}
+    if missing := [pair.id for pair in split.pairs if pair.id not in generated]:
+        raise _artifact_error(config, gen_path, f"no generation for test id {missing[0]!r}")
     if not records:
         raise dataio.DataFormatError(gen_path, None, "nothing to evaluate")
 

@@ -15,8 +15,9 @@ template, in the bytes ``write_jsonl`` gives each row.
 Every JSONL file is read by ``read_jsonl`` under its ``Schema``: the
 ``DATASET`` files the user names, and the artifacts ``EMBEDDING_IDS``
 and ``GENERATIONS``. It accepts exactly what
-``json.loads`` accepts on each line and raises its messages. A missing
-file is a ``FileNotFoundError``; the CLI's stage table names its writer.
+``json.loads`` accepts on each line and raises its messages. A TSV
+dataset's rows pass the same ``DATASET`` checks. A missing file is a
+``FileNotFoundError``; the CLI's stage table names its writer.
 
 Text that is not UTF-8, or a ``\\u`` escape of a lone surrogate, is a
 ``DataFormatError``, so every text read can be written back.
@@ -185,25 +186,26 @@ GENERATIONS = Schema("generations.jsonl", (
 
 def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
     """The rows of a JSONL file under ``schema``, one object per non-blank
-    line, in order: its id as text, its absent fields' defaults filled in
-    and every other key as read. A missing file is a ``FileNotFoundError``.
+    line, in order, as ``_checked_rows`` checks them. A missing file is a
+    ``FileNotFoundError``.
 
     A line is blank when it is empty or holds only whitespace
     (``str.isspace``). Any other line must parse as ``json.loads`` parses
     the line without its newline or, in an artifact, the line after
     ``str.strip()``; if it does not, ``DataFormatError`` carries json's
     message, or Python's for an integer past its digit limit (4,300 by
-    default) or a value nested past its recursion limit. A value with only JSON whitespace around it is scanned in
-    place; any other line is handed to ``json.loads`` itself, so the BOM
-    message and the error for, say, an unterminated string before a
-    trailing tab stay json's own. A ``\\u`` escape of a lone surrogate,
-    which no UTF-8 file can hold, is a ``DataFormatError`` too, and so is
-    a value that is not an object, an absent required field, a field that
-    fails its type check, an empty ``nonempty`` field and a repeated id;
-    the fields are checked in the schema's order.
+    default) or a value nested past its recursion limit. A value with only
+    JSON whitespace around it is scanned in place; any other line is
+    handed to ``json.loads`` itself, so the BOM message and the error for,
+    say, an unterminated string before a trailing tab stay json's own. A
+    ``\\u`` escape of a lone surrogate, which no UTF-8 file can hold, is a
+    ``DataFormatError`` too.
     """
-    shape = "expected an object with " + ", ".join(f.name for f in schema.fields if f.required)
-    seen: set[str] = set()
+    return _checked_rows(path, schema, _json_values(path, schema))
+
+
+def _json_values(path: str | Path, schema: Schema) -> Iterator[tuple[int, object]]:
+    """(1-based line number, parsed value) for each non-blank line; see ``read_jsonl``."""
     with _open_text(path) as fh:
         for lineno, line in _numbered_lines(path, fh):
             text = line.strip(_JSON_SPACE)
@@ -226,25 +228,37 @@ def read_jsonl(path: str | Path, schema: Schema) -> Iterator[dict]:
                 except UnicodeEncodeError:
                     raise DataFormatError(path, lineno, "a \\u escape names a lone surrogate, "
                                           "which is not text") from None
-            if not isinstance(row, dict):
-                raise DataFormatError(path, lineno, shape)
-            # an absent id is the row's position among the file's rows
-            row_id = str(row.get("id", len(seen)))
-            for f in schema.fields:
-                if f.name not in row:
-                    if f.required:
-                        raise DataFormatError(path, lineno, shape)
-                    if f.default is not None:
-                        row[f.name] = f.default
-                elif not f.type.test(row[f.name]):
-                    raise DataFormatError(path, lineno, f'"{f.name}" must be {f.type.must_be}')
-                elif f.nonempty and not row[f.name]:
-                    raise DataFormatError(path, lineno, f"pair {row_id!r}: {f.name} must be non-empty")
-            row["id"] = row_id
-            if row_id in seen:
-                raise DataFormatError(path, lineno, f"duplicate id {row_id!r}")
-            seen.add(row_id)
-            yield row
+            yield lineno, row
+
+
+def _checked_rows(path: str | Path, schema: Schema, values: Iterable[tuple[int, object]]) -> Iterator[dict]:
+    """The (line number, value) pairs read from ``path`` as rows under
+    ``schema``: the id as text, absent fields' defaults filled in, other
+    keys kept. A value that is not an object, an absent required field, a
+    field that fails its type check, an empty ``nonempty`` field and a
+    repeated id are each a ``DataFormatError``, fields in schema order."""
+    shape = "expected an object with " + ", ".join(f.name for f in schema.fields if f.required)
+    seen: set[str] = set()
+    for lineno, row in values:
+        if not isinstance(row, dict):
+            raise DataFormatError(path, lineno, shape)
+        # an absent id is the row's position among the file's rows
+        row_id = str(row.get("id", len(seen)))
+        for f in schema.fields:
+            if f.name not in row:
+                if f.required:
+                    raise DataFormatError(path, lineno, shape)
+                if f.default is not None:
+                    row[f.name] = f.default
+            elif not f.type.test(row[f.name]):
+                raise DataFormatError(path, lineno, f'"{f.name}" must be {f.type.must_be}')
+            elif f.nonempty and not row[f.name]:
+                raise DataFormatError(path, lineno, f"pair {row_id!r}: {f.name} must be non-empty")
+        row["id"] = row_id
+        if row_id in seen:
+            raise DataFormatError(path, lineno, f"duplicate id {row_id!r}")
+        seen.add(row_id)
+        yield row
 
 
 def data_format(path: str | Path) -> str:
@@ -254,42 +268,27 @@ def data_format(path: str | Path) -> str:
 
 def load_pairs(path: str | Path, name: str = "train") -> DatasetSplit:
     """Load paraphrase pairs from a JSONL or TSV file, as its name implies,
-    preserving order.
+    preserving order. The rows of both formats pass ``DATASET``'s checks.
 
-    JSONL rows are read under ``DATASET``. TSV rows carry either
-    source<TAB>target or id<TAB>source<TAB>target, the first kind named by
-    position as "0", "1", ... Duplicate ids are rejected.
+    A TSV line is blank when ``str.strip`` empties it. Any other line
+    carries source<TAB>target, whose id is its position among the file's
+    rows ("0", "1", ...), or id<TAB>source<TAB>target.
     """
-    if data_format(path) == "jsonl":
-        pairs = [ParaphrasePair(row["id"], row["source"], row["target"]) for row in read_jsonl(path, DATASET)]
-        return DatasetSplit(name=name, pairs=pairs)
-    by_id: dict[str, ParaphrasePair] = {}
+    values = _json_values(path, DATASET) if data_format(path) == "jsonl" else _tsv_values(path)
+    pairs = [ParaphrasePair(row["id"], row["source"], row["target"]) for row in _checked_rows(path, DATASET, values)]
+    return DatasetSplit(name=name, pairs=pairs)
+
+
+def _tsv_values(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(1-based line number, fields by name) for each non-blank TSV line."""
     with _open_text(path) as fh:
-        for lineno, raw in _numbered_lines(path, fh):
-            line = raw.rstrip("\n").rstrip("\r")
+        for lineno, line in _numbered_lines(path, fh):
             if not line.strip():
                 continue
-            pair = _parse_tsv_line(path, lineno, line, default_id=str(len(by_id)))
-            if pair.id in by_id:
-                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
-            by_id[pair.id] = pair
-    return DatasetSplit(name=name, pairs=list(by_id.values()))
-
-
-def _parse_tsv_line(path, lineno: int, line: str, default_id: str) -> ParaphrasePair:
-    cols = line.split("\t")
-    if len(cols) == 2:
-        row_id, source, target = default_id, cols[0], cols[1]
-    elif len(cols) == 3:
-        row_id, source, target = cols
-    else:
-        raise DataFormatError(
-            path, lineno, f"expected 2 or 3 tab-separated columns, got {len(cols)}"
-        )
-    try:
-        return ParaphrasePair(id=row_id, source=source, target=target)
-    except ValueError as err:
-        raise DataFormatError(path, lineno, str(err)) from err
+            cols = line.rstrip("\n").split("\t")
+            if not 2 <= len(cols) <= 3:
+                raise DataFormatError(path, lineno, f"expected 2 or 3 tab-separated columns, got {len(cols)}")
+            yield lineno, dict(zip(("id", "source", "target")[-len(cols):], cols))
 
 
 def validate_split_sizes(splits: Iterable[DatasetSplit], dataset_name: str) -> str:

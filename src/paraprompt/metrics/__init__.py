@@ -1,4 +1,4 @@
-"""Paraphrase evaluation metrics: BLEU, self-BLEU, TER, iBLEU, SARI, cosine."""
+"""Paraphrase evaluation metrics: BLEU, self-BLEU, TER, iBLEU, SARI, embedding cosine."""
 
 from .bleu import BLEU_ORDER, BleuStats, bleu_corpus, bleu_corpus_stats, closest_reference_length, self_bleu
 from .report import (
@@ -13,7 +13,7 @@ from .report import (
     report_text,
 )
 from .sari import sari_corpus, sari_ngram_scores, sari_sentence
-from .semantic import SemanticSummary, cosine, semantic_similarity
+from .semantic import SemanticSummary, semantic_similarity
 from .ter import MAX_SHIFT_BLOCK, SelfTerSummary, TerResult, levenshtein, self_ter, ter, ter_detail
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "bleu_corpus",
     "bleu_corpus_stats",
     "closest_reference_length",
-    "cosine",
     "evaluate_all",
     "format_cell",
     "ibleu",

@@ -66,6 +66,7 @@ the old file keeps its rows, and a failed write keeps the old file.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -153,6 +154,10 @@ class RetrievalIndex:
     @property
     def dim(self) -> int:
         return int(self._matrix.shape[1])
+
+    @functools.cached_property
+    def _row_of(self) -> dict[str, int]:  # id -> row, built on first use
+        return {rid: row for row, rid in enumerate(self._ids)}
 
     @functools.cached_property
     def records(self) -> tuple[ExampleRecord, ...]:
@@ -322,10 +327,13 @@ def query_random(
     unit = _unit_query(index, query, k)
     if unit is None:
         return []
-    rows: Sequence[int] = range(len(index))
-    if exclude:
-        rows = [row for row, rid in enumerate(index._ids) if rid not in exclude]
-    chosen = random.Random(seed).sample(rows, min(k, len(rows)))
+    skipped = sorted(index._row_of[rid] for rid in exclude if rid in index._row_of) if exclude else []
+    # random.sample picks by position: the kept row at position p is p plus
+    # the skipped rows with at most p kept rows before them (skipped[i] - i)
+    kept_before = [row - i for i, row in enumerate(skipped)]
+    kept = len(index) - len(skipped)
+    positions = random.Random(seed).sample(range(kept), min(k, kept))
+    chosen = [p + bisect.bisect_right(kept_before, p) for p in positions]
     return _ranked(index, unit, np.array(chosen, dtype=np.intp), k, exclude)
 
 

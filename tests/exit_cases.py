@@ -264,6 +264,11 @@ CASES = [
           ("list-mode", "mode", [], f'"mode" must be one of {_MODES}'),
           ("two-line-mode", "mode", "a\nb", f'"mode" must be one of {_MODES}'),
       ]),
+    # generate writes a row per test pair, so a missing one is a stale file
+    Case(name="eval-missing-a-test-id", argv=EVAL, code=2, absent=("out/report.txt",),
+         files={"out/generations.jsonl": jsonl([{"id": "q1", "prompt_n": 0, "output": "why", "mode": "copy"}])},
+         stderr="data error: out/generations.jsonl: no generation for test id 'q0'; "
+                "run the generate command first\n"),
     # a row without "mode" is labelled with the configured mode, rapt by default
     Case(name="eval-reads-an-integer-id-as-its-text", argv="eval --test numbered.jsonl --out out", code=0,
          files={"numbered.jsonl": jsonl({**row, "id": str(i)} for i, row in enumerate(TEST_ROWS)),

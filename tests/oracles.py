@@ -8,16 +8,20 @@ from the row of the prefix they share), breadth-first search over block
 moves for minimum TER, a string-keyed SARI port, window-by-window BLEU
 counting, the library's former per-character punctuation split, a
 no-numpy kNN sort, a shortlist-free kNN scan, the library's former
-per-row packing of embedding files, its former per-row pair writer, and
-its former JSONL readers, which call ``json.loads`` once per line. The
-prompt-layout grammar check and the JSON-to-layout reader serve only the
-tests, so they live here too.
+per-row packing of embedding files, its former per-row pair writer, its
+former JSONL readers, which call ``json.loads`` once per line, its former
+TSV reader with its own row rules, its former ``cosine`` whose zero-norm
+error the BERT column caught by its message, and its former random
+sampler, which lists every row not excluded. The prompt-layout grammar
+check and the JSON-to-layout reader serve only the tests, so they live
+here too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import struct
 import unicodedata
@@ -28,9 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from paraprompt.dataio import DataFormatError, ParaphrasePair, write_jsonl
-from paraprompt.metrics import MAX_SHIFT_BLOCK, TerResult
+from paraprompt.dataio import DataFormatError, ParaphrasePair, _numbered_lines, _open_text, write_jsonl
+from paraprompt.metrics import MAX_SHIFT_BLOCK, SemanticSummary, TerResult
 from paraprompt.novelty import NoveltyClass
+from paraprompt.retrieval import RetrievalIndex, _ranked, _unit_query
 from paraprompt.promptkit import (
     AssemblyError,
     PromptExample,
@@ -290,6 +295,88 @@ def load_pairs_per_line(path: str | Path) -> list[ParaphrasePair]:
             seen.add(pair.id)
             pairs.append(pair)
     return pairs
+
+
+def load_tsv_per_line(path: str | Path) -> list[ParaphrasePair]:
+    """The pairs of a TSV file, read as the library's former ``load_pairs``
+    read them, through the library's line reader: its own column split,
+    ``ParaphrasePair``'s ``ValueError`` re-raised as a ``DataFormatError``,
+    and a dict of the ids so far."""
+    by_id: dict[str, ParaphrasePair] = {}
+    with _open_text(path) as fh:
+        for lineno, raw in _numbered_lines(path, fh):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip():
+                continue
+            cols = line.split("\t")
+            if len(cols) == 2:
+                row_id, source, target = str(len(by_id)), cols[0], cols[1]
+            elif len(cols) == 3:
+                row_id, source, target = cols
+            else:
+                raise DataFormatError(path, lineno, f"expected 2 or 3 tab-separated columns, got {len(cols)}")
+            try:
+                pair = ParaphrasePair(id=row_id, source=source, target=target)
+            except ValueError as err:
+                raise DataFormatError(path, lineno, str(err)) from err
+            if pair.id in by_id:
+                raise DataFormatError(path, lineno, f"duplicate id {pair.id!r}")
+            by_id[pair.id] = pair
+    return list(by_id.values())
+
+
+def cosine(u: Sequence[float], v: Sequence[float]) -> float:
+    """The library's former ``cosine``: a zero-norm vector is a ``ValueError``."""
+    a = np.asarray(u, dtype=np.float64)
+    b = np.asarray(v, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"vector dimensions differ: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine undefined for zero-norm vector")
+    if np.array_equal(a, b):
+        return 1.0
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def semantic_similarity_by_message(
+    vector_pairs: Sequence[tuple[Sequence[float], Sequence[float]]]
+) -> SemanticSummary:
+    """The library's former BERT column: ``cosine`` of each pair, leaving
+    out a pair whose error says "zero-norm"."""
+    if not vector_pairs:
+        raise ValueError("semantic similarity needs a non-empty corpus")
+    total = 0.0
+    scored = 0
+    excluded = 0
+    for source_vec, prediction_vec in vector_pairs:
+        try:
+            total += cosine(source_vec, prediction_vec)
+        except ValueError as err:
+            if "zero-norm" in str(err):
+                excluded += 1
+                continue
+            raise
+        scored += 1
+    return SemanticSummary(
+        percent=100.0 * total / scored if scored else None, scored=scored, excluded=excluded
+    )
+
+
+def query_random_per_scan(
+    index: RetrievalIndex, query: Sequence[float], k: int, exclude: set[str] = frozenset(), seed: int = 0
+) -> list[tuple[int, float]]:
+    """The library's former ``query_random``: a list of every row not
+    excluded, sampled, then ranked by the library's ``_ranked``."""
+    unit = _unit_query(index, query, k)
+    if unit is None:
+        return []
+    rows: Sequence[int] = range(len(index))
+    if exclude:
+        rows = [row for row, rid in enumerate(index._ids) if rid not in exclude]
+    chosen = random.Random(seed).sample(rows, min(k, len(rows)))
+    return _ranked(index, unit, np.array(chosen, dtype=np.intp), k, exclude)
 
 
 def load_jsonl_objects_per_line(path: str | Path, required: Sequence[str]) -> list[dict]:

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import load_jsonl_objects_per_line, load_pairs_per_line, write_pairs_per_row
+from oracles import load_jsonl_objects_per_line, load_pairs_per_line, load_tsv_per_line, write_pairs_per_row
 from paraprompt import dataio, novelty
 from paraprompt.dataio import (
     DATASET,
@@ -255,6 +255,35 @@ def test_jsonl_readers_match_per_line_json_loads(tmp_path):
                     "Invalid control character", "Unterminated string", "expected an object",
                     "duplicate id", "source must be non-empty"]:
         assert any(outcome in message for message in seen), outcome
+
+
+# TSV fields: empty, whitespace-only, short ids that repeat, non-ASCII, and
+# any other text without a tab or a line break
+_tsv_field = st.one_of(
+    st.sampled_from(["", " ", "\xa0", "\u3000", "\x0b", "0", "1", "a", "\u00e9", "\u4e2d\u6587", " x "]),
+    st.text(st.characters(codec="utf-8", blacklist_characters="\t\n\r"), max_size=6),
+)
+# lines of 1 to 4 fields, mostly the 2 or 3 a row may have
+_tsv_line = st.tuples(
+    st.sampled_from([1, 2, 2, 2, 3, 3, 3, 4])
+    .flatmap(lambda n: st.lists(_tsv_field, min_size=n, max_size=n))
+    .map("\t".join),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(lines=st.lists(_tsv_line, max_size=8), last_newline=st.booleans(), bom=st.booleans())
+@example(lines=[("a\tb", "\n"), ("1\tc\td", "\r\n"), ("", "\n"), ("0\t \t", "\n")], last_newline=True, bom=False)
+@example(lines=[("x\t", "\r\n"), ("\ty", "\n")], last_newline=True, bom=True)
+def test_tsv_pairs_match_the_former_tsv_reader(tmp_path_factory, lines, last_newline, bom):
+    """A TSV file gives the former per-line reader's pairs, or its message on the same line."""
+    text = "".join(line + ending for line, ending in lines)
+    if lines and not last_newline:
+        text = text.removesuffix(lines[-1][1])
+    path = tmp_path_factory.mktemp("tsv") / "pairs.tsv"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    assert _outcome(lambda p: load_pairs(p).pairs, path) == _outcome(load_tsv_per_line, path)
 
 
 def test_artifacts_accept_unicode_space_around_a_value(tmp_path):

@@ -1,6 +1,10 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from oracles import semantic_similarity_by_message
 
 from paraprompt.metrics import (
     EvalRecord,
@@ -53,6 +57,58 @@ def test_semantic_zero_norm_excluded_and_tallied():
 def test_semantic_dimension_mismatch():
     with pytest.raises(ValueError):
         semantic_similarity([((1.0, 0.0), (1.0, 0.0, 0.0))])
+
+
+# coordinates: zero, unit, fractional, and magnitudes whose squares
+# underflow, go subnormal or overflow
+_coordinate = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-160, 1e-200, 5e-324, 1e160, 1e300]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def _vector_pairs(draw):
+    """Pairs of one dimension, the prediction drawn from the source: zero on
+    either side, identical, negated, near-parallel, rescaled or unrelated;
+    sometimes one pair of another dimension at a drawn position."""
+    dim = draw(st.integers(1, 4))
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        u = draw(st.lists(_coordinate, min_size=dim, max_size=dim))
+        kind = draw(st.sampled_from(["zero", "zero source", "same", "negated", "near", "scaled", "other"]))
+        scale = draw(st.sampled_from([1e-150, 2.0, 1e150]))
+        v = {
+            "zero": [0.0] * dim,
+            "zero source": u,
+            "same": list(u),
+            "negated": [-x for x in u],
+            "near": [np.nextafter(x, np.inf) if i == 0 else x for i, x in enumerate(u)],
+            "scaled": [x * scale for x in u],
+        }.get(kind) or draw(st.lists(_coordinate, min_size=dim, max_size=dim))
+        pairs.append(([0.0] * dim, v) if kind == "zero source" else (u, v))
+    if draw(st.integers(0, 7)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), ([1.0] * dim, [1.0] * (dim + 1)))
+    return pairs
+
+
+def _summary_or_error(score, pairs):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(score(pairs))
+    except ValueError as err:
+        return "ValueError", str(err)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_vector_pairs())
+@example([((1.0, 0.0), (0.0, 0.0)), ((1.0, 0.0), (1.0, 0.0, 0.0))])
+@example([((0.0, 0.0), (0.0, 0.0)), ((1e300, 1e300), (1e300, 1e300)), ((1e300, 1.0), (1.0, 1e300))])
+def test_semantic_matches_the_former_cosine_by_message(pairs):
+    """(percent, scored, excluded) equal bit for bit, as float reprs, to the
+    former cosine loop's, or the same ValueError text."""
+    want = _summary_or_error(semantic_similarity_by_message, pairs)
+    assert _summary_or_error(semantic_similarity, pairs) == want
 
 
 def _records(rows):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paraprompt import retrieval
 from paraprompt.dataio import EMBEDDING_IDS, DataFormatError, ParaphrasePair, read_jsonl
@@ -21,7 +22,7 @@ from paraprompt.retrieval import (
     write_embeddings_binary,
 )
 
-from oracles import brute_knn, knn_full_scan, pack_embeddings_per_row
+from oracles import brute_knn, knn_full_scan, pack_embeddings_per_row, query_random_per_scan
 
 
 def pair(i):
@@ -429,6 +430,28 @@ def test_random_hits_rank_as_a_full_scan_ranks_them():
         chosen = random.Random(seed).sample(range(40), 25)
         expected = knn_full_scan(units[chosen], unit_normalize(query), 25)
         assert by_id(index, hits) == [(str(chosen[i]), sim) for i, sim in expected]
+
+
+# a few directions, so that sampled rows tie and keep the sample's order
+_DIRECTIONS = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [-1.0, 0.5]]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    rows=st.lists(st.sampled_from(_DIRECTIONS), max_size=30),
+    k=st.one_of(st.integers(1, 33), st.just(2**63)),
+    seed=st.integers(-(2**40), 2**40),
+    excluded=st.sets(st.integers(-3, 33)),
+    query=st.sampled_from(_DIRECTIONS),
+)
+@example(rows=[[1.0, 0.0]] * 5, k=3, seed=0, excluded=set(range(5)), query=[1.0, 0.0])
+@example(rows=[[1.0, 0.0]] * 5, k=2**63, seed=7, excluded={-1, 2, 4, 40}, query=[1.0, 0.0])
+def test_random_sampling_picks_as_the_former_list_sampler(rows, k, seed, excluded, query):
+    """The same hits as sampling a list of every row not excluded; an
+    excluded id that names no row (negative or past the end) is ignored."""
+    index = RetrievalIndex([str(i) for i in range(len(rows))], np.array(rows, dtype=np.float64).reshape(-1, 2))
+    exclude = {str(i) for i in excluded}
+    assert query_random(index, query, k, exclude, seed) == query_random_per_scan(index, query, k, exclude, seed)
 
 
 def test_empty_index_returns_no_hits():
